@@ -24,6 +24,7 @@ at fixed short points, and are cross-checked against direct enumeration.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .intervals import interval
@@ -500,6 +501,42 @@ def _count_four(v):
     return total
 
 
+@lru_cache(maxsize=8)
+def _three_term_product(n):
+    """prod_{p<q} (E_p + E_q^{-1} - E_p E_q^{-1}), built from shifts."""
+    op = identity(n)
+    for p, q in combinations(range(n), 2):
+        op = op * (shift(n, p) + shift(n, q, -1)
+                   - shift(n, p) * shift(n, q, -1))
+    return op
+
+
+@lru_cache(maxsize=8)
+def _delta_delta_product(n):
+    """prod_{p<q} (id + Delta_p delta_q), built from differences."""
+    op = identity(n)
+    for p, q in combinations(range(n), 2):
+        op = op * (identity(n) + delta(n, p) * small_delta(n, q))
+    return op
+
+
+PAIR_PRODUCTS = {"threeTerm": _three_term_product,
+                 "deltaDelta": _delta_delta_product}
+
+
+def alpha_operator(n, form="deltaDelta"):
+    """The pairwise operator product of one form, built once per n.
+
+    Each form has its own builder and neither is derived from the other, so
+    the two routes stay independent; both normalize to the same expression.
+    """
+    try:
+        build = PAIR_PRODUCTS[form]
+    except KeyError:
+        raise ValueError("form must be threeTerm or deltaDelta") from None
+    return build(n)
+
+
 def alpha_via_operator(n, k, form="deltaDelta"):
     """Apply the pairwise operator product to the product formula at k.
 
@@ -510,18 +547,8 @@ def alpha_via_operator(n, k, form="deltaDelta"):
     k = tuple(k)
     if len(k) != n:
         raise ValueError("k must have length n")
-    op = identity(n)
-    for p in range(n):
-        for q in range(p + 1, n):
-            if form == "threeTerm":
-                factor = (shift(n, p) + shift(n, q, -1)
-                          - shift(n, p) * shift(n, q, -1))
-            elif form == "deltaDelta":
-                factor = identity(n) + delta(n, p) * small_delta(n, q)
-            else:
-                raise ValueError("form must be threeTerm or deltaDelta")
-            op = op * factor
-    return apply_operator(op, lattice_function(n, product_formula), k)
+    return apply_operator(alpha_operator(n, form),
+                          lattice_function(n, product_formula), k)
 
 
 # --- refined counts --------------------------------------------------------
@@ -678,19 +705,19 @@ def doubly_refined_identity_residuals(n, imax=None, jmax=None):
 # --- the four listed properties -------------------------------------------
 
 
+def _swap_residual(v, f, k, i):
+    """(id + E_{k_{i+1}} E^{-1}_{k_i} S) applied to v f at k."""
+    return (apply_operator(v, f, k)
+            + apply_operator(v, f, swap_shift(k, i, i + 1)))
+
+
 def property_one_residual(n, k, i):
     """(id + E_{k_{i+1}} E^{-1}_{k_i} S) V_{k_i, k_{i+1}} alpha at k (0 if true)."""
-    f = alpha_function(n)
-    v = v_operator(n, i - 1, i)
-    first = apply_operator(v, f, k)
-    second = apply_operator(v, f, swap_shift(k, i, i + 1))
-    return first + second
+    return _swap_residual(v_operator(n, i - 1, i), alpha_function(n), k, i)
 
 
 def property_two_residual(n, k, i):
-    f = alpha_function(n)
-    op = delta(n, i - 1) ** n
-    return apply_operator(op, f, k)
+    return apply_operator(delta(n, i - 1) ** n, alpha_function(n), k)
 
 
 def property_three_residual(n, k):
@@ -700,9 +727,30 @@ def property_three_residual(n, k):
 
 
 def property_four_residual(n, k, p):
-    f = alpha_function(n)
     op = elementary_symmetric(p, [delta(n, c) for c in range(n)])
-    return apply_operator(op, f, k)
+    return apply_operator(op, alpha_function(n), k)
+
+
+def _property_residuals(prop, n):
+    """k -> residual list of one property, its operators built once for n.
+
+    The returned function shares one alpha lattice function over all points
+    and gives the same residuals as the property_*_residual functions.
+    """
+    f = alpha_function(n)
+    if prop == "P1":
+        vs = [(i, v_operator(n, i - 1, i)) for i in range(1, n)]
+        return lambda k: [_swap_residual(v, f, k, i) for i, v in vs]
+    if prop == "P2":
+        ops = [delta(n, c) ** n for c in range(n)]
+    elif prop == "P3":
+        return lambda k: [property_three_residual(n, k)]
+    elif prop == "P4":
+        differences = [delta(n, c) for c in range(n)]
+        ops = [elementary_symmetric(p, differences) for p in range(1, n + 1)]
+    else:
+        raise ValueError("unknown property %r" % prop)
+    return lambda k: [apply_operator(op, f, k) for op in ops]
 
 
 def check_alpha_property(prop, n, grid):
@@ -728,19 +776,11 @@ def check_alpha_property(prop, n, grid):
             if r != 0:
                 violations.append({"point": list(where), "residual": r})
     else:
+        residuals = _property_residuals(prop, n)
         for k in grid:
             k = tuple(k)
             points += 1
-            if prop == "P1":
-                bad = [property_one_residual(n, k, i) for i in range(1, n)]
-            elif prop == "P2":
-                bad = [property_two_residual(n, k, i) for i in range(1, n + 1)]
-            elif prop == "P3":
-                bad = [property_three_residual(n, k)]
-            elif prop == "P4":
-                bad = [property_four_residual(n, k, p) for p in range(1, n + 1)]
-            else:
-                raise ValueError("unknown property %r" % prop)
+            bad = residuals(k)
             if any(r != 0 for r in bad):
                 violations.append({"point": list(k), "residual": bad})
     return {"property": prop, "n": n, "pointsChecked": points,

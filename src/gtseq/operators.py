@@ -15,12 +15,22 @@ operators are built on top:
     Delta_x = E_x - id        (written D in the mini-language)
     delta_x = id - E_x^{-1}   (written d)
 
+An expression is built once and then evaluated at any number of points.
+Construction normalizes the terms and freezes them: ``terms`` is a read-only
+shift -> coefficient map and ``stencil`` the same pairs as a tuple.
+``apply_operator`` walks the stencil, adding each shift to the point and
+summing coeff * f(point + shift), so evaluating a prebuilt operator over a
+grid does no operator arithmetic at all.  Callers that sweep a grid build
+each operator once per arity and share it across every point.
+
 ``LatticeFunction`` wraps an integer-valued function on Z^arity with a memo
-table so operator evaluation does not recompute points.
+table so operator evaluation does not recompute points.  A grid sweep shares
+one wrapper, so neighbouring stencils reuse each other's lookups.
 """
 
 import re
-from itertools import product as _cartesian
+from operator import add
+from types import MappingProxyType
 
 
 def product_formula(k):
@@ -109,9 +119,11 @@ class OperatorExpression:
     ``terms`` maps shift vectors (tuples of ints, one slot per coordinate)
     to nonzero integer coefficients.  Normalization is just dict merging, so
     two expressions are equal iff they act identically on every function.
+    Both ``terms`` and its tuple form ``stencil`` are fixed at construction;
+    an expression never changes, so a built one can be shared freely.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "terms", "stencil")
 
     def __init__(self, arity, terms=None):
         self.arity = arity
@@ -124,14 +136,15 @@ class OperatorExpression:
                 clean[shift] = clean.get(shift, 0) + coeff
                 if not clean[shift]:
                     del clean[shift]
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
+        self.stencil = tuple(clean.items())
 
     def __eq__(self, other):
         return (isinstance(other, OperatorExpression)
                 and self.arity == other.arity and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, frozenset(self.stencil)))
 
     def __repr__(self):
         items = sorted(self.terms.items())
@@ -140,7 +153,7 @@ class OperatorExpression:
     def __add__(self, other):
         self._check(other)
         merged = dict(self.terms)
-        for shift, coeff in other.terms.items():
+        for shift, coeff in other.stencil:
             merged[shift] = merged.get(shift, 0) + coeff
         return OperatorExpression(self.arity, merged)
 
@@ -148,16 +161,16 @@ class OperatorExpression:
         return self + (-other)
 
     def __neg__(self):
-        return OperatorExpression(self.arity, {s: -c for s, c in self.terms.items()})
+        return OperatorExpression(self.arity, {s: -c for s, c in self.stencil})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return OperatorExpression(self.arity, {s: c * other for s, c in self.terms.items()})
+            return OperatorExpression(self.arity, {s: c * other for s, c in self.stencil})
         self._check(other)
         out = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                s = tuple(x + y for x, y in zip(s1, s2))
+        for s1, c1 in self.stencil:
+            for s2, c2 in other.stencil:
+                s = tuple(map(add, s1, s2))
                 out[s] = out.get(s, 0) + c1 * c2
         return OperatorExpression(self.arity, out)
 
@@ -284,12 +297,11 @@ def lattice_function(arity, func, memo_cap=None):
 
 
 def apply_operator(op, f, point):
-    """(op f)(point), evaluated exactly."""
+    """(op f)(point), evaluated exactly by walking the stencil of op."""
     point = tuple(point)
     total = 0
-    for sh, coeff in op.terms.items():
-        moved = tuple(p + s for p, s in zip(point, sh))
-        total += coeff * f(moved)
+    for sh, coeff in op.stencil:
+        total += coeff * f(tuple(map(add, point, sh)))
     return total
 
 

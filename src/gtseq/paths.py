@@ -30,21 +30,13 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .operators import product_formula
+from .trees import _permutation_sign
 
 STEP_MOVES = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "D": (1, -1)}
 
 
 def starting_points(n):
     return [(-i + 1, i - 1) for i in range(1, n + 1)]
-
-
-def permutation_sign(pi):
-    sign = 1
-    for a in range(len(pi)):
-        for b in range(a + 1, len(pi)):
-            if pi[a] > pi[b]:
-                sign = -sign
-    return sign
 
 
 @dataclass(frozen=True)
@@ -156,7 +148,7 @@ def enumerate_families(k, variant="classic"):
                         for i in range(1, n + 1)]
         if any(not c for c in choice_lists):
             continue
-        base = permutation_sign(pi)
+        base = _permutation_sign(pi)
         for steps_by_path in product(*choice_lists):
             _assert_box(k, n, steps_by_path)
             sign = base
@@ -187,7 +179,7 @@ def signed_families(k, variant="classic"):
             pair_total[i - 1][j] = sum(_step_sign(p) for p in paths)
     total = 0
     for pi in permutations(range(n)):
-        term = permutation_sign(tuple(p + 1 for p in pi))
+        term = _permutation_sign(tuple(p + 1 for p in pi))
         for i in range(n):
             term *= pair_total[i][pi[i]]
             if term == 0:
@@ -261,7 +253,7 @@ def tail_swap(family, a, b):
     paths[a - 1], paths[b - 1] = new_a, new_b
     pi = list(family.pi)
     pi[a - 1], pi[b - 1] = pi[b - 1], pi[a - 1]
-    sign = permutation_sign(tuple(pi))
+    sign = _permutation_sign(tuple(pi))
     for steps in paths:
         sign *= _step_sign(steps)
     return PathFamily(family.n, tuple(pi), tuple(paths), sign)

@@ -17,7 +17,6 @@ reported witness data is deterministic.
 """
 
 import heapq
-import json
 import random
 from collections import namedtuple
 from dataclasses import dataclass
@@ -343,7 +342,3 @@ def random_sequence(n, seed):
     """Seeded random tree sequence of order n."""
     rng = random.Random(seed)
     return TreeSequence(tuple(random_tree(i, rng) for i in range(1, n + 1)))
-
-
-def sequence_to_json_str(seq):
-    return json.dumps(seq.to_json(), sort_keys=True)

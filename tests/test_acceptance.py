@@ -7,6 +7,7 @@ tolerance anywhere.
 """
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -116,3 +117,33 @@ def test_cli_verify_all_exits_clean():
     print("%s: gtseq verify all exits 0 (%.1fs)" % (status, elapsed))
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 900
+
+
+def _without_wall_time(report):
+    if isinstance(report, dict):
+        return {key: _without_wall_time(value)
+                for key, value in report.items() if key != "wallTime"}
+    if isinstance(report, list):
+        return [_without_wall_time(value) for value in report]
+    return report
+
+
+def test_cli_verify_all_independent_of_workers():
+    env = dict(os.environ)
+    env.pop("GTSEQ_CONFIG", None)
+    reports = {}
+    for workers in (1, 2):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gtseq.cli", "verify", "all",
+             "--workers", str(workers)],
+            capture_output=True, text=True, timeout=900, env=env)
+        assert proc.returncode == 0, proc.stderr
+        report = _without_wall_time(json.loads(proc.stdout))
+        # the report echoes the worker count; nothing else may differ
+        assert report["parameters"].pop("workers") == workers
+        reports[workers] = report
+    same = reports[1] == reports[2]
+    status = "PASS" if same else "FAIL"
+    print("%s: gtseq verify all reports the same at --workers 1 and 2"
+          " (%d points)" % (status, reports[1]["pointsChecked"]))
+    assert same

@@ -1,11 +1,13 @@
-from itertools import product
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from gtseq.monotone import (
+    PAIR_PRODUCTS,
     alpha,
+    alpha_operator,
     alpha_via_operator,
     check_alpha_property,
     doubly_refined_asm,
@@ -19,7 +21,9 @@ from gtseq.monotone import (
     refined_asm,
     strict_row_patterns,
 )
-from gtseq.operators import product_formula
+from gtseq.operators import (apply_operator, delta, identity,
+                             lattice_function, product_formula, shift,
+                             small_delta)
 
 
 def brute_monotone_count(k):
@@ -105,6 +109,40 @@ def test_operator_forms_agree_with_alpha(k):
     want = alpha(n, k)
     assert alpha_via_operator(n, k, "threeTerm") == want
     assert alpha_via_operator(n, k, "deltaDelta") == want
+
+
+def fresh_pair_product(n, form):
+    """The pairwise product as it is built for a single point, uncached."""
+    op = identity(n)
+    for p in range(n):
+        for q in range(p + 1, n):
+            if form == "threeTerm":
+                factor = (shift(n, p) + shift(n, q, -1)
+                          - shift(n, p) * shift(n, q, -1))
+            else:
+                factor = identity(n) + delta(n, p) * small_delta(n, q)
+            op = op * factor
+    return op
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cached_pair_products_match_fresh_builds(n):
+    f = lattice_function(n, product_formula)
+    built = {}
+    for form in PAIR_PRODUCTS:
+        built[form] = alpha_operator(n, form)
+        assert alpha_operator(n, form) is built[form]
+        assert built[form] == fresh_pair_product(n, form)
+        for k in combinations(range(-1, n + 1), n):
+            assert apply_operator(built[form], f, k) == alpha(n, k)
+    assert built["threeTerm"] == built["deltaDelta"]
+
+
+def test_alpha_operator_rejects_unknown_form():
+    with pytest.raises(ValueError):
+        alpha_operator(2, "pairwise")
+    with pytest.raises(ValueError):
+        alpha_via_operator(2, (0, 1), "pairwise")
 
 
 @given(st.lists(st.integers(-2, 2), min_size=2, max_size=3))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import pytest
 
 from gtseq.operators import (
+    OperatorExpression,
     OperatorParseError,
     apply_operator,
     binomial_determinant,
@@ -106,6 +107,39 @@ def test_operator_algebra_normalizes():
     assert d ** 2 == sq
     assert (d - d).terms == {}
     assert (shift(2, 0) * shift(2, 1, -1)).terms == {(1, -1): 1}
+
+
+_small_terms = st.lists(
+    st.tuples(st.tuples(*[st.integers(-2, 2)] * 3), st.integers(-4, 4)),
+    max_size=6)
+
+
+@given(_small_terms, st.tuples(*[st.integers(-3, 3)] * 3))
+def test_stencil_matches_naive_sum(pairs, point):
+    # build the operator through the algebra, evaluate the naive sum from
+    # the raw pairs, so repeated and cancelling shifts are exercised too
+    def g(k):
+        return 7 * k[0] ** 3 - 5 * k[0] * k[1] + k[2] ** 2 + 11
+
+    op = OperatorExpression(3)
+    for sh, coeff in pairs:
+        term = identity(3)
+        for coord, power in enumerate(sh):
+            term = term * shift(3, coord, power)
+        op = op + coeff * term
+    naive = sum(coeff * g(tuple(p + s for p, s in zip(point, sh)))
+                for sh, coeff in pairs)
+    assert isinstance(op.stencil, tuple)
+    assert dict(op.stencil) == op.terms
+    assert apply_operator(op, lattice_function(3, g), point) == naive
+    assert apply_operator(op, g, point) == naive
+
+
+def test_operator_terms_are_frozen():
+    op = delta(2, 0)
+    with pytest.raises(TypeError):
+        op.terms[(5, 5)] = 1
+    assert op.stencil == tuple(op.terms.items())
 
 
 def test_apply_operator_difference():

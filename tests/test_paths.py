@@ -11,11 +11,11 @@ from gtseq.paths import (
     enumerate_families,
     family_to_svg,
     path_vertices,
-    permutation_sign,
     signed_families,
     starting_points,
     tail_swap,
 )
+from gtseq.trees import _permutation_sign
 
 
 def test_starting_points_diagonal():
@@ -119,9 +119,9 @@ def test_tail_swap_requires_intersection():
 
 
 def test_permutation_sign_small():
-    assert permutation_sign((1, 2, 3)) == 1
-    assert permutation_sign((2, 1, 3)) == -1
-    assert permutation_sign((3, 1, 2)) == 1
+    assert _permutation_sign((1, 2, 3)) == 1
+    assert _permutation_sign((2, 1, 3)) == -1
+    assert _permutation_sign((3, 1, 2)) == 1
 
 
 def test_family_json_and_svg():
