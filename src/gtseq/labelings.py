@@ -19,13 +19,27 @@ The "weak" machinery pins selected edges to the labels of selected vertices
 is what finite differences of the signed count turn into: applying the
 forward difference in the coordinates of a vertex set R turns the level-m
 admissibility into weak R-admissibility.
+
+A witness's sign depends only on its pin assignment and its dominating
+choice, never on the values of its free edges: the maximum endpoint of an
+edge is fixed by the vertex labels when they differ, and when they coincide
+the edge has an empty value list unless it is pinned, in which case the
+assignment or the dominating choice names the maximum.  So ``_pin_terms``
+yields each valid pin assignment once, with one value list per edge and the
+signed weight summed over its dominating choices; ``RestrictedCounter``
+multiplies that weight into the sum over the value product, and the two
+witness functions expand the same terms into records.
+
+Counters with a pinned or filtered level m (``RestrictedCounter``,
+``signed_count_filtered``) read the levels below m from a ``SequenceCounter``
+they are handed, so every pinning of one tree sequence can share one plain
+memo.  Without one they make a fresh counter.
 """
 
-from collections import defaultdict
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
-
-from .trees import tree_sign
 
 
 @dataclass(frozen=True)
@@ -68,19 +82,38 @@ def inversion_edges(tree, k):
     return frozenset(out)
 
 
+def _edge_triples(tree):
+    """(name, tail, head) for every edge, in name order."""
+    return tuple((name,) + tree.edge(name) for name in tree.edge_names())
+
+
+def _incidence(n, edges):
+    """vertex -> names of its incident edges, ascending."""
+    return [()] + [tuple(name for name, t, h in edges if v == t or v == h)
+                   for v in range(1, n + 1)]
+
+
+def _ranges_and_parity(edges, values):
+    """Per-edge unshifted admissible values and whether the number of
+    inversions is odd, in one pass; (None, False) if an edge is blocked."""
+    ranges = []
+    odd = False
+    for name, t, h in edges:
+        a = values[t - 1] + t
+        b = values[h - 1] + h
+        if a < b:
+            ranges.append(range(a - name, b - name))
+        elif a > b:
+            ranges.append(range(b - name, a - name))
+            odd = not odd
+        else:
+            return None, False
+    return ranges, odd
+
+
 def _edge_ranges(tree, k):
     """Per-edge unshifted admissible values, or None if an edge is blocked."""
-    lab = shifted_vertex_labels(k)
-    ranges = []
-    for name in tree.edge_names():
-        t, h = tree.edge(name)
-        lo, hi = lab[t], lab[h]
-        if lo == hi:
-            return None
-        if lo > hi:
-            lo, hi = hi, lo
-        ranges.append(range(lo - name, hi - name))   # shifted value in [lo, hi)
-    return ranges
+    return _ranges_and_parity(_edge_triples(tree), k)[0]
 
 
 def admissible_labelings(tree, k):
@@ -97,14 +130,20 @@ class SequenceCounter:
 
     Memo tables are shared across evaluation points, which is what makes
     grid sweeps cheap: the level-i table is keyed by the level-i vector.
+    Level 2 is one edge, whose signed width needs no table.
     """
 
     def __init__(self, seq):
         self.seq = seq
         self.tree_sign = seq.sign()
+        self._order = seq.order
+        self._edges = [None] + [_edge_triples(tree) for tree in seq.trees]
         self._memo = [None] + [dict() for _ in range(seq.order)]
 
     def _raw(self, level, values):
+        if level == 2:
+            ((_, t, h),) = self._edges[2]
+            return values[h - 1] + h - values[t - 1] - t
         if level == 1:
             return 1
         memo = self._memo[level]
@@ -112,24 +151,23 @@ class SequenceCounter:
             return memo[values]
         except KeyError:
             pass
-        tree = self.seq.tree(level)
-        ranges = _edge_ranges(tree, values)
-        if ranges is None:
-            memo[values] = 0
-            return 0
-        inv = inversion_edges(tree, values)
+        ranges, odd = _ranges_and_parity(self._edges[level], values)
         total = 0
-        for l in product(*ranges):
-            total += self._raw(level - 1, l)
-        result = (-1) ** len(inv) * total
-        memo[values] = result
-        return result
+        if ranges is not None:
+            raw = self._raw
+            below = level - 1
+            for l in product(*ranges):
+                total += raw(below, l)
+            if odd:
+                total = -total
+        memo[values] = total
+        return total
 
     def __call__(self, k):
         k = tuple(k)
-        if len(k) != self.seq.order:
-            raise ValueError("k must have length %d" % self.seq.order)
-        return self.tree_sign * self._raw(self.seq.order, k)
+        if len(k) != self._order:
+            raise ValueError("k must have length %d" % self._order)
+        return self.tree_sign * self._raw(self._order, k)
 
 
 def signed_count(seq, k):
@@ -191,6 +229,136 @@ class WeakWitness:
     strict: bool
 
 
+# One valid pin assignment.  ``slots`` holds the unshifted values of every
+# edge in name order (a single value for a pinned edge); ``choices`` holds
+# (dominating, inversions, min_pairs, sign) per dominating choice, where
+# min_pairs are the (vertex, edge) pins whose vertex is the edge's minimum;
+# ``weight`` is the sum of the choice signs.
+PinTerm = namedtuple("PinTerm", ["assignment", "slots", "choices", "weight"])
+
+
+def _vertex_assignments(edges, incident, R):
+    """Vertex mode: each r in R pins one incident edge; labels of R are
+    excluded from the free edges."""
+    marked = frozenset(R)
+    for choice in product(*(incident[r] for r in R)):
+        yield tuple(zip(R, choice)), marked
+
+
+def _edge_assignments(edges, incident, R):
+    """Edge mode: each edge in R is pinned by one endpoint, injectively;
+    labels of the chosen endpoints are excluded from the free edges."""
+    for targets in product(*(edges[e - 1][1:] for e in R)):
+        marked = frozenset(targets)
+        if len(marked) == len(targets):
+            yield tuple(sorted(zip(targets, R))), marked
+
+
+def _pin_terms(edges, values, assignments):
+    """The valid pin assignments at one level, as PinTerms.
+
+    ``assignments`` yields (pairs, marked): the (vertex, edge) pins and the
+    vertices whose labels the free edges avoid.  A pinned edge carries its
+    vertex's label; two pins of one edge must agree; no other pinned edge
+    at a pinned vertex may carry that vertex's label.  Assignments leaving
+    some free edge without values are skipped.
+    """
+    lab = (0,) + tuple(x + v for v, x in enumerate(values, start=1))
+    spans = []               # (name, low label, high label, low endpoint)
+    top = {}                 # edge with distinct endpoint labels -> maximum
+    inversions = []
+    ties = []                # (name, tail) of edges with equal end labels
+    for name, t, h in edges:
+        a, b = lab[t], lab[h]
+        if a > b:
+            top[name] = t
+            inversions.append(name)
+            spans.append((name, b, a, h))
+        elif a < b:
+            top[name] = h
+            spans.append((name, a, b, t))
+        else:
+            ties.append((name, t))
+            spans.append((name, a, b, t))
+    for pairs, marked in assignments:
+        pinned = _pins(edges, lab, pairs)
+        if pinned is None:
+            continue
+        pins, shared = pinned
+        slots = []
+        for name, lo, hi, low in spans:
+            if name in pins:
+                slots.append((lab[pins[name]] - name,))
+                continue
+            if low in marked:
+                lo += 1
+            if lo >= hi:
+                break
+            slots.append(range(lo - name, hi - name))
+        else:
+            choices = []
+            doubly = sorted(shared)
+            for dom in product(*(shared[e] for e in doubly)):
+                dominating = tuple(zip(doubly, dom))
+                maxima = dict(dominating)
+                inv = inversions + [name for name, t in ties
+                                    if maxima.get(name, pins[name]) == t]
+                min_pairs = [(v, e) for v, e in pairs
+                             if top.get(e, maxima.get(e, v)) != v]
+                sign = -1 if (len(inv) + len(min_pairs)) % 2 else 1
+                choices.append((dominating, inv, min_pairs, sign))
+            yield PinTerm(tuple(sorted(pairs)), tuple(slots), tuple(choices),
+                          sum(c[3] for c in choices))
+
+
+def _pins(edges, lab, pairs):
+    """(edge -> first pinning vertex, doubly pinned edge -> both vertices)
+    for a valid assignment, None for an invalid one."""
+    pins = {}
+    shared = {}
+    for v, e in pairs:
+        if e not in pins:
+            pins[e] = v
+        elif lab[pins[e]] != lab[v]:
+            return None
+        else:
+            shared[e] = (pins[e], v)
+    assigned = dict(pairs)
+    for u, e in pairs:
+        _, t, h = edges[e - 1]
+        v = h if u == t else t
+        if lab[v] == lab[u] and assigned.get(v, e) != e:
+            return None          # a second pinned edge at v carries its label
+    return pins, shared
+
+
+def _pin_set(R, mode, n):
+    """R sorted, once it is checked to name distinct vertices (mode
+    "vertex") or edges (mode "edge") of an n-tree."""
+    R = tuple(sorted(R))
+    top = n if mode == "vertex" else n - 1
+    if len(set(R)) != len(R) or any(not 1 <= r <= top for r in R):
+        raise ValueError("R must consist of distinct %s of a %d-tree"
+                         % ("vertices" if mode == "vertex" else "edge names",
+                            n))
+    return R
+
+
+def _witness_records(terms, min_index):
+    """Expand PinTerms into sorted WeakWitness records; ``min_index`` picks
+    the vertex (0) or the edge (1) of each minimum pin for ``min_pinned``."""
+    out = []
+    for term in terms:
+        for labels in product(*term.slots):
+            for dominating, inv, min_pairs, sign in term.choices:
+                out.append(WeakWitness(
+                    labels, term.assignment, dominating, frozenset(inv),
+                    frozenset(p[min_index] for p in min_pairs), sign,
+                    not dominating))
+    out.sort(key=lambda w: (w.labels, w.assignment, w.dominating))
+    return out
+
+
 def weak_admissible_witnesses(tree, k, R):
     """All weak witnesses for the vertex set R (R empty: plain admissibility).
 
@@ -199,80 +367,12 @@ def weak_admissible_witnesses(tree, k, R):
     label of any endpoint that lies in R.  Edges pinned from both sides earn
     one witness per choice of dominating endpoint.
     """
-    R = tuple(sorted(R))
-    n = tree.n
-    if any(not 1 <= r <= n for r in R):
-        raise ValueError("R must consist of vertices")
-    lab = shifted_vertex_labels(k)
-    names = list(tree.edge_names())
-
-    if not R:
-        plain = admissible_labelings(tree, k)
-        return [WeakWitness(a.labels, (), (), a.inversions, frozenset(),
-                            (-1) ** len(a.inversions), True)
-                for a in plain]
-
-    out = []
-    incident = {r: tree.incident_edges(r) for r in R}
-    for choice in product(*(incident[r] for r in R)):
-        assignment = dict(zip(R, choice))
-        pins = {}
-        ok = True
-        for r, e in assignment.items():
-            val = lab[r]
-            if pins.get(e, val) != val:
-                ok = False
-                break
-            pins[e] = val
-        if not ok:
-            continue
-        # uniqueness: no second pinned edge at a pinned vertex may carry its label
-        for r in R:
-            for e in incident[r]:
-                if e != assignment[r] and e in pins and pins[e] == lab[r]:
-                    ok = False
-        if not ok:
-            continue
-        by_edge = defaultdict(list)
-        for r, e in assignment.items():
-            by_edge[e].append(r)
-        free = [e for e in names if e not in pins]
-        value_lists = []
-        for e in free:
-            t, h = tree.edge(e)
-            lo, hi = min(lab[t], lab[h]), max(lab[t], lab[h])
-            excluded = {lab[v] for v in (t, h) if v in set(R)}
-            vals = [x for x in range(lo, hi) if x not in excluded]
-            value_lists.append(vals)
-        shared = sorted(e for e, rs in by_edge.items() if len(rs) == 2)
-        for combo in product(*value_lists):
-            shifted = dict(pins)
-            shifted.update(zip(free, combo))
-            for dom_choice in product(*(by_edge[e] for e in shared)):
-                dominating = dict(zip(shared, dom_choice))
-                inversions = []
-                maxima = {}
-                for e in names:
-                    t, h = tree.edge(e)
-                    if lab[t] != lab[h]:
-                        mx = t if lab[t] > lab[h] else h
-                    elif e in dominating:
-                        mx = dominating[e]
-                    else:
-                        (mx,) = by_edge[e]
-                    maxima[e] = mx
-                    if t == mx:
-                        inversions.append(e)
-                min_pinned = frozenset(r for r in R if maxima[assignment[r]] != r)
-                sign = (-1) ** len(inversions) * (-1) ** len(min_pinned)
-                labels = tuple(shifted[e] - e for e in names)
-                out.append(WeakWitness(labels,
-                                       tuple(sorted(assignment.items())),
-                                       tuple(sorted(dominating.items())),
-                                       frozenset(inversions), min_pinned,
-                                       sign, not shared))
-    out.sort(key=lambda w: (w.labels, w.assignment, w.dominating))
-    return out
+    R = _pin_set(R, "vertex", tree.n)
+    edges = _edge_triples(tree)
+    incident = _incidence(tree.n, edges)
+    return _witness_records(
+        _pin_terms(edges, tuple(k), _vertex_assignments(edges, incident, R)),
+        0)
 
 
 def edge_admissible_witnesses(tree, k, edge_set):
@@ -280,167 +380,142 @@ def edge_admissible_witnesses(tree, k, edge_set):
     the label of one of its endpoints t(r), the map t is injective, and the
     pinned edge of each chosen vertex is unique.  Remaining edges follow the
     usual interval, avoiding the labels of chosen endpoints."""
-    edge_set = tuple(sorted(edge_set))
-    lab = shifted_vertex_labels(k)
-    names = list(tree.edge_names())
-    if any(e not in names for e in edge_set):
-        raise ValueError("edge_set must consist of edge names")
-    out = []
-    endpoint_options = [tree.edge(e) for e in edge_set]
-    for targets in product(*endpoint_options):
-        if len(set(targets)) != len(targets):
-            continue                       # t must be injective
-        t_map = dict(zip(edge_set, targets))
-        pins = {e: lab[v] for e, v in t_map.items()}
-        chosen = set(targets)
-        ok = True
-        for e, v in t_map.items():
-            for other in tree.incident_edges(v):
-                if other == e:
-                    continue
-                if other in pins and pins[other] == lab[v]:
-                    ok = False             # second pinned edge carries the label
-        if not ok:
-            continue
-        free = [e for e in names if e not in pins]
-        value_lists = []
-        for e in free:
-            p, q = tree.edge(e)
-            lo, hi = min(lab[p], lab[q]), max(lab[p], lab[q])
-            excluded = {lab[v] for v in (p, q) if v in chosen}
-            value_lists.append([x for x in range(lo, hi) if x not in excluded])
-        for combo in product(*value_lists):
-            shifted = dict(pins)
-            shifted.update(zip(free, combo))
-            inversions = []
-            minima = {}
-            for e in names:
-                p, q = tree.edge(e)
-                if lab[p] != lab[q]:
-                    mx = p if lab[p] > lab[q] else q
-                else:
-                    mx = t_map[e]          # equal labels force e into edge_set
-                minima[e] = q if mx == p else p
-                if p == mx:
-                    inversions.append(e)
-            pinned_minima = frozenset(e for e in edge_set if t_map[e] == minima[e])
-            sign = (-1) ** len(inversions) * (-1) ** len(pinned_minima)
-            labels = tuple(shifted[e] - e for e in names)
-            out.append(WeakWitness(labels,
-                                   tuple(sorted((v, e) for e, v in t_map.items())),
-                                   (), frozenset(inversions),
-                                   pinned_minima, sign, True))
-    out.sort(key=lambda w: (w.labels, w.assignment))
-    return out
+    edge_set = _pin_set(edge_set, "edge", tree.n)
+    edges = _edge_triples(tree)
+    return _witness_records(
+        _pin_terms(edges, tuple(k), _edge_assignments(edges, None, edge_set)),
+        1)
 
 
-class RestrictedCounter:
-    """Signed enumeration with one level replaced by a pinned variant.
+class _LevelWalk:
+    """Signed enumeration with level m replaced by ``self._transition``.
 
-    mode "vertex": level m uses weak R-admissibility (R a set of vertices of
-    T_m); mode "edge": level m uses the edge-pinned variant (R a set of edge
-    names of T_m).  Levels other than m are ordinary.
+    Levels above m are walked with this walk's own memo; the transition at
+    m reads level m-1 through ``below(labels)``, which is the plain counter
+    ``plain`` (a fresh one when None) shared with every other walk over
+    the same tree sequence.
     """
 
-    def __init__(self, seq, m, R, mode="vertex"):
+    def __init__(self, seq, m, plain=None):
         if not 2 <= m <= seq.order:
             raise ValueError("restriction level out of range")
+        if plain is None:
+            plain = SequenceCounter(seq)
+        elif plain.seq != seq:
+            raise ValueError("plain counter is for another tree sequence")
         self.seq = seq
         self.m = m
-        self.R = tuple(sorted(R))
-        self.mode = mode
-        self.tree_sign = seq.sign()
-        self._plain = SequenceCounter(seq)
+        self.tree_sign = plain.tree_sign
+        self._plain = plain
+        self._below = partial(plain._raw, m - 1)
         self._memo = [None] + [dict() for _ in range(seq.order)]
 
-    def _witnesses(self, tree, values):
-        if self.mode == "vertex":
-            return weak_admissible_witnesses(tree, values, self.R)
-        if self.mode == "edge":
-            return edge_admissible_witnesses(tree, values, self.R)
-        raise ValueError("unknown mode %r" % self.mode)
-
     def _count(self, level, values):
-        if level < self.m:
-            return self._plain._raw(level, values)
         memo = self._memo[level]
         try:
             return memo[values]
         except KeyError:
             pass
-        tree = self.seq.tree(level)
         if level == self.m:
-            total = 0
-            for w in self._witnesses(tree, values):
-                total += w.sign * self._plain._raw(level - 1, w.labels)
+            total = self._transition(values, self._below)
         else:
-            ranges = _edge_ranges(tree, values)
-            if ranges is None:
-                memo[values] = 0
-                return 0
-            inv = inversion_edges(tree, values)
+            ranges, odd = _ranges_and_parity(self._plain._edges[level], values)
             total = 0
-            for l in product(*ranges):
-                total += self._count(level - 1, l)
-            total *= (-1) ** len(inv)
+            if ranges is not None:
+                count = self._count
+                below = level - 1
+                for l in product(*ranges):
+                    total += count(below, l)
+                if odd:
+                    total = -total
         memo[values] = total
         return total
 
+    def _total(self, k):
+        k = tuple(k)
+        order = self._plain._order
+        if len(k) != order:
+            raise ValueError("k must have length %d" % order)
+        return self.tree_sign * self._count(order, k)
+
+
+class RestrictedCounter(_LevelWalk):
+    """Signed enumeration with one level replaced by a pinned variant.
+
+    mode "vertex": level m uses weak R-admissibility (R a set of vertices of
+    T_m); mode "edge": level m uses the edge-pinned variant (R a set of edge
+    names of T_m).  Levels other than m are ordinary; those below m are
+    read from ``plain`` (see ``_LevelWalk``).
+    """
+
+    ASSIGNMENTS = {"vertex": _vertex_assignments, "edge": _edge_assignments}
+
+    def __init__(self, seq, m, R, mode="vertex", plain=None):
+        if mode not in self.ASSIGNMENTS:
+            raise ValueError("unknown mode %r" % (mode,))
+        super().__init__(seq, m, plain)
+        self.R = _pin_set(R, mode, m)
+        self.mode = mode
+        self._edges = self._plain._edges[m]
+        self._incident = _incidence(m, self._edges)
+        self._assignments = self.ASSIGNMENTS[mode]
+
+    def _transition(self, values, below):
+        """Sum of weight * below(labels) over the pin terms at level m."""
+        edges = self._edges
+        terms = _pin_terms(edges, values,
+                           self._assignments(edges, self._incident, self.R))
+        total = 0
+        for term in terms:
+            if term.weight:
+                total += term.weight * sum(map(below, product(*term.slots)))
+        return total
+
     def __call__(self, k):
-        return self.tree_sign * self._count(self.seq.order, tuple(k))
+        # not inherited, so wrapping it (bench/tracer.py does) times
+        # restricted counts only, not filtered ones
+        return self._total(k)
 
 
-def restricted_signed_count(seq, k, m, R=(), mode="vertex"):
+def restricted_signed_count(seq, k, m, R=(), mode="vertex", plain=None):
     """Signed count with level m pinned on the vertex set (or edge set) R."""
-    return RestrictedCounter(seq, m, R, mode=mode)(k)
+    return RestrictedCounter(seq, m, R, mode=mode, plain=plain)(k)
 
 
 def size_restricted_signed_count(seq, k, m, rho):
     """Sum of vertex-restricted counts over all rho-subsets R of [m]."""
-    if rho == 0:
-        return signed_count(seq, k)
-    total = 0
-    for R in combinations(range(1, m + 1), rho):
-        total += restricted_signed_count(seq, k, m, R, mode="vertex")
-    return total
-
-
-def signed_count_filtered(seq, k, level, distinct_pairs):
-    """Signed count keeping only chains where the given edge pairs of
-    T_level carry distinct labels (shifted comparison, l_e + e)."""
-    pairs = [tuple(p) for p in distinct_pairs]
-
-    def passes(labels):
-        for a, b in pairs:
-            if labels[a - 1] + a == labels[b - 1] + b:
-                return False
-        return True
-
-    n = seq.order
     plain = SequenceCounter(seq)
-    memo = {}
+    if rho == 0:
+        return plain(k)
+    return sum(restricted_signed_count(seq, k, m, R, mode="vertex",
+                                       plain=plain)
+               for R in combinations(range(1, m + 1), rho))
 
-    def walk(lvl, values):
-        if lvl == 1:
-            return 1
-        if lvl < level:
-            return plain._raw(lvl, values)
-        key = (lvl, values)
-        if key in memo:
-            return memo[key]
-        tree = seq.tree(lvl)
-        ranges = _edge_ranges(tree, values)
+
+class _FilteredCounter(_LevelWalk):
+    """Level m keeps only labelings whose given edge pairs carry distinct
+    shifted labels."""
+
+    def __init__(self, seq, m, distinct_pairs, plain=None):
+        super().__init__(seq, m, plain)
+        self.pairs = [tuple(p) for p in distinct_pairs]
+
+    def _transition(self, values, below):
+        ranges, odd = _ranges_and_parity(self._plain._edges[self.m], values)
         if ranges is None:
-            memo[key] = 0
             return 0
-        inv = inversion_edges(tree, values)
+        pairs = self.pairs
         total = 0
         for l in product(*ranges):
-            if lvl == level and not passes(l):
-                continue
-            total += walk(lvl - 1, l)
-        total *= (-1) ** len(inv)
-        memo[key] = total
-        return total
+            if all(l[a - 1] + a != l[b - 1] + b for a, b in pairs):
+                total += below(l)
+        return -total if odd else total
 
-    return seq.sign() * walk(n, tuple(k))
+
+def signed_count_filtered(seq, k, level, distinct_pairs, plain=None):
+    """Signed count keeping only chains where the given edge pairs of
+    T_level carry distinct labels (shifted comparison, l_e + e).  A level
+    outside 2..n has no edge pairs to filter, so the count is plain."""
+    if not 2 <= level <= seq.order:
+        return (plain or SequenceCounter(seq))(k)
+    return _FilteredCounter(seq, level, distinct_pairs, plain)._total(k)

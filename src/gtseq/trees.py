@@ -214,13 +214,19 @@ def _path_through(m, last):
 
 @dataclass(frozen=True)
 class TreeSequence:
-    """A tuple (T_1, ..., T_n) where T_i is an i-tree."""
+    """A tuple (T_1, ..., T_n) where T_i is an i-tree.
+
+    The sequence is immutable, so its sign is computed once, here.
+    """
     trees: tuple
 
     def __post_init__(self):
+        s = 1
         for i, tree in enumerate(self.trees, start=1):
             if tree.n != i:
                 raise ValueError("entry %d must be an %d-tree" % (i, i))
+            s *= tree_sign(tree).sign
+        object.__setattr__(self, "_sign", s)
 
     @property
     def order(self):
@@ -230,10 +236,7 @@ class TreeSequence:
         return self.trees[level - 1]
 
     def sign(self):
-        s = 1
-        for tree in self.trees:
-            s *= tree_sign(tree).sign
-        return s
+        return self._sign
 
     def to_json(self):
         return {"order": self.order, "trees": [t.to_json() for t in self.trees]}

@@ -204,7 +204,8 @@ def suite_prop_first(n_max=4, bound=1, trees=2, seed=11):
             counter = SequenceCounter(seq)
             for size in range(1, n + 1):
                 for R in combinations(range(1, n + 1), size):
-                    pinned = RestrictedCounter(seq, n, R, mode="vertex")
+                    pinned = RestrictedCounter(seq, n, R, mode="vertex",
+                                               plain=counter)
                     for k in _cube(bound, n):
                         points += 1
                         want = _difference_in(counter, k, list(R))
@@ -218,7 +219,8 @@ def suite_prop_first(n_max=4, bound=1, trees=2, seed=11):
                 for pair in combinations(range(1, level), 2):
                     for k in _cube(bound, n):
                         points += 1
-                        got = signed_count_filtered(seq, k, level, [pair])
+                        got = signed_count_filtered(seq, k, level, [pair],
+                                                    plain=counter)
                         want = counter(k)
                         if got != want:
                             violations.append({"check": "distinctFilter",
@@ -239,12 +241,15 @@ def suite_prop_second(n_max=4, bound=1, trees=2, seed=11):
     for n in range(3, n_max + 1):
         seqs = [(0, basic_sequence(n))] + _seeded_sequences(n, trees, seed)
         for s, seq in seqs:
+            plain = SequenceCounter(seq)
             for m in range(3, n + 1):
                 for size in range(1, m):
                     for R in combinations(range(1, m), size):
-                        by_edge = RestrictedCounter(seq, m, R, mode="edge")
+                        by_edge = RestrictedCounter(seq, m, R, mode="edge",
+                                                    plain=plain)
                         by_vertex = RestrictedCounter(seq, m - 1, R,
-                                                      mode="vertex")
+                                                      mode="vertex",
+                                                      plain=plain)
                         for k in _cube(bound, n):
                             points += 1
                             a, b = by_edge(k), by_vertex(k)
@@ -264,9 +269,11 @@ def suite_rho_zero(n_max=4, bound=1, trees=1, seed=11):
     for n in range(2, n_max + 1):
         seqs = [(0, basic_sequence(n))] + _seeded_sequences(n, trees, seed)
         for s, seq in seqs:
+            plain = SequenceCounter(seq)
             for m in range(2, n + 1):
                 for rho in range(1, m + 1):
-                    counters = [RestrictedCounter(seq, m, R, mode="vertex")
+                    counters = [RestrictedCounter(seq, m, R, mode="vertex",
+                                                  plain=plain)
                                 for R in combinations(range(1, m + 1), rho)]
                     for k in _cube(bound, n):
                         points += 1

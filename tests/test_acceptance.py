@@ -12,7 +12,9 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import gtseq
 from gtseq.monotone import check_alpha_property
 from gtseq import verify
 
@@ -105,9 +107,20 @@ def test_intervals_and_decomposition():
     assert bad == []
 
 
-def test_cli_verify_all_exits_clean():
+def _cli_env():
+    """The environment for a ``gtseq`` subprocess: no config file, and the
+    source tree of the imported package first on the path, so the child
+    runs the code under test rather than an installed copy."""
     env = dict(os.environ)
     env.pop("GTSEQ_CONFIG", None)
+    src = str(Path(gtseq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def test_cli_verify_all_exits_clean():
+    env = _cli_env()
     started = time.time()
     proc = subprocess.run(
         [sys.executable, "-m", "gtseq.cli", "verify", "all"],
@@ -129,8 +142,7 @@ def _without_wall_time(report):
 
 
 def test_cli_verify_all_independent_of_workers():
-    env = dict(os.environ)
-    env.pop("GTSEQ_CONFIG", None)
+    env = _cli_env()
     reports = {}
     for workers in (1, 2):
         proc = subprocess.run(

@@ -1,14 +1,16 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from gtseq import labelings, verify
 from gtseq.labelings import (
     RestrictedCounter,
     SequenceCounter,
     admissible_labelings,
+    edge_admissible_witnesses,
     enumerate_sequences,
     inversion_edges,
     restricted_signed_count,
@@ -18,7 +20,8 @@ from gtseq.labelings import (
     weak_admissible_witnesses,
 )
 from gtseq.operators import product_formula
-from gtseq.trees import basic_sequence, random_sequence, random_tree
+from gtseq.trees import (NTree, TreeSequence, basic_sequence,
+                         random_sequence, random_tree)
 
 
 def brute_labelings(tree, k):
@@ -140,3 +143,115 @@ def test_restricted_counter_rejects_bad_level():
         RestrictedCounter(seq, 4, (1,))
     with pytest.raises(ValueError):
         weak_admissible_witnesses(basic_sequence(3).tree(3), (0, 0, 0), (5,))
+    with pytest.raises(ValueError):
+        weak_admissible_witnesses(basic_sequence(3).tree(3), (0, 0, 0), (1, 1))
+    with pytest.raises(ValueError):
+        edge_admissible_witnesses(basic_sequence(3).tree(3), (0, 0, 0), (2, 2))
+    with pytest.raises(ValueError):
+        edge_admissible_witnesses(basic_sequence(3).tree(3), (0, 0, 0), (3,))
+
+
+def test_restricted_counter_fails_fast():
+    seq = basic_sequence(3)
+    with pytest.raises(ValueError, match="mode"):
+        RestrictedCounter(seq, 3, (1,), mode="vertices")
+    for m, R, mode in ((3, (4,), "vertex"), (2, (3,), "vertex"),
+                       (3, (0,), "vertex"), (3, (1, 1), "vertex"),
+                       (3, (3,), "edge"), (2, (2,), "edge"),
+                       (3, (0,), "edge")):
+        with pytest.raises(ValueError, match="R must"):
+            RestrictedCounter(seq, m, R, mode=mode)
+    RestrictedCounter(seq, 3, (1, 2, 3), mode="vertex")
+    RestrictedCounter(seq, 3, (1, 2), mode="edge")
+    with pytest.raises(ValueError, match="another tree sequence"):
+        RestrictedCounter(seq, 3, (1,), plain=SequenceCounter(basic_sequence(2)))
+
+
+def _record(w):
+    return (w.labels, w.assignment, w.dominating, tuple(sorted(w.inversions)),
+            tuple(sorted(w.min_pinned)), w.sign, w.strict)
+
+
+# Recorded from the separate vertex and edge witness enumerators that
+# preceded the shared pin-term skeleton.
+FROZEN_TREE = NTree(5, ((1, 4), (5, 2), (1, 5), (2, 3)))
+FROZEN_K = (-1, 1, -1, -1, 0)
+FROZEN_VERTEX = [   # weak_admissible_witnesses(FROZEN_TREE, FROZEN_K, (2, 4))
+    ((2, 1, -3, -2), ((2, 2), (4, 1)), (), (2, 4), (2,), -1, True),
+    ((2, 1, -2, -2), ((2, 2), (4, 1)), (), (2, 4), (2,), -1, True),
+    ((2, 1, -1, -2), ((2, 2), (4, 1)), (), (2, 4), (2,), -1, True),
+    ((2, 1, 0, -2), ((2, 2), (4, 1)), (), (2, 4), (2,), -1, True),
+    ((2, 1, 1, -2), ((2, 2), (4, 1)), (), (2, 4), (2,), -1, True),
+    ((2, 2, -3, -1), ((2, 4), (4, 1)), (), (2, 4), (), 1, True),
+    ((2, 2, -2, -1), ((2, 4), (4, 1)), (), (2, 4), (), 1, True),
+    ((2, 2, -1, -1), ((2, 4), (4, 1)), (), (2, 4), (), 1, True),
+    ((2, 2, 0, -1), ((2, 4), (4, 1)), (), (2, 4), (), 1, True),
+    ((2, 2, 1, -1), ((2, 4), (4, 1)), (), (2, 4), (), 1, True),
+]
+FROZEN_EDGE = [     # edge_admissible_witnesses(FROZEN_TREE, FROZEN_K, (1, 3))
+    ((-1, 1, 2, -2), ((1, 1), (5, 3)), (), (2, 4), (1,), -1, True),
+    ((-1, 2, 2, -2), ((1, 1), (5, 3)), (), (2, 4), (1,), -1, True),
+    ((2, 1, -3, -2), ((1, 3), (4, 1)), (), (2, 4), (3,), -1, True),
+    ((2, 1, 2, -2), ((4, 1), (5, 3)), (), (2, 4), (), 1, True),
+    ((2, 2, -3, -2), ((1, 3), (4, 1)), (), (2, 4), (3,), -1, True),
+    ((2, 2, 2, -2), ((4, 1), (5, 3)), (), (2, 4), (), 1, True),
+]
+FROZEN_DOUBLY = [   # weak_admissible_witnesses(star at 4, (-1, 1, -1, -1), (2, 4))
+    ((1, 1, -3), ((2, 2), (4, 2)), ((2, 2),), (1, 3), (4,), -1, False),
+    ((1, 1, -3), ((2, 2), (4, 2)), ((2, 4),), (1, 2, 3), (2,), 1, False),
+    ((1, 1, -2), ((2, 2), (4, 2)), ((2, 2),), (1, 3), (4,), -1, False),
+    ((1, 1, -2), ((2, 2), (4, 2)), ((2, 4),), (1, 2, 3), (2,), 1, False),
+    ((1, 1, -1), ((2, 2), (4, 2)), ((2, 2),), (1, 3), (4,), -1, False),
+    ((1, 1, -1), ((2, 2), (4, 2)), ((2, 4),), (1, 2, 3), (2,), 1, False),
+]
+
+
+def test_witnesses_frozen():
+    got = weak_admissible_witnesses(FROZEN_TREE, FROZEN_K, (2, 4))
+    assert [_record(w) for w in got] == FROZEN_VERTEX
+    got = edge_admissible_witnesses(FROZEN_TREE, FROZEN_K, (1, 3))
+    assert [_record(w) for w in got] == FROZEN_EDGE
+    star = NTree(4, ((4, 3), (4, 2), (4, 1)))
+    got = weak_admissible_witnesses(star, (-1, 1, -1, -1), (2, 4))
+    assert [_record(w) for w in got] == FROZEN_DOUBLY
+
+
+def _label_sensitive(labels):
+    return sum((i + 2) ** 3 * x for i, x in enumerate(labels))
+
+
+@given(st.integers(2, 5), st.integers(0, 10 ** 5),
+       st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+@settings(max_examples=25, deadline=None)
+def test_pinned_transition_aggregates_witnesses(n, seed, k):
+    # weight * (sum over the value product) must reproduce the signed
+    # multiset of witness records, not only their total
+    rng = random.Random(seed)
+    seq = TreeSequence(tuple(random_tree(i, rng) for i in range(1, n + 1)))
+    tree, k = seq.tree(n), tuple(k[:n])
+    for mode, top, witnesses in (("vertex", n + 1, weak_admissible_witnesses),
+                                 ("edge", n, edge_admissible_witnesses)):
+        for size in range(top):
+            for R in combinations(range(1, top), size):
+                counter = RestrictedCounter(seq, n, R, mode=mode)
+                got = counter._transition(k, _label_sensitive)
+                want = sum(w.sign * _label_sensitive(w.labels)
+                           for w in witnesses(tree, k, R))
+                assert got == want, (mode, R)
+
+
+def test_gates_catch_a_flipped_pin_weight(monkeypatch):
+    real = labelings._pin_terms
+
+    def flip_first(*args):
+        terms = real(*args)
+        for term in terms:
+            yield term._replace(weight=-term.weight)
+            break
+        yield from terms
+
+    monkeypatch.setattr(labelings, "_pin_terms", flip_first)
+    for suite in (verify.suite_prop_first, verify.suite_prop_second,
+                  verify.suite_rho_zero):
+        report = suite(n_max=3, trees=1)
+        assert report["violations"], report["suite"]
