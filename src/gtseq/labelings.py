@@ -24,22 +24,41 @@ A witness's sign depends only on its pin assignment and its dominating
 choice, never on the values of its free edges: the maximum endpoint of an
 edge is fixed by the vertex labels when they differ, and when they coincide
 the edge has an empty value list unless it is pinned, in which case the
-assignment or the dominating choice names the maximum.  So ``_pin_terms``
-yields each valid pin assignment once, with one value list per edge and the
-signed weight summed over its dominating choices; ``RestrictedCounter``
-multiplies that weight into the sum over the value product, and the two
-witness functions expand the same terms into records.
+assignment or the dominating choice names the maximum.  ``_pin_terms``
+yields each valid pin assignment once, with one value list per edge, its
+dominating choices and the signed weight summed over them; the two witness
+functions expand these terms into records.  It is the reference route: the
+tests check the counter's pinned level against it.
+
+``RestrictedCounter`` computes the same weights and value lists without
+records, splitting the work by what it depends on:
+
+* the plan (``_compile_plan``), compiled once per counter, reduces each pin
+  assignment to one state code per edge: free with the marks of its two
+  ends, or pinned by its tail or head with the mark of the other end.  An
+  assignment pinning an edge from both ends has weight 0 and is left out;
+* the per-values setup (``_pin_options``: per edge and state, the value
+  slot and whether it adds a minimum pin or a tie inversion, plus the
+  inversion parity of the labels) is built once per level and values and
+  stored in the plain counter's ``_setups``, so every pinning of one tree
+  sequence, in either mode, reuses it;
+* per (values, assignment) only the signed weight and the slot box remain,
+  both read from the setup through the state codes.
 
 Counters with a pinned or filtered level m (``RestrictedCounter``,
-``signed_count_filtered``) read the levels below m from a ``SequenceCounter``
+``FilteredCounter``) read the levels below m from a ``SequenceCounter``
 they are handed, so every pinning of one tree sequence can share one plain
-memo.  Without one they make a fresh counter.
+memo.  Without one they make a fresh counter.  Box sums over a memo table
+run at C speed when every entry is present and compute only the missing
+ones otherwise.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
+from math import prod
+from operator import getitem
 
 
 @dataclass(frozen=True)
@@ -111,6 +130,27 @@ def _ranges_and_parity(edges, values):
     return ranges, odd
 
 
+def _range_sum(r):
+    """Sum of a step-1 range."""
+    return (r.start + r.stop - 1) * len(r) // 2
+
+
+def _table_sum(table, fill, level, ranges):
+    """Sum of table[l] over l in product(*ranges), at C speed when every
+    entry is present; otherwise ``fill(level, l)`` computes (and stores)
+    each missing entry."""
+    try:
+        return sum(map(table.__getitem__, product(*ranges)))
+    except KeyError:
+        pass
+    get = table.get
+    total = 0
+    for l in product(*ranges):
+        value = get(l)
+        total += fill(level, l) if value is None else value
+    return total
+
+
 def _edge_ranges(tree, k):
     """Per-edge unshifted admissible values, or None if an edge is blocked."""
     return _ranges_and_parity(_edge_triples(tree), k)[0]
@@ -130,7 +170,10 @@ class SequenceCounter:
 
     Memo tables are shared across evaluation points, which is what makes
     grid sweeps cheap: the level-i table is keyed by the level-i vector.
-    Level 2 is one edge, whose signed width needs no table.
+    Level 2 is one edge, whose signed width needs no table, and a level-3
+    entry sums that width over a box in closed form.  ``_setups`` holds, per
+    level, the per-values setup of a pinned level (``_pin_options``), which
+    every ``RestrictedCounter`` handed this counter shares.
     """
 
     def __init__(self, seq):
@@ -139,6 +182,7 @@ class SequenceCounter:
         self._order = seq.order
         self._edges = [None] + [_edge_triples(tree) for tree in seq.trees]
         self._memo = [None] + [dict() for _ in range(seq.order)]
+        self._setups = [None] + [dict() for _ in range(seq.order)]
 
     def _raw(self, level, values):
         if level == 2:
@@ -147,27 +191,43 @@ class SequenceCounter:
         if level == 1:
             return 1
         memo = self._memo[level]
-        try:
-            return memo[values]
-        except KeyError:
-            pass
-        ranges, odd = _ranges_and_parity(self._edges[level], values)
-        total = 0
-        if ranges is not None:
-            raw = self._raw
-            below = level - 1
-            for l in product(*ranges):
-                total += raw(below, l)
+        total = memo.get(values)
+        if total is None:
+            ranges, odd = _ranges_and_parity(self._edges[level], values)
+            total = 0 if ranges is None else self._box(level - 1, ranges)
             if odd:
                 total = -total
-        memo[values] = total
+            memo[values] = total
         return total
+
+    def _box(self, level, ranges):
+        """Sum of the level-``level`` count over product(*ranges)."""
+        if level >= 3:
+            return _table_sum(self._memo[level], self._raw, level, ranges)
+        if level == 1:
+            return prod(map(len, ranges))
+        # level 2: sum of l_h + h - l_t - t over the box, in closed form
+        ((_, t, h),) = self._edges[2]
+        rt, rh = ranges[t - 1], ranges[h - 1]
+        wt, wh = len(rt), len(rh)
+        return _range_sum(rh) * wt - _range_sum(rt) * wh + (h - t) * wt * wh
+
+    def _pin_setup(self, level, values):
+        """The shared per-values setup of pinned level ``level``."""
+        setups = self._setups[level]
+        setup = setups.get(values)
+        if setup is None:
+            setup = setups[values] = _pin_options(self._edges[level], values)
+        return setup
 
     def __call__(self, k):
         k = tuple(k)
-        if len(k) != self._order:
-            raise ValueError("k must have length %d" % self._order)
-        return self.tree_sign * self._raw(self._order, k)
+        total = self._memo[self._order].get(k)
+        if total is None:
+            if len(k) != self._order:
+                raise ValueError("k must have length %d" % self._order)
+            total = self._raw(self._order, k)
+        return self.tree_sign * total
 
 
 def signed_count(seq, k):
@@ -332,6 +392,86 @@ def _pins(edges, lab, pairs):
     return pins, shared
 
 
+def _edge_state(t, h, pin, marked):
+    """State code of edge (t, h) under one assignment: free, by the marks
+    of its ends (0-3: tail marked + 2 * head marked), pinned by the tail
+    (4, 5: head unmarked, marked) or pinned by the head (6, 7: tail
+    unmarked, marked)."""
+    if pin is None:
+        return (t in marked) + 2 * (h in marked)
+    if pin == t:
+        return 4 + (h in marked)
+    return 6 + (t in marked)
+
+
+def _compile_plan(edges, assignments):
+    """The values-independent part of each pin assignment, as a tuple of
+    per-edge state codes (``_edge_state``).
+
+    An assignment that pins an edge from both ends is left out.  That edge
+    needs tied end labels, and its two dominating choices cancel: taking
+    the tail adds the tie inversion, and either way the other end is a
+    minimum pin, so the weight ``_pin_terms`` gives it is 0 at all values.
+    Every other pinned edge has one pinning end, so a marked other end pins
+    another edge, which ``_pins`` forbids when the edge's labels tie.
+    """
+    plan = []
+    for pairs, marked in assignments:
+        pin = {}
+        for v, e in pairs:
+            if e in pin:
+                break
+            pin[e] = v
+        else:
+            plan.append(tuple(_edge_state(t, h, pin.get(name), marked)
+                              for name, t, h in edges))
+    return tuple(plan)
+
+
+# Per state: 1 when pinning at that end adds a minimum pin or a tie
+# inversion, for an edge whose low end is its tail (also a tie) or head.
+_LOW_TAIL = (0, 0, 0, 0, 1, 1, 0, 0)
+_LOW_HEAD = (0, 0, 0, 0, 0, 0, 1, 1)
+
+
+def _pin_options(edges, values):
+    """The per-values setup of a pinned level, as (odd, options, bits).
+
+    ``odd`` is the parity of the edges whose tail label exceeds the head
+    label.  For the edge named e and a state s (``_edge_state``),
+    ``options[e - 1][s]`` is the edge's slot of unshifted values (a
+    one-value range when pinned), or None when the state admits no value:
+    a free edge whose interval is empty once a marked low end is excluded,
+    or an edge pinned at a tie whose other end pins another edge.
+    ``bits[e - 1][s]`` is 1 when the pin adds a minimum pin or a tie
+    inversion to the sign.
+    """
+    lab = (0,) + tuple(x + v for v, x in enumerate(values, start=1))
+    odd = 0
+    options = []
+    bits = []
+    for name, t, h in edges:
+        a, b = lab[t], lab[h]
+        tail = range(a - name, a - name + 1)
+        head = range(b - name, b - name + 1)
+        if a == b:
+            options.append((None, None, None, None, tail, None, head, None))
+            bits.append(_LOW_TAIL)
+            continue
+        if a > b:
+            odd ^= 1
+            lo, hi, low_mark = b, a, 2
+            bits.append(_LOW_HEAD)
+        else:
+            lo, hi, low_mark = a, b, 1
+            bits.append(_LOW_TAIL)
+        free = range(lo - name, hi - name)
+        cut = free[1:] or None
+        options.append(tuple(cut if s & low_mark else free for s in range(4))
+                       + (tail, tail, head, head))
+    return odd, tuple(options), tuple(bits)
+
+
 def _pin_set(R, mode, n):
     """R sorted, once it is checked to name distinct vertices (mode
     "vertex") or edges (mode "edge") of an n-tree."""
@@ -391,9 +531,8 @@ class _LevelWalk:
     """Signed enumeration with level m replaced by ``self._transition``.
 
     Levels above m are walked with this walk's own memo; the transition at
-    m reads level m-1 through ``below(labels)``, which is the plain counter
-    ``plain`` (a fresh one when None) shared with every other walk over
-    the same tree sequence.
+    m reads level m-1 from the plain counter ``plain`` (a fresh one when
+    None), which every other walk over the same tree sequence may share.
     """
 
     def __init__(self, seq, m, plain=None):
@@ -407,25 +546,21 @@ class _LevelWalk:
         self.m = m
         self.tree_sign = plain.tree_sign
         self._plain = plain
-        self._below = partial(plain._raw, m - 1)
         self._memo = [None] + [dict() for _ in range(seq.order)]
 
     def _count(self, level, values):
         memo = self._memo[level]
-        try:
-            return memo[values]
-        except KeyError:
-            pass
+        total = memo.get(values)
+        if total is not None:
+            return total
         if level == self.m:
-            total = self._transition(values, self._below)
+            total = self._transition(values)
         else:
             ranges, odd = _ranges_and_parity(self._plain._edges[level], values)
             total = 0
             if ranges is not None:
-                count = self._count
-                below = level - 1
-                for l in product(*ranges):
-                    total += count(below, l)
+                total = _table_sum(self._memo[level - 1], self._count,
+                                   level - 1, ranges)
                 if odd:
                     total = -total
         memo[values] = total
@@ -445,7 +580,9 @@ class RestrictedCounter(_LevelWalk):
     mode "vertex": level m uses weak R-admissibility (R a set of vertices of
     T_m); mode "edge": level m uses the edge-pinned variant (R a set of edge
     names of T_m).  Levels other than m are ordinary; those below m are
-    read from ``plain`` (see ``_LevelWalk``).
+    read from ``plain`` (see ``_LevelWalk``).  The pin assignments are
+    compiled once into ``_plan``; the per-values setup of level m comes
+    from ``plain``, shared with every other pinning of the sequence.
     """
 
     ASSIGNMENTS = {"vertex": _vertex_assignments, "edge": _edge_assignments}
@@ -456,19 +593,25 @@ class RestrictedCounter(_LevelWalk):
         super().__init__(seq, m, plain)
         self.R = _pin_set(R, mode, m)
         self.mode = mode
-        self._edges = self._plain._edges[m]
-        self._incident = _incidence(m, self._edges)
-        self._assignments = self.ASSIGNMENTS[mode]
+        edges = self._plain._edges[m]
+        self._plan = _compile_plan(edges, self.ASSIGNMENTS[mode](
+            edges, _incidence(m, edges), self.R))
+        self._box = partial(self._plain._box, m - 1)
 
-    def _transition(self, values, below):
-        """Sum of weight * below(labels) over the pin terms at level m."""
-        edges = self._edges
-        terms = _pin_terms(edges, values,
-                           self._assignments(edges, self._incident, self.R))
+    def _transition(self, values):
+        """Sum over the plan of the signed weight times the level m-1 count
+        summed over the slot box."""
+        odd, options, bits = self._plain._pin_setup(self.m, values)
+        box = self._box
         total = 0
-        for term in terms:
-            if term.weight:
-                total += term.weight * sum(map(below, product(*term.slots)))
+        for states in self._plan:
+            slots = list(map(getitem, options, states))
+            if None in slots:
+                continue
+            if (odd + sum(map(getitem, bits, states))) & 1:
+                total -= box(slots)
+            else:
+                total += box(slots)
         return total
 
     def __call__(self, k):
@@ -492,24 +635,30 @@ def size_restricted_signed_count(seq, k, m, rho):
                for R in combinations(range(1, m + 1), rho))
 
 
-class _FilteredCounter(_LevelWalk):
-    """Level m keeps only labelings whose given edge pairs carry distinct
-    shifted labels."""
+class FilteredCounter(_LevelWalk):
+    """Signed enumeration keeping only chains whose level-m labeling gives
+    the listed edge pairs of T_m distinct shifted labels.  One counter
+    serves a whole grid, sharing its memo above m across the points."""
 
     def __init__(self, seq, m, distinct_pairs, plain=None):
         super().__init__(seq, m, plain)
         self.pairs = [tuple(p) for p in distinct_pairs]
+        self._below = partial(self._plain._raw, m - 1)
 
-    def _transition(self, values, below):
+    def _transition(self, values):
         ranges, odd = _ranges_and_parity(self._plain._edges[self.m], values)
         if ranges is None:
             return 0
         pairs = self.pairs
+        below = self._below
         total = 0
         for l in product(*ranges):
             if all(l[a - 1] + a != l[b - 1] + b for a, b in pairs):
                 total += below(l)
         return -total if odd else total
+
+    def __call__(self, k):
+        return self._total(k)
 
 
 def signed_count_filtered(seq, k, level, distinct_pairs, plain=None):
@@ -518,4 +667,4 @@ def signed_count_filtered(seq, k, level, distinct_pairs, plain=None):
     outside 2..n has no edge pairs to filter, so the count is plain."""
     if not 2 <= level <= seq.order:
         return (plain or SequenceCounter(seq))(k)
-    return _FilteredCounter(seq, level, distinct_pairs, plain)._total(k)
+    return FilteredCounter(seq, level, distinct_pairs, plain)(k)

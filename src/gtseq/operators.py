@@ -66,9 +66,18 @@ def falling_binomial(m, r):
 
 
 def binomial_matrix(k):
+    """[binom(k_j + j - 1, i - 1)]_{i,j=1..n}, each column built by
+    binom(m, i) = binom(m, i - 1) (m - i + 1) / i, an exact division."""
     k = tuple(k)
     n = len(k)
-    return [[falling_binomial(k[j] + j, i) for j in range(n)] for i in range(n)]
+    columns = []
+    for j, kj in enumerate(k):
+        m = kj + j
+        column = [1]
+        for i in range(1, n):
+            column.append(column[-1] * (m - i + 1) // i)
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
 
 
 def integer_determinant(mat):

@@ -22,8 +22,7 @@ from itertools import combinations, product
 
 from .intervals import (containment_dichotomy, left_anchored_identity,
                         right_anchored_dichotomy, right_anchored_identity)
-from .labelings import (RestrictedCounter, SequenceCounter,
-                        signed_count_filtered)
+from .labelings import FilteredCounter, RestrictedCounter, SequenceCounter
 from .monotone import (alpha, alpha_function, alpha_operator,
                        check_alpha_property, doubly_refined_asm,
                        doubly_refined_identity_residuals,
@@ -180,14 +179,31 @@ def suite_e_rho(n_max=4, bound=2):
     return _finish("e-rho", parameters, points, violations, started)
 
 
-def _difference_in(counter, k, coords):
-    if not coords:
-        return counter(k)
-    c, rest = coords[0], coords[1:]
-    kp = list(k)
-    kp[c - 1] += 1
-    return (_difference_in(counter, tuple(kp), rest)
-            - _difference_in(counter, k, rest))
+def _corner_values(counter, k):
+    """counter(k + 1_S) for every subset S of the coordinates, listed by the
+    bitmask of S: one counter call per corner of the unit cube at k."""
+    return [counter(tuple(x + (mask >> i & 1) for i, x in enumerate(k)))
+            for mask in range(1 << len(k))]
+
+
+def _difference_masks(coords):
+    """The bitmasks of the subsets S of ``coords``, split by the sign
+    (-1)^(|coords| - |S|) into (plus, minus)."""
+    plus, minus = [], []
+    for size in range(len(coords) + 1):
+        for S in combinations(coords, size):
+            mask = sum(1 << (c - 1) for c in S)
+            (minus if (len(coords) - size) % 2 else plus).append(mask)
+    return plus, minus
+
+
+def _difference_in(corners, masks):
+    """The forward difference at k in the coordinates R that ``masks``
+    was built from, given the ``_corner_values`` at k: the sum over the
+    subsets S of R of (-1)^(|R| - |S|) counter(k + 1_S)."""
+    plus, minus = masks
+    return (sum(map(corners.__getitem__, plus))
+            - sum(map(corners.__getitem__, minus)))
 
 
 def suite_prop_first(n_max=4, bound=1, trees=2, seed=11):
@@ -202,13 +218,15 @@ def suite_prop_first(n_max=4, bound=1, trees=2, seed=11):
         seqs = [(0, basic_sequence(n))] + _seeded_sequences(n, trees, seed)
         for s, seq in seqs:
             counter = SequenceCounter(seq)
+            corners = {k: _corner_values(counter, k) for k in _cube(bound, n)}
             for size in range(1, n + 1):
                 for R in combinations(range(1, n + 1), size):
                     pinned = RestrictedCounter(seq, n, R, mode="vertex",
                                                plain=counter)
+                    masks = _difference_masks(R)
                     for k in _cube(bound, n):
                         points += 1
-                        want = _difference_in(counter, k, list(R))
+                        want = _difference_in(corners[k], masks)
                         got = pinned(k)
                         if got != want:
                             violations.append({"check": "difference", "n": n,
@@ -217,10 +235,11 @@ def suite_prop_first(n_max=4, bound=1, trees=2, seed=11):
                                                "lhs": got, "rhs": want})
             for level in range(3, n + 1):
                 for pair in combinations(range(1, level), 2):
+                    filtered = FilteredCounter(seq, level, [pair],
+                                               plain=counter)
                     for k in _cube(bound, n):
                         points += 1
-                        got = signed_count_filtered(seq, k, level, [pair],
-                                                    plain=counter)
+                        got = filtered(k)
                         want = counter(k)
                         if got != want:
                             violations.append({"check": "distinctFilter",

@@ -220,6 +220,13 @@ def _label_sensitive(labels):
     return sum((i + 2) ** 3 * x for i, x in enumerate(labels))
 
 
+def _label_sensitive_transition(counter, k):
+    # the pinned level with level m-1 replaced by _label_sensitive, so each
+    # slot box must reproduce its exact labels, not only its size
+    counter._box = lambda slots: sum(map(_label_sensitive, product(*slots)))
+    return counter._transition(k)
+
+
 @given(st.integers(2, 5), st.integers(0, 10 ** 5),
        st.lists(st.integers(-2, 2), min_size=5, max_size=5))
 @settings(max_examples=25, deadline=None)
@@ -234,24 +241,106 @@ def test_pinned_transition_aggregates_witnesses(n, seed, k):
         for size in range(top):
             for R in combinations(range(1, top), size):
                 counter = RestrictedCounter(seq, n, R, mode=mode)
-                got = counter._transition(k, _label_sensitive)
+                got = _label_sensitive_transition(counter, k)
                 want = sum(w.sign * _label_sensitive(w.labels)
                            for w in witnesses(tree, k, R))
                 assert got == want, (mode, R)
 
 
+def _star(n, center, rng):
+    edges = []
+    for leaf in (v for v in range(1, n + 1) if v != center):
+        edges.append((center, leaf) if rng.random() < 0.5 else (leaf, center))
+    return NTree(n, tuple(edges))
+
+
+def test_pinned_transition_on_stars_with_ties():
+    # k in -1..1 on stars ties many edges and pins the centre's edges from
+    # both ends; the counter must still agree with the witness records
+    rng = random.Random(5)
+    ties = doubly = 0
+    for n in (3, 4):
+        for center in range(1, n + 1):
+            tree = _star(n, center, rng)
+            seq = TreeSequence(tuple(random_tree(i, rng) for i in range(1, n))
+                               + (tree,))
+            plain = SequenceCounter(seq)
+            edges = labelings._edge_triples(tree)
+            incident = labelings._incidence(n, edges)
+            for k in product(range(-1, 2), repeat=n):
+                ties += inversion_edges(tree, k) is None
+                for mode, top, witnesses in (
+                        ("vertex", n + 1, weak_admissible_witnesses),
+                        ("edge", n, edge_admissible_witnesses)):
+                    for size in range(top):
+                        for R in combinations(range(1, top), size):
+                            counter = RestrictedCounter(seq, n, R, mode=mode,
+                                                        plain=plain)
+                            got = _label_sensitive_transition(counter, k)
+                            want = sum(w.sign * _label_sensitive(w.labels)
+                                       for w in witnesses(tree, k, R))
+                            assert got == want, (tree, k, mode, R)
+                for R in combinations(range(1, n + 1), 2):
+                    # the plan leaves out assignments pinning an edge from
+                    # both ends, because their weight is always 0
+                    for term in labelings._pin_terms(
+                            edges, k, labelings._vertex_assignments(
+                                edges, incident, R)):
+                        if term.choices[0][0]:
+                            doubly += 1
+                            assert term.weight == 0, (tree, k, R)
+    assert ties and doubly
+
+
+def test_shared_setup_is_independent_of_the_warming_pinning():
+    seq = random_sequence(4, 3)
+    grid = list(product(range(-1, 2), repeat=4))
+    pinnings = [(3, (1, 3), "vertex"), (3, (2,), "edge"),
+                (4, (1, 3), "edge"), (4, (2,), "vertex")]
+    for m, R, mode in pinnings:
+        cold = RestrictedCounter(seq, m, R, mode=mode)
+        want = [cold(k) for k in grid]
+        plain = SequenceCounter(seq)
+        for other in pinnings:
+            if other != (m, R, mode):
+                warm = RestrictedCounter(seq, *other[:2], mode=other[2],
+                                         plain=plain)
+                for k in grid:
+                    warm(k)
+        warmed = len(plain._setups[m])
+        assert warmed
+        shared = RestrictedCounter(seq, m, R, mode=mode, plain=plain)
+        assert [shared(k) for k in grid] == want, (m, R, mode)
+        assert len(plain._setups[m]) == warmed, "setup not reused"
+
+
+def _flip_parity(setup):
+    odd, options, bits = setup
+    return 1 - odd, options, bits
+
+
+def _flip_first_edge_pins(setup):
+    # pinning edge 1 at either end counts as a minimum pin at the other
+    odd, options, bits = setup
+    first = tuple(1 - b if state >= 4 else b
+                  for state, b in enumerate(bits[0]))
+    return odd, options, (first,) + bits[1:]
+
+
 def test_gates_catch_a_flipped_pin_weight(monkeypatch):
-    real = labelings._pin_terms
-
-    def flip_first(*args):
-        terms = real(*args)
-        for term in terms:
-            yield term._replace(weight=-term.weight)
-            break
-        yield from terms
-
-    monkeypatch.setattr(labelings, "_pin_terms", flip_first)
-    for suite in (verify.suite_prop_first, verify.suite_prop_second,
-                  verify.suite_rho_zero):
-        report = suite(n_max=3, trees=1)
-        assert report["violations"], report["suite"]
+    # the counter's weights come from the shared per-values setup.  Flipping
+    # those of the terms pinning edge 1 must fail each pinned-level suite;
+    # flipping all of them negates both sides of prop-second and every
+    # summand of rho-zero, so only prop-first, whose reference side does
+    # not pin, can see that
+    real = labelings._pin_options
+    for mutate, suites in (
+            (_flip_first_edge_pins, (verify.suite_prop_first,
+                                     verify.suite_prop_second,
+                                     verify.suite_rho_zero)),
+            (_flip_parity, (verify.suite_prop_first,))):
+        monkeypatch.setattr(labelings, "_pin_options",
+                            lambda edges, values: mutate(real(edges, values)))
+        for suite in suites:
+            report = suite(n_max=3, trees=1)
+            assert report["violations"], (mutate.__name__, report["suite"])

@@ -92,6 +92,16 @@ def test_binomial_determinant_equals_product(k):
     assert brute_determinant(binomial_matrix(k)) == product_formula(k)
 
 
+@given(st.lists(st.integers(-12, 12), min_size=0, max_size=8))
+def test_binomial_matrix_matches_falling_binomial(k):
+    # the column recurrence must give the polynomial binomial, negative
+    # tops included
+    n = len(k)
+    want = [[falling_binomial(k[j] + j, i) for j in range(n)]
+            for i in range(n)]
+    assert binomial_matrix(k) == want
+
+
 def test_extended_sum_convention():
     f = lambda i: i * i
     assert extended_sum(f, 3, 2) == 0
