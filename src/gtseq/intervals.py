@@ -10,9 +10,13 @@ the summation convention
     sum_{i=a}^{b} f(i) = -sum_{i=b+1}^{a-1} f(i)   for b + 1 <= a - 1,
 
 and it is what makes telescoping identities hold for all integer bounds.
+
+The counting recursions sum a memoized count over a box of such intervals,
+one per slot of a row; ``table_sum`` is that box sum over a memo table.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,22 @@ def interval(x, y):
         return GeneralizedInterval(x, y, (), False)
     # y + 1 <= x - 1: flipped orientation
     return GeneralizedInterval(x, y, tuple(range(y + 1, x)), True)
+
+
+def table_sum(table, fill, level, ranges):
+    """Sum of table[l] over l in product(*ranges), at C speed when every
+    entry is present; otherwise ``fill(level, l)`` computes (and stores)
+    each missing entry."""
+    try:
+        return sum(map(table.__getitem__, product(*ranges)))
+    except KeyError:
+        pass
+    get = table.get
+    total = 0
+    for l in product(*ranges):
+        value = get(l)
+        total += fill(level, l) if value is None else value
+    return total
 
 
 def _symmetric_difference(a, b):

@@ -49,8 +49,8 @@ Counters with a pinned or filtered level m (``RestrictedCounter``,
 ``FilteredCounter``) read the levels below m from a ``SequenceCounter``
 they are handed, so every pinning of one tree sequence can share one plain
 memo.  Without one they make a fresh counter.  Box sums over a memo table
-run at C speed when every entry is present and compute only the missing
-ones otherwise.
+(``intervals.table_sum``) run at C speed when every entry is present and
+compute only the missing ones otherwise.
 """
 
 from collections import namedtuple
@@ -59,6 +59,8 @@ from functools import partial
 from itertools import combinations, product
 from math import prod
 from operator import getitem
+
+from .intervals import table_sum
 
 
 @dataclass(frozen=True)
@@ -135,22 +137,6 @@ def _range_sum(r):
     return (r.start + r.stop - 1) * len(r) // 2
 
 
-def _table_sum(table, fill, level, ranges):
-    """Sum of table[l] over l in product(*ranges), at C speed when every
-    entry is present; otherwise ``fill(level, l)`` computes (and stores)
-    each missing entry."""
-    try:
-        return sum(map(table.__getitem__, product(*ranges)))
-    except KeyError:
-        pass
-    get = table.get
-    total = 0
-    for l in product(*ranges):
-        value = get(l)
-        total += fill(level, l) if value is None else value
-    return total
-
-
 def _edge_ranges(tree, k):
     """Per-edge unshifted admissible values, or None if an edge is blocked."""
     return _ranges_and_parity(_edge_triples(tree), k)[0]
@@ -203,7 +189,7 @@ class SequenceCounter:
     def _box(self, level, ranges):
         """Sum of the level-``level`` count over product(*ranges)."""
         if level >= 3:
-            return _table_sum(self._memo[level], self._raw, level, ranges)
+            return table_sum(self._memo[level], self._raw, level, ranges)
         if level == 1:
             return prod(map(len, ranges))
         # level 2: sum of l_h + h - l_t - t over the box, in closed form
@@ -559,8 +545,8 @@ class _LevelWalk:
             ranges, odd = _ranges_and_parity(self._plain._edges[level], values)
             total = 0
             if ranges is not None:
-                total = _table_sum(self._memo[level - 1], self._count,
-                                   level - 1, ranges)
+                total = table_sum(self._memo[level - 1], self._count,
+                                  level - 1, ranges)
                 if odd:
                     total = -total
         memo[values] = total

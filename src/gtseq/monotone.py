@@ -10,6 +10,11 @@ generalized interval
     interval(v_q + 1, v_{q+1} - [position q+1 pinned]),
 
 with the interval sign standing in for the extended summation convention.
+The recursion computes each slot's interval inline, as a range and a sign,
+and sums level n-1 over the slot box through the memo table
+(``intervals.table_sum``), calling itself only for missing entries.
+``intervals.interval`` stays the reference convention: the tests hold alpha
+to a per-member recursion built on it.
 
 Four object-level extensions realize the same polynomial as signed
 enumerations.  Variant 1 uses the left pins above.  Variant 2 allows left
@@ -26,8 +31,9 @@ at fixed short points, and are cross-checked against direct enumeration.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 
-from .intervals import interval
+from .intervals import interval, table_sum
 from .operators import (apply_operator, delta, elementary_symmetric, identity,
                         lattice_function, shift, small_delta, v_operator)
 from .operators import product_formula, falling_binomial
@@ -51,6 +57,7 @@ def alpha(n, k):
     except KeyError:
         pass
     total = 0
+    below = n - 1
     positions = range(1, n)
     for size in range(n):
         for pinned in combinations(positions, size):
@@ -61,16 +68,21 @@ def alpha(n, k):
                 if q in pin:
                     lists.append((k[q - 1],))
                     continue
-                iv = interval(k[q - 1] + 1, k[q] - (1 if q + 1 in pin else 0))
-                if not iv.members:
-                    lists = None
+                # interval(lo, hi), inline
+                lo = k[q - 1] + 1
+                hi = k[q] - (1 if q + 1 in pin else 0)
+                if lo <= hi:
+                    lists.append(range(lo, hi + 1))
+                elif hi == lo - 1:
                     break
-                sign *= iv.sign
-                lists.append(iv.members)
-            if lists is None:
-                continue
-            for l in product(*lists):
-                total += sign * alpha(n - 1, l)
+                else:
+                    sign = -sign
+                    lists.append(range(hi + 1, lo))
+            else:
+                if below == 1:
+                    total += sign * prod(map(len, lists))
+                else:
+                    total += sign * table_sum(_alpha_memo, alpha, below, lists)
     _alpha_memo[k] = total
     return total
 

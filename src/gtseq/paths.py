@@ -27,7 +27,7 @@ pinned the grammar down.
 """
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .operators import product_formula
 from .trees import _permutation_sign
@@ -195,24 +195,16 @@ def count_nonintersecting(k):
     if any(kv < 0 for kv in k) or any(a > b for a, b in zip(k, k[1:])):
         raise ValueError("need 0 <= k_1 <= ... <= k_n")
     ends = classic_end_points(k)
+    # vertex sets of every path from start i to end j, built once
+    vertex_sets = [[[frozenset(path_vertices(i, w + ("E",)))
+                     for w in _pair_paths(i, end, False)]
+                    for end in ends]
+                   for i in range(1, n + 1)]
     count = 0
-    for pi in permutations(range(1, n + 1)):
-        choice_lists = []
-        for i in range(1, n + 1):
-            words = [w + ("E",) for w in _pair_paths(i, ends[pi[i - 1] - 1], False)]
-            choice_lists.append(words)
-        if any(not c for c in choice_lists):
-            continue
-        for steps_by_path in product(*choice_lists):
-            seen = set()
-            ok = True
-            for i, steps in enumerate(steps_by_path, start=1):
-                verts = path_vertices(i, steps)
-                if any(v in seen for v in verts):
-                    ok = False
-                    break
-                seen.update(verts)
-            if ok:
+    for pi in permutations(range(n)):
+        choice_lists = [vertex_sets[i][j] for i, j in enumerate(pi)]
+        for family in product(*choice_lists):
+            if all(a.isdisjoint(b) for a, b in combinations(family, 2)):
                 count += 1
     return count
 

@@ -13,7 +13,11 @@ pair differs by exactly one the interval is empty and no pattern exists with
 that row.  The sign of a pattern is (-1)^{#inversions} and the signed count
 over a fixed bottom row equals the same product formula that counts labeling
 chains of tree sequences; the two pictures match row for row over the path
-trees (see pattern_to_chain).
+trees (see pattern_to_chain).  ``signed_pattern_count`` computes the
+intervals of a row inline, as ranges and one sign, and sums the count of the
+row above over their box through the memo table (``intervals.table_sum``);
+``intervals.interval`` stays the reference convention, used by the
+enumerator and by the per-member recursion the tests hold the count to.
 
 Classic patterns (all intervals normal, nonnegative weakly increasing bottom
 row) biject with semistandard tableaux: entry a_{i,j} is the number of cells
@@ -23,7 +27,7 @@ with value at most i in tableau row i + 1 - j.
 from dataclasses import dataclass
 from itertools import product
 
-from .intervals import interval
+from .intervals import interval, table_sum
 from .labelings import GTTreeSequence
 from .trees import basic_sequence
 
@@ -126,17 +130,29 @@ def signed_pattern_count(k):
         return _count_memo[k]
     except KeyError:
         pass
-    ivs = _row_intervals(k)
-    if ivs is None:
-        _count_memo[k] = 0
-        return 0
-    row_sign = (-1) ** sum(1 for iv in ivs if iv.inverted)
-    total = 0
-    for row in product(*(iv.members for iv in ivs)):
-        total += signed_pattern_count(row)
-    result = row_sign * total
+    sign = 1
+    ranges = []
+    for x, y in zip(k, k[1:]):
+        # interval(x, y), inline
+        if x <= y:
+            ranges.append(range(x, y + 1))
+        elif y == x - 1:
+            _count_memo[k] = 0
+            return 0
+        else:
+            sign = -sign
+            ranges.append(range(y + 1, x))
+    if len(ranges) == 1:
+        total = len(ranges[0])
+    else:
+        total = table_sum(_count_memo, _count_row, len(ranges), ranges)
+    result = sign * total
     _count_memo[k] = result
     return result
+
+
+def _count_row(order, row):
+    return signed_pattern_count(row)
 
 
 def pattern_to_chain(pattern):

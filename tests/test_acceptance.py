@@ -8,13 +8,10 @@ tolerance anywhere.
 
 import itertools
 import json
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
-import gtseq
 from gtseq.monotone import check_alpha_property
 from gtseq import verify
 
@@ -107,24 +104,11 @@ def test_intervals_and_decomposition():
     assert bad == []
 
 
-def _cli_env():
-    """The environment for a ``gtseq`` subprocess: no config file, and the
-    source tree of the imported package first on the path, so the child
-    runs the code under test rather than an installed copy."""
-    env = dict(os.environ)
-    env.pop("GTSEQ_CONFIG", None)
-    src = str(Path(gtseq.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return env
-
-
-def test_cli_verify_all_exits_clean():
-    env = _cli_env()
+def test_cli_verify_all_exits_clean(cli_env):
     started = time.time()
     proc = subprocess.run(
         [sys.executable, "-m", "gtseq.cli", "verify", "all"],
-        capture_output=True, text=True, timeout=900, env=env)
+        capture_output=True, text=True, timeout=900, env=cli_env)
     elapsed = time.time() - started
     status = "PASS" if proc.returncode == 0 else "FAIL"
     print("%s: gtseq verify all exits 0 (%.1fs)" % (status, elapsed))
@@ -141,14 +125,13 @@ def _without_wall_time(report):
     return report
 
 
-def test_cli_verify_all_independent_of_workers():
-    env = _cli_env()
+def test_cli_verify_all_independent_of_workers(cli_env):
     reports = {}
     for workers in (1, 2):
         proc = subprocess.run(
             [sys.executable, "-m", "gtseq.cli", "verify", "all",
              "--workers", str(workers)],
-            capture_output=True, text=True, timeout=900, env=env)
+            capture_output=True, text=True, timeout=900, env=cli_env)
         assert proc.returncode == 0, proc.stderr
         report = _without_wall_time(json.loads(proc.stdout))
         # the report echoes the worker count; nothing else may differ

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +24,14 @@ def test_count_alpha(capsys):
     code, out, _ = run(capsys, "count", "alpha", "--n", "3", "--k", "1,2,3")
     assert code == 0
     assert out.strip() == "7"
+
+
+def test_python_dash_m_gtseq(cli_env, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtseq", "count", "alpha", "--n", "3",
+         "--k", "1,2,3"],
+        capture_output=True, text=True, timeout=60, env=cli_env, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "7"), proc.stderr
 
 
 def test_count_alpha_length_mismatch(capsys):

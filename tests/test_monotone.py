@@ -1,9 +1,12 @@
+from functools import lru_cache
 from itertools import combinations, product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
+from gtseq import monotone
+from gtseq.intervals import interval
 from gtseq.monotone import (
     PAIR_PRODUCTS,
     alpha,
@@ -44,6 +47,53 @@ def test_alpha_matches_brute_force_on_strict_rows(k):
     assert len(enumerate_monotone_triangles(k)) == want
     assert alpha(len(k), k) == want
     assert strict_row_patterns(len(k), k) == want
+
+
+@lru_cache(maxsize=None)
+def reference_alpha(n, k):
+    """alpha by one recursive call per box member, over intervals.interval."""
+    if n == 1:
+        return 1
+    total = 0
+    positions = range(1, n)
+    for size in range(n):
+        for pinned in combinations(positions, size):
+            pin = set(pinned)
+            sign = 1
+            lists = []
+            for q in positions:
+                if q in pin:
+                    lists.append((k[q - 1],))
+                    continue
+                iv = interval(k[q - 1] + 1, k[q] - (1 if q + 1 in pin else 0))
+                if not iv.members:
+                    lists = None
+                    break
+                sign *= iv.sign
+                lists.append(iv.members)
+            if lists is None:
+                continue
+            for l in product(*lists):
+                total += sign * reference_alpha(n - 1, l)
+    return total
+
+
+@given(st.lists(st.integers(-3, 4), min_size=1, max_size=5))
+@example([4, 2, 0, -2, -3])
+@example([4, 3, 2, 1, 0])
+@example([2, 1, 3, 0])
+@settings(max_examples=60, deadline=None)
+def test_alpha_matches_per_member_reference(k):
+    k = tuple(k)
+    n = len(k)
+    want = reference_alpha(n, k)
+    # cold: every box misses the memo and fills it
+    monotone._alpha_memo.clear()
+    assert alpha(n, k) == want
+    # warm: only the top entry is missing, so its box is read from the table
+    monotone._alpha_memo.pop(k, None)
+    assert alpha(n, k) == want
+    assert monotone._ext_memos[1] is monotone._alpha_memo
 
 
 def test_alpha_staircase_values():

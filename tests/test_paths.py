@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +92,24 @@ def test_nonintersecting_families_are_disjoint():
         if disjoint and fam.pi == (1, 2, 3):
             count += 1
     assert count == count_nonintersecting(k) == product_formula(k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nonintersecting_count_matches_product(n):
+    for k in combinations_with_replacement(range(4), n):
+        assert count_nonintersecting(k) == product_formula(k), k
+
+
+@pytest.mark.parametrize("k", [(0, 1, 2), (1, 1, 3), (0, 0, 2, 2)])
+def test_nonintersecting_count_matches_classic_stream(k):
+    # every permutation's families, extended by the final east step, kept
+    # when their vertex sets are pairwise disjoint
+    count = 0
+    for fam in enumerate_families(k, "classic"):
+        verts = [set(path_vertices(i, steps + ("E",)))
+                 for i, steps in enumerate(fam.paths, start=1)]
+        count += all(a.isdisjoint(b) for a, b in combinations(verts, 2))
+    assert count_nonintersecting(k) == count
 
 
 def test_tail_swap_flips_sign_and_involutes():

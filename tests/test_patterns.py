@@ -1,9 +1,12 @@
+from functools import lru_cache
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
+from gtseq import patterns
+from gtseq.intervals import interval
 from gtseq.operators import product_formula
 from gtseq.patterns import (
     enumerate_patterns,
@@ -59,11 +62,40 @@ def test_pattern_count_known_values():
     assert signed_pattern_count((1, 2, 3)) == 8
 
 
-@given(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
-@settings(max_examples=60)
+@given(st.lists(st.integers(-2, 3), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
 def test_signed_count_equals_enumeration(k):
     k = tuple(k)
     assert signed_pattern_count(k) == sum(p.sign for p in enumerate_patterns(k))
+
+
+@lru_cache(maxsize=None)
+def reference_count(k):
+    """Signed pattern count by one recursive call per box member, over
+    intervals.interval."""
+    if len(k) == 1:
+        return 1
+    ivs = [interval(x, y) for x, y in zip(k, k[1:])]
+    if any(not iv.members for iv in ivs):
+        return 0
+    sign = (-1) ** sum(iv.inverted for iv in ivs)
+    return sign * sum(reference_count(row)
+                      for row in product(*(iv.members for iv in ivs)))
+
+
+@given(st.lists(st.integers(-3, 4), min_size=1, max_size=5))
+@example([4, 2, 0, -2, -3])
+@example([3, 1, 4, 0, 2])
+@settings(max_examples=60, deadline=None)
+def test_signed_count_matches_per_member_reference(k):
+    k = tuple(k)
+    want = reference_count(k)
+    # cold: every box misses the memo and fills it
+    patterns._count_memo.clear()
+    assert signed_pattern_count(k) == want
+    # warm: only the top entry is missing, so its box is read from the table
+    patterns._count_memo.pop(k, None)
+    assert signed_pattern_count(k) == want
 
 
 @given(st.lists(st.integers(-3, 3), min_size=2, max_size=5),
