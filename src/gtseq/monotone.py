@@ -10,18 +10,32 @@ generalized interval
     interval(v_q + 1, v_{q+1} - [position q+1 pinned]),
 
 with the interval sign standing in for the extended summation convention.
-The recursion computes each slot's interval inline, as a range and a sign,
-and sums level n-1 over the slot box through the memo table
-(``intervals.table_sum``), calling itself only for missing entries.
-``intervals.interval`` stays the reference convention: the tests hold alpha
-to a per-member recursion built on it.
 
 Four object-level extensions realize the same polynomial as signed
-enumerations.  Variant 1 uses the left pins above.  Variant 2 allows left
-and right pins with an exclusion rule.  Variant 3 marks interior entries
-whose two upper neighbours ("parents") collapse onto them.  Variant 4
-assigns an arrow to every entry; the arrows of a row tighten the intervals
-of the row above it.
+enumerations.  Variant 1 uses the left pins above, so its count is alpha.
+Variant 2 allows left and right pins with an exclusion rule.  Variant 3
+marks interior entries whose two upper neighbours ("parents") collapse onto
+them.  Variant 4 assigns an arrow to every entry; the arrows of a row
+tighten the intervals of the row above it.
+
+Each variant has one row generator, ``_rows_1`` to ``_rows_4``.  For a row
+v it yields every admissible choice of the row above: the decoration and
+its sign, the inverted slots, and one range of values per slot (``_slot``
+turns a slot's bounds into a range, an inverted range or nothing).  Both
+routes read the same generator.  The object stream (``enumerate_extension``)
+walks the product of the ranges row by row.  The memoized count (``alpha``
+and ``extension_signed_count``) adds, per row choice, its sign times the
+level n-1 count summed over the box through the memo table
+(``intervals.table_sum``), calling itself only for missing entries; above a
+row of length 2 that sum is the product of the range lengths.  The relaxed
+variant 3 is ``_rows_3`` over all subsets of specials, counted through a
+table local to the call.
+
+The stream-against-count check therefore tests the walk, not the rows.
+The independent routes share nothing with the generators: the monotone
+triangle enumeration, ``strict_row_patterns``, the operator products, and
+the tests' per-member recursion on ``intervals.interval``, which stays the
+reference convention.
 
 The refined counts A(n, i) and their doubly refined companions come out of
 alpha by difference operators in the first and last coordinates, evaluated
@@ -29,11 +43,11 @@ at fixed short points, and are cross-checked against direct enumeration.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import prod
 
-from .intervals import interval, table_sum
+from .intervals import table_sum
 from .operators import (apply_operator, delta, elementary_symmetric, identity,
                         lattice_function, shift, small_delta, v_operator)
 from .operators import product_formula, falling_binomial
@@ -50,41 +64,7 @@ def alpha(n, k):
     k = tuple(k)
     if len(k) != n:
         raise ValueError("k must have length n")
-    if n == 1:
-        return 1
-    try:
-        return _alpha_memo[k]
-    except KeyError:
-        pass
-    total = 0
-    below = n - 1
-    positions = range(1, n)
-    for size in range(n):
-        for pinned in combinations(positions, size):
-            pin = set(pinned)
-            sign = 1
-            lists = []
-            for q in positions:
-                if q in pin:
-                    lists.append((k[q - 1],))
-                    continue
-                # interval(lo, hi), inline
-                lo = k[q - 1] + 1
-                hi = k[q] - (1 if q + 1 in pin else 0)
-                if lo <= hi:
-                    lists.append(range(lo, hi + 1))
-                elif hi == lo - 1:
-                    break
-                else:
-                    sign = -sign
-                    lists.append(range(hi + 1, lo))
-            else:
-                if below == 1:
-                    total += sign * prod(map(len, lists))
-                else:
-                    total += sign * table_sum(_alpha_memo, alpha, below, lists)
-    _alpha_memo[k] = total
-    return total
+    return _count(_rows_1, _alpha_memo, n, k)
 
 
 def alpha_function(n):
@@ -178,6 +158,154 @@ class ExtTriangle:
                 "sign": self.sign}
 
 
+def _slot(lo, hi):
+    """The generalized interval [lo, hi] of one slot as (members, inverted),
+    with members a range, or None when the interval is empty."""
+    if lo <= hi:
+        return range(lo, hi + 1), False
+    if lo == hi + 1:
+        return None
+    return range(hi + 1, lo), True
+
+
+# A row generator takes a row v and yields, for every admissible row above
+# it, (decoration, sign, inverted, box).  The decoration is (r, marks...),
+# one tuple of positions in row r per kind of mark; variant 4 gives (m,
+# arrows) instead.  The sign is the decoration's own; each position in
+# inverted (slots from 1) flips it once more.  The box has one value range
+# per entry of the row above, and a pinned entry is a 1-tuple.
+
+
+def _rows_1(v):
+    """Variant 1: a star pins entry q of the row above to its left parent
+    v_{q-1}; an unstarred entry ranges over [v_{q-1} + 1, v_q], less one at
+    the top when entry q+1 is starred."""
+    m = len(v)
+    positions = range(1, m)
+    free = [None] + [_slot(v[q - 1] + 1, v[q]) for q in positions]
+    tight = [None] + [_slot(v[q - 1] + 1, v[q] - 1) for q in positions]
+    for size in range(m):
+        for pinned in combinations(positions, size):
+            inverted, box = [], []
+            for q in positions:
+                if q in pinned:
+                    box.append((v[q - 1],))
+                    continue
+                slot = tight[q] if q + 1 in pinned else free[q]
+                if slot is None:
+                    break
+                if slot[1]:
+                    inverted.append(q)
+                box.append(slot[0])
+            else:
+                yield (m - 1, pinned), 1, inverted, box
+
+
+def _rows_2(v):
+    """Variant 2: entry q of the row above is pinned to its left parent
+    v_{q-1} or to its right parent v_q, or ranges over [v_{q-1} + 1, v_q - 1];
+    a right pin directly left of a left pin is forbidden."""
+    m = len(v)
+    plain = [None] + [_slot(v[q - 1] + 1, v[q] - 1) for q in range(1, m)]
+    for states in product(("plain", "left", "right"), repeat=m - 1):
+        if ("right", "left") in zip(states, states[1:]):
+            continue
+        inverted, box = [], []
+        for q, state in enumerate(states, 1):
+            if state != "plain":
+                box.append((v[q - 1] if state == "left" else v[q],))
+                continue
+            slot = plain[q]
+            if slot is None:
+                break
+            if slot[1]:
+                inverted.append(q)
+            box.append(slot[0])
+        else:
+            lefts = tuple(q for q, s in enumerate(states, 1) if s == "left")
+            rights = tuple(q for q, s in enumerate(states, 1) if s == "right")
+            yield (m - 1, lefts, rights), 1, inverted, box
+
+
+def _subsets(positions):
+    """Every subset of positions, by size, each in increasing order."""
+    for size in range(len(positions) + 1):
+        yield from combinations(positions, size)
+
+
+def _nonadjacent_subsets(positions):
+    return (sub for sub in _subsets(positions)
+            if all(b - a > 1 for a, b in zip(sub, sub[1:])))
+
+
+def _rows_3(v, subsets=_nonadjacent_subsets):
+    """Variant 3: a special at interior position j of v pins entries j-1 and
+    j of the row above to v_{j-1} and flips the sign; every other entry q
+    ranges over [v_{q-1}, v_q].  Specials are non-adjacent unless subsets
+    yields all subsets (the relaxed variant); two adjacent specials both pin
+    the entry they share, so they need v_{j-1} = v_j."""
+    m = len(v)
+    free = [None] + [_slot(v[q - 1], v[q]) for q in range(1, m)]
+    for chosen in subsets(range(2, m)):
+        if any(v[j - 1] != v[j] for j in chosen if j + 1 in chosen):
+            continue
+        pins = {}
+        for j in chosen:
+            pins[j - 1] = pins[j] = v[j - 1]
+        inverted, box = [], []
+        for q in range(1, m):
+            if q in pins:
+                box.append((pins[q],))
+                continue
+            slot = free[q]
+            if slot is None:
+                break
+            if slot[1]:
+                inverted.append(q)
+            box.append(slot[0])
+        else:
+            yield (m, chosen), (-1) ** len(chosen), inverted, box
+
+
+def _rows_4(v):
+    """Variant 4: every entry of v carries an arrow, and each BOTH flips the
+    sign; entry q of the row above ranges over [v_{q-1}, v_q], raised by one
+    when v_{q-1} points right (RIGHT or BOTH) and lowered by one when v_q
+    points left (LEFT or BOTH)."""
+    m = len(v)
+    # slots[q][raised][lowered], indexed by the two arrows as booleans
+    slots = [None] + [[[_slot(v[q - 1] + raised, v[q] - lowered)
+                        for lowered in (0, 1)] for raised in (0, 1)]
+                      for q in range(1, m)]
+    for arrows in product(ARROWS, repeat=m):
+        inverted, box = [], []
+        for q in range(1, m):
+            slot = slots[q][arrows[q - 1] != LEFT][arrows[q] != RIGHT]
+            if slot is None:
+                break
+            if slot[1]:
+                inverted.append(q)
+            box.append(slot[0])
+        else:
+            yield (m, arrows), (-1) ** arrows.count(BOTH), inverted, box
+
+
+def _rows_of(variant):
+    if variant not in (1, 2, 3, 4):
+        raise ValueError("variant must be 1, 2, 3 or 4")
+    return (_rows_1, _rows_2, _rows_3, _rows_4)[variant - 1]
+
+
+def _bottom_row(n, k):
+    """k as a tuple, checked to be a bottom row of length n >= 1."""
+    k = tuple(k)
+    if len(k) != n:
+        raise ValueError("k must have length n")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return k
+
+
 def _check_bounds(rows, k, n):
     lo, hi = min(k) - n, max(k) + n
     for row in rows:
@@ -188,329 +316,93 @@ def _check_bounds(rows, k, n):
 
 
 def enumerate_extension(variant, n, k):
-    """Stream the extension objects of one variant with bottom row k."""
-    k = tuple(k)
-    if len(k) != n:
-        raise ValueError("k must have length n")
-    if variant == 1:
-        gen = _stream_one(k)
-    elif variant == 2:
-        gen = _stream_two(k)
-    elif variant == 3:
-        gen = _stream_three(k)
-    elif variant == 4:
-        gen = _stream_four(k)
-    else:
-        raise ValueError("variant must be 1, 2, 3 or 4")
-    for obj in gen:
-        _check_bounds(obj.rows, k, n)
-        yield obj
+    """Stream the extension objects of one variant with bottom row k.
+
+    The arguments are checked by the call; the objects come lazily.
+    """
+    k = _bottom_row(n, k)
+    return _up(variant, _rows_of(variant), k)
 
 
-def _stream_one(k):
-    # stack grows bottom row first; the star set decorates the row being added
-    def up(stack, stars, invs):
+def _up(variant, rows, k):
+    """The ExtTriangle objects over bottom row k, built row by row from
+    rows(v).  The row choices above a top row have empty boxes, and each
+    finishes one object; that is where variant 4 gives the top entry its
+    arrow."""
+    n = len(k)
+    # the choices above a one-entry row have no slots, so they are the same
+    # for every top entry
+    top = list(rows(k[:1]))
+
+    def up(stack, marks, inversions, sign):
         v = stack[-1]
-        m = len(v)
-        if m == 1:
-            rows = tuple(reversed(stack))
-            yield ExtTriangle(1, rows, tuple(sorted(stars)),
-                              tuple(sorted(invs)), (-1) ** len(invs))
-            return
-        i = m - 1                       # index of the row being built
-        for size in range(m):
-            for pinned in combinations(range(1, m), size):
-                pin = set(pinned)
-                lists = []
-                new_invs = []
-                for q in range(1, m):
-                    if q in pin:
-                        lists.append((v[q - 1],))
-                        continue
-                    iv = interval(v[q - 1] + 1, v[q] - (1 if q + 1 in pin else 0))
-                    if not iv.members:
-                        lists = None
-                        break
-                    if iv.inverted:
-                        new_invs.append((i, q))
-                    lists.append(iv.members)
-                if lists is None:
-                    continue
-                star_here = [(i, q) for q in pinned]
-                for u in product(*lists):
-                    yield from up(stack + [u], stars + star_here,
-                                  invs + new_invs)
-
-    yield from up([k], [], [])
-
-
-def _stream_two(k):
-    def up(stack, lefts, rights, invs):
-        v = stack[-1]
-        m = len(v)
-        if m == 1:
-            rows = tuple(reversed(stack))
-            yield ExtTriangle(2, rows,
-                              (tuple(sorted(lefts)), tuple(sorted(rights))),
-                              tuple(sorted(invs)), (-1) ** len(invs))
-            return
-        i = m - 1
-        positions = range(1, m)
-        for states in product(("plain", "left", "right"), repeat=m - 1):
-            # a right pin directly left of a left pin is forbidden
-            if any(states[q] == "right" and states[q + 1] == "left"
-                   for q in range(m - 2)):
+        for decoration, row_sign, inverted, box in (rows(v) if len(v) > 1
+                                                    else top):
+            if variant == 4:
+                marks_up = ((decoration[1],) + marks[0],)
+            else:
+                row = decoration[0]
+                marks_up = tuple([tuple([(row, q) for q in kind]) + old
+                                  for kind, old in zip(decoration[1:], marks)])
+            inversions_up = (tuple([(len(box), q) for q in inverted])
+                             + inversions)
+            sign_up = sign * row_sign * (-1) ** len(inverted)
+            if len(v) == 1:
+                obj = ExtTriangle(variant, tuple(stack[::-1]),
+                                  marks_up if variant == 2 else marks_up[0],
+                                  inversions_up, sign_up)
+                _check_bounds(obj.rows, k, n)
+                yield obj
                 continue
-            lists = []
-            new_invs = []
-            for q in positions:
-                s = states[q - 1]
-                if s == "left":
-                    lists.append((v[q - 1],))
-                elif s == "right":
-                    lists.append((v[q],))
-                else:
-                    iv = interval(v[q - 1] + 1, v[q] - 1)
-                    if not iv.members:
-                        lists = None
-                        break
-                    if iv.inverted:
-                        new_invs.append((i, q))
-                    lists.append(iv.members)
-            if lists is None:
-                continue
-            lf = [(i, q) for q in positions if states[q - 1] == "left"]
-            rt = [(i, q) for q in positions if states[q - 1] == "right"]
-            for u in product(*lists):
-                yield from up(stack + [u], lefts + lf, rights + rt,
-                              invs + new_invs)
+            for u in product(*box):
+                yield from up(stack + [u], marks_up, inversions_up, sign_up)
 
-    yield from up([k], [], [], [])
-
-
-def _nonadjacent_subsets(positions):
-    for size in range(len(positions) + 1):
-        for sub in combinations(positions, size):
-            if all(b - a > 1 for a, b in zip(sub, sub[1:])):
-                yield sub
-
-
-def _stream_three(k):
-    # specials sit at interior positions of the current row and pin the two
-    # entries above them to the same value
-    def up(stack, specials, invs):
-        v = stack[-1]
-        m = len(v)
-        if m == 1:
-            rows = tuple(reversed(stack))
-            sign = (-1) ** (len(invs) + len(specials))
-            yield ExtTriangle(3, rows, tuple(sorted(specials)),
-                              tuple(sorted(invs)), sign)
-            return
-        i = m - 1
-        for chosen in _nonadjacent_subsets(tuple(range(2, m))):
-            pinned = {}
-            for j in chosen:
-                pinned[j - 1] = v[j - 1]
-                pinned[j] = v[j - 1]
-            lists = []
-            new_invs = []
-            for q in range(1, m):
-                if q in pinned:
-                    lists.append((pinned[q],))
-                    continue
-                iv = interval(v[q - 1], v[q])
-                if not iv.members:
-                    lists = None
-                    break
-                if iv.inverted:
-                    new_invs.append((i, q))
-                lists.append(iv.members)
-            if lists is None:
-                continue
-            row_specials = [(m, j) for j in chosen]
-            for u in product(*lists):
-                yield from up(stack + [u], specials + row_specials,
-                              invs + new_invs)
-
-    yield from up([k], [], [])
-
-
-def _arrow_interval(v, arrows, q):
-    """Interval for position q of the row above v (1-based), from v's arrows."""
-    lo = v[q - 1] + (1 if arrows[q - 1] in (RIGHT, BOTH) else 0)
-    hi = v[q] - (1 if arrows[q] in (LEFT, BOTH) else 0)
-    return interval(lo, hi)
-
-
-def _stream_four(k):
-    def up(stack, arrow_stack, invs):
-        v = stack[-1]
-        f = arrow_stack[-1]
-        m = len(v)
-        if m == 1:
-            rows = tuple(reversed(stack))
-            arrows = tuple(reversed(arrow_stack))
-            both = sum(row.count(BOTH) for row in arrows)
-            sign = (-1) ** (len(invs) + both)
-            yield ExtTriangle(4, rows, arrows, tuple(sorted(invs)), sign)
-            return
-        i = m - 1
-        lists = []
-        new_invs = []
-        for q in range(1, m):
-            iv = _arrow_interval(v, f, q)
-            if not iv.members:
-                lists = None
-                break
-            if iv.inverted:
-                new_invs.append((i, q))
-            lists.append(iv.members)
-        if lists is None:
-            return
-        for u in product(*lists):
-            for g in product(ARROWS, repeat=m - 1):
-                yield from up(stack + [u], arrow_stack + [g], invs + new_invs)
-
-    for f in product(ARROWS, repeat=len(k)):
-        yield from up([k], [f], [])
+    return up([k], ((), ()), (), 1)
 
 
 _ext_memos = {1: _alpha_memo, 2: {}, 3: {}, 4: {}}
 
 
-def extension_signed_count(variant, n, k):
-    """Signed total of one extension, by a per-row memoized recursion."""
-    k = tuple(k)
-    if len(k) != n:
-        raise ValueError("k must have length n")
-    if variant == 1:
-        return alpha(n, k)
-    if variant == 2:
-        return _count_two(k)
-    if variant == 3:
-        return _count_three(k)
-    if variant == 4:
-        return _count_four(k)
-    raise ValueError("variant must be 1, 2, 3 or 4")
+def _count(rows, table, n, v):
+    """Signed total above row v of length n, memoized in table.
 
-
-def _count_two(v):
-    if len(v) == 1:
+    Each row from rows(v) adds its sign times the sum of the level n-1 count
+    over its box, read from the table (``intervals.table_sum``), which calls
+    back here only for missing entries.  Above a row of length 2 every entry
+    counts 1, so that box sum is the product of the range lengths.
+    """
+    if n == 1:
         return 1
-    memo = _ext_memos[2]
     try:
-        return memo[v]
+        return table[v]
     except KeyError:
         pass
-    m = len(v)
+    fill = partial(_count, rows, table)
     total = 0
-    for states in product(("plain", "left", "right"), repeat=m - 1):
-        if any(states[q] == "right" and states[q + 1] == "left"
-               for q in range(m - 2)):
-            continue
-        sign = 1
-        lists = []
-        for q in range(1, m):
-            s = states[q - 1]
-            if s == "left":
-                lists.append((v[q - 1],))
-            elif s == "right":
-                lists.append((v[q],))
-            else:
-                iv = interval(v[q - 1] + 1, v[q] - 1)
-                if not iv.members:
-                    lists = None
-                    break
-                sign *= iv.sign
-                lists.append(iv.members)
-        if lists is None:
-            continue
-        for u in product(*lists):
-            total += sign * _count_two(u)
-    memo[v] = total
+    for _, sign, inverted, box in rows(v):
+        if len(inverted) % 2:
+            sign = -sign
+        if n == 2:
+            total += sign * prod(map(len, box))
+        else:
+            total += sign * table_sum(table, fill, n - 1, box)
+    table[v] = total
     return total
 
 
-def _count_three(v, allow_adjacent=False):
-    if len(v) == 1:
-        return 1
-    memo = _ext_memos[3] if not allow_adjacent else None
-    if memo is not None and v in memo:
-        return memo[v]
-    m = len(v)
-    if allow_adjacent:
-        subset_iter = (sub for size in range(m - 1)
-                       for sub in combinations(range(2, m), size))
-    else:
-        subset_iter = _nonadjacent_subsets(tuple(range(2, m)))
-    total = 0
-    for chosen in subset_iter:
-        pinned = {}
-        clash = False
-        for j in chosen:
-            for q in (j - 1, j):
-                if q in pinned and pinned[q] != v[j - 1]:
-                    clash = True
-                pinned[q] = v[j - 1]
-        if clash:
-            continue
-        sign = (-1) ** len(chosen)
-        lists = []
-        for q in range(1, m):
-            if q in pinned:
-                lists.append((pinned[q],))
-                continue
-            iv = interval(v[q - 1], v[q])
-            if not iv.members:
-                lists = None
-                break
-            sign *= iv.sign
-            lists.append(iv.members)
-        if lists is None:
-            continue
-        for u in product(*lists):
-            total += sign * _count_three(u, allow_adjacent)
-    if memo is not None:
-        memo[v] = total
-    return total
+def extension_signed_count(variant, n, k):
+    """Signed total of one extension, read from the same row generator as
+    its stream: the count of each row above is summed over the row's box
+    through the variant's memo table.  Variant 1 is alpha."""
+    k = _bottom_row(n, k)
+    return _count(_rows_of(variant), _ext_memos[variant], n, k)
 
 
 def extension_three_relaxed(n, k):
-    """Variant 3 with adjacent specials permitted (same signed total)."""
-    k = tuple(k)
-    if len(k) != n:
-        raise ValueError("k must have length n")
-    return _count_three(k, allow_adjacent=True)
-
-
-def _count_four(v):
-    if len(v) == 1:
-        return 1
-    memo = _ext_memos[4]
-    try:
-        return memo[v]
-    except KeyError:
-        pass
-    m = len(v)
-    total = 0
-    for f in product(ARROWS, repeat=m):
-        fsign = (-1) ** sum(1 for a in f if a == BOTH)
-        sign = fsign
-        lists = []
-        for q in range(1, m):
-            iv = _arrow_interval(v, f, q)
-            if not iv.members:
-                lists = None
-                break
-            sign *= iv.sign
-            lists.append(iv.members)
-        if lists is None:
-            continue
-        for u in product(*lists):
-            total += sign * _count_four(u)
-    memo[v] = total
-    return total
+    """Variant 3 with adjacent specials permitted (same signed total); its
+    box sums go through a table local to the call."""
+    k = _bottom_row(n, k)
+    return _count(partial(_rows_3, subsets=_subsets), {}, n, k)
 
 
 @lru_cache(maxsize=8)

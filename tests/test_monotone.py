@@ -1,3 +1,5 @@
+import hashlib
+import json
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -124,6 +126,86 @@ def test_extension_streams_sum_to_counts(variant, k):
     objs = list(enumerate_extension(variant, len(k), k))
     assert sum(o.sign for o in objs) == extension_signed_count(variant, len(k), k)
     assert extension_signed_count(variant, len(k), k) == alpha(len(k), k)
+
+
+# sha256 of json.dumps([o.to_json() for o in enumerate_extension(v, n, k)]),
+# recorded from the per-variant streams that each carried their own row
+# choice, before all four were built from one row generator per variant.
+# The points hit empty and inverted intervals and repeated entries, so the
+# digests freeze the order, the decorations and the signs of every stream.
+# Variant 4 at (1, 0, 3, 2) has 312,336 objects, so it stops at (0, 0, 1, 1).
+FROZEN_STREAMS = [
+    (1, (1, 3),
+     "4c0e7334d149e11076fbf92ff6ddd189b2431307c702dba5c3a7b0708621aa8e"),
+    (1, (2, 0),
+     "81e665741e254e126a27378bdd211d459d364f5b916e152c78aaa42468171054"),
+    (1, (0, -1, 1),
+     "bdb88524daf812ed8c25ea04c606fa4f05c879666d4fc664935dfaafe07fd9c0"),
+    (1, (3, 0, 1),
+     "33e3b16dc784befbc4d80e31c4a8bf73135b4f09ea18535c1b8c08af3dd5134f"),
+    (1, (0, 2, 2, 1),
+     "66235609305cfe4fed14d001a6ecb393ba031b363452cd6d8c4a6233a6f7c6d1"),
+    (1, (1, 0, 3, 2),
+     "16f12cb4873ceb9dfbc08aa7dc2735687bab2f62de77599a890dc207ac64f108"),
+    (2, (1, 3),
+     "179d98fb5f6bdbcd445ccd08b8b4da7190b48665dcde1578a9db8af04982daaf"),
+    (2, (2, 0),
+     "1b3786f8466ddaca334ccb957b0ae196b72c8f95a266aec4660efa5532d669d6"),
+    (2, (0, -1, 1),
+     "3b30601b299efbc97ea6b5ccec579c7c422376e21a5db9c965fbf1d8e74e448b"),
+    (2, (3, 0, 1),
+     "0910f63f4b69491b5d075171c809d0f8e85851430910138bd42938d117677a44"),
+    (2, (0, 2, 2, 1),
+     "0eac8829479ae0abf3b9eb03f07ed4ba0910991432888a245856814a19a12fae"),
+    (2, (1, 0, 3, 2),
+     "4fb3d81491057c315ba9302f0080255166b41047ef10ba33e1792e67c2edb425"),
+    (3, (1, 3),
+     "4e2bc7252ff0a1438f100ca67f0514d64dc769f5269f6d80f4fc5fb8e8132ad5"),
+    (3, (2, 0),
+     "0883e1f36dcc26c33475241e19acb5813402f52f0e2094492234a0ec4ab437a5"),
+    (3, (0, -1, 1),
+     "b8309c837efc7c0ae7c5f466c4f3cc2029d08e4e5931268cc7dc90c8b92454d9"),
+    (3, (3, 0, 1),
+     "4a14bda6079d006085864660a78540bf0449d2f118de6fe575d905bbae7e96c0"),
+    (3, (0, 2, 2, 1),
+     "45cbf176fd5398e1ed7dd8b77cea4cccd53bac3b7c4377ced6bf5c7015484149"),
+    (3, (1, 0, 3, 2),
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (4, (1, 3),
+     "5dc0b3078729fd1a02660b65132e64abe75f541e957b5216483ab43c6fe95745"),
+    (4, (2, 0),
+     "254a3fbcdfa2af9d7e5d0787c0797b78e8ec3621b8abe329e89d157a8babd8aa"),
+    (4, (0, -1, 1),
+     "5fd5195a77442ce161a2e4cdd7a7abbaa4666ca5f7b61b94319e4919058732a2"),
+    (4, (3, 0, 1),
+     "6e54812a22613015779ac0ff338096a95bc08ebd384d8d9c696b7adc2ed88508"),
+    (4, (0, 0, 1, 1),
+     "3c1b6837c290276c9a8c7b3b93846d2d678d11b054354879dbffc0f6c2d0dc0d"),
+]
+
+
+@pytest.mark.parametrize("variant, k, digest", FROZEN_STREAMS)
+def test_extension_streams_frozen(variant, k, digest):
+    objs = enumerate_extension(variant, len(k), k)
+    text = json.dumps([o.to_json() for o in objs])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("variant, n, k", ((5, 2, (1, 3)), (0, 2, (1, 3)),
+                                           (1, 3, (1, 3)), (4, 0, ())))
+def test_enumerate_extension_validates_at_call(variant, n, k):
+    # the error comes from the call itself, before the stream is consumed
+    with pytest.raises(ValueError):
+        enumerate_extension(variant, n, k)
+
+
+def test_extension_counts_reject_empty_row():
+    # an empty bottom row used to recurse without end in variants 3 and 4
+    for variant in (2, 3, 4):
+        with pytest.raises(ValueError):
+            extension_signed_count(variant, 0, ())
+    with pytest.raises(ValueError):
+        extension_three_relaxed(0, ())
 
 
 def test_extension_one_stream_frozen():

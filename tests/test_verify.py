@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from gtseq import verify
+from gtseq import monotone, verify
 from gtseq.monotone import PAIR_PRODUCTS
 from gtseq.operators import product_formula
 
@@ -62,6 +62,36 @@ def test_extensions_agree_catches_wrong_variant_one_stream(monkeypatch):
     assert bad
     assert all(v["variant"] == 1 and v["n"] == 3 for v in bad)
     assert len(bad) == len(rep["violations"])
+
+
+@pytest.mark.parametrize("variant", (2, 3, 4, "relaxed"))
+def test_extensions_agree_catches_moved_upper_limit(monkeypatch, variant):
+    relaxed = variant == "relaxed"
+    name = "_rows_3" if relaxed else "_rows_%d" % variant
+    real = getattr(monotone, name)
+
+    def moved(v, **kwargs):
+        # the relaxed count passes its subsets; variant 3 uses the default
+        if ("subsets" in kwargs) != relaxed:
+            yield from real(v, **kwargs)
+            return
+        for decoration, sign, inverted, box in real(v, **kwargs):
+            if box:
+                # the first slot's upper limit, one higher
+                box = [range(box[0][0], box[0][-1] + 2)] + box[1:]
+            yield decoration, sign, inverted, box
+
+    monkeypatch.setattr(monotone, name, moved)
+    if not relaxed:
+        # a fresh memo, so that the moved rows are counted and the shared
+        # table is left as it was
+        monkeypatch.setitem(monotone._ext_memos, variant, {})
+    rep = verify.suite_extensions_agree(bound3=1, lo4=0, hi4=1)
+    want = ("extensionThreeRelaxed", None) if relaxed else ("extension",
+                                                            variant)
+    assert rep["violations"]
+    assert all((v["check"], v.get("variant")) == want
+               for v in rep["violations"])
 
 
 def test_operator_cache_bounded_after_run_all(run_all_report):
