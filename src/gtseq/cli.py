@@ -13,7 +13,8 @@ Subcommands:
 
 Configuration: the environment variable GTSEQ_CONFIG may point to a file of
 ``key = value`` lines (``#`` comments allowed).  Recognized keys: grid (like
-``-2..2``), nMax, trees, seed, workers, memoCap.  Command line flags
+``-2..2``), nMax, trees, seed, workers.  Values from the file are soft
+defaults that suites without the matching knob ignore; command line flags
 override the file.  All numbers are exact integers and reports are printed
 with sorted keys, so identical flags and seeds imply identical output
 except for the wallTime field.
@@ -39,7 +40,7 @@ from .trees import (NTree, basic_tree, canonical_sequence, random_sequence,
                     random_tree)
 from .verify import SUITES, run_all, run_suite
 
-CONFIG_KEYS = ("grid", "nMax", "trees", "seed", "workers", "memoCap")
+CONFIG_KEYS = ("grid", "nMax", "trees", "seed", "workers")
 
 
 class UsageError(Exception):
@@ -146,7 +147,7 @@ def cmd_count(args, config):
     return 0
 
 
-def _grid_bound(grid, flag="--grid"):
+def _grid_bound(grid, flag):
     lo, hi = grid
     if lo != -hi:
         raise UsageError("%s must be symmetric around 0 for this suite" % flag)
@@ -187,9 +188,11 @@ def cmd_verify(args, config):
                 raise UsageError("suite %s does not take that flag" % name)
 
         put(n_cap, args.n is not None, "n_max", "n")
-        if grid is not None:
-            put(_grid_bound(grid), args.grid is not None,
-                "bound", "bound3", "general_bound")
+        bound_knobs = ("bound", "bound3", "general_bound")
+        if grid is not None and any(b in accepted for b in bound_knobs):
+            grid = _grid_bound(grid, "--grid" if args.grid is not None
+                               else "config key grid")
+        put(grid, args.grid is not None, *bound_knobs)
         put(trees, args.trees is not None, "trees")
         put(seed, args.seed is not None, "seed")
         if args.workers is not None:
@@ -305,8 +308,7 @@ def cmd_apply(args, config):
     if args.function == "alpha":
         f = alpha_function(n)
     elif args.function in names:
-        cap = _config_int(config, "memoCap")
-        f = lattice_function(n, names[args.function], memo_cap=cap)
+        f = lattice_function(n, names[args.function])
     else:
         raise UsageError("unknown function %r" % args.function)
     try:

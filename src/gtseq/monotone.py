@@ -658,34 +658,16 @@ def _property_residuals(prop, n):
 
 
 def check_alpha_property(prop, n, grid):
-    """Evaluate one property over a grid of points; residuals must vanish.
-
-    grid is an iterable of n-tuples (ignored by the two refined-count
-    properties, which have no free point).  Returns a JSON-ready report.
-    """
+    """Evaluate one property P1-P4 over a grid of n-tuples; residuals must
+    vanish.  Returns a JSON-ready report."""
+    residuals = _property_residuals(prop, n)
     violations = []
     points = 0
-    if prop == "linearSystem":
-        points = 1
-        res = linear_system_residuals(n)
-        if any(r != 0 for r in res):
-            violations.append({"point": None, "residual": res})
-        vec = refined_asm(n).vector
-        if vec != tuple(reversed(vec)):
-            violations.append({"point": None, "residual": "asymmetric"})
-    elif prop == "doublyRefinedIdentity":
-        res = doubly_refined_identity_residuals(n)
-        points = len(res)
-        for where, r in res:
-            if r != 0:
-                violations.append({"point": list(where), "residual": r})
-    else:
-        residuals = _property_residuals(prop, n)
-        for k in grid:
-            k = tuple(k)
-            points += 1
-            bad = residuals(k)
-            if any(r != 0 for r in bad):
-                violations.append({"point": list(k), "residual": bad})
+    for k in grid:
+        k = tuple(k)
+        points += 1
+        bad = residuals(k)
+        if any(r != 0 for r in bad):
+            violations.append({"point": list(k), "residual": bad})
     return {"property": prop, "n": n, "pointsChecked": points,
             "violations": violations}

@@ -274,11 +274,10 @@ def v_inverse(arity, x, y, truncation=None):
 class LatticeFunction:
     """Memoizing wrapper around an integer-valued function on Z^arity."""
 
-    def __init__(self, arity, func, memo_cap=None):
+    def __init__(self, arity, func):
         self.arity = arity
         self.func = func
         self.memo = {}
-        self.memo_cap = memo_cap
 
     def __call__(self, point):
         point = tuple(point)
@@ -287,22 +286,12 @@ class LatticeFunction:
         try:
             return self.memo[point]
         except KeyError:
-            value = self.func(point)
-        if self.memo_cap is None or len(self.memo) < self.memo_cap:
-            self.memo[point] = value
+            value = self.memo[point] = self.func(point)
         return value
 
-    def swap(self, i, j):
-        """The function with coordinates i and j interchanged (0-based)."""
-        def swapped(point):
-            p = list(point)
-            p[i], p[j] = p[j], p[i]
-            return self(p)
-        return LatticeFunction(self.arity, swapped)
 
-
-def lattice_function(arity, func, memo_cap=None):
-    return LatticeFunction(arity, func, memo_cap=memo_cap)
+def lattice_function(arity, func):
+    return LatticeFunction(arity, func)
 
 
 def apply_operator(op, f, point):

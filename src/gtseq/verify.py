@@ -1,11 +1,25 @@
 """Verification suites: sweep identities over bounded grids, report violations.
 
-Each suite returns a JSON-ready report with the suite name, the parameters
-it ran with, the number of points checked, a list of violations (offending
-input together with both sides of the failed comparison) and the wall time.
-A suite passes when its violation list is empty.  ``run_suite`` dispatches
-by name and ``run_all`` chains every suite at its default parameters, which
-is the full check behind the command line's ``verify all``.
+A suite is a generator function registered with ``@suite(name)``.  Every
+parameter of its body has a default, and the body yields once per checked
+point: that point's violation records, a list or tuple that is empty when
+the point passes.  A record is a JSON-ready dict naming the offending
+input and both sides of the failed comparison; a body builds it only on
+the failing branch, so a passing point costs one resume.  A call that
+checks several points at once yields once per point it covers, through
+``_spread``.
+
+The decorator returns the suite function, which ``SUITES[name]``, the
+module-level ``suite_*`` name and ``run_suite(name)`` all reach, and which
+keeps the body's signature.  Called with any of the body's parameters, it
+binds the defaults, runs the body and returns the report: the suite name,
+the parameters under camelCase names (``n_max`` becomes ``nMax``), the
+number of points checked, the violations in the order yielded, and the
+wall time.  A suite passes when its violation list is empty.  To add a
+suite, write one such generator under ``@suite``: the command line maps
+its flags onto the signature's parameters.  ``run_all`` chains every suite
+at its default parameters, which is the full check behind the command
+line's ``verify all``.
 
 Default parameters are chosen so the whole chain finishes in minutes on one
 core while still covering every identity the library claims: the signed
@@ -17,6 +31,8 @@ count routes and their linear system, the lattice path models, the interval
 identities, and the four-part decomposition.
 """
 
+import functools
+import inspect
 import time
 from itertools import combinations, product
 
@@ -47,82 +63,97 @@ def _seeded_sequences(n, trees, seed):
             for t in range(trees)]
 
 
-def _finish(name, parameters, points, violations, started):
-    return {"suite": name, "parameters": parameters, "pointsChecked": points,
-            "violations": violations,
-            "wallTime": round(time.perf_counter() - started, 3)}
+SUITES = {}
 
 
+def _camel(name):
+    head, *rest = name.split("_")
+    return head + "".join(part.capitalize() for part in rest)
+
+
+def suite(name):
+    """Register a generator body as the suite ``name`` (see the module
+    docstring) and return the suite function that runs it."""
+    def register(body):
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            params = signature.bind(*args, **kwargs)
+            params.apply_defaults()
+            started = time.perf_counter()
+            points = 0
+            violations = []
+            for points, records in enumerate(body(**params.arguments), 1):
+                if records:
+                    violations += records
+            return {"suite": name,
+                    "parameters": {_camel(key): value
+                                   for key, value in params.arguments.items()},
+                    "pointsChecked": points, "violations": violations,
+                    "wallTime": round(time.perf_counter() - started, 3)}
+
+        SUITES[name] = run
+        return run
+    return register
+
+
+def _spread(count, records):
+    """The yields of one call that checked ``count`` points at once: the
+    call's violation records at its first point, none at the others."""
+    for i in range(count):
+        yield () if i else records
+
+
+@suite("theorem-main")
 def suite_theorem_main(n_max=4, bound=2, trees=5, seed=7,
                        det_n_max=5, det_bound=3):
     """Signed chain count == product formula == binomial determinant."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for n in range(1, det_n_max + 1):
         for k in _cube(det_bound, n):
-            points += 1
             lhs = binomial_determinant(k)
             rhs = product_formula(k)
-            if lhs != rhs:
-                violations.append({"check": "determinant", "n": n,
-                                   "k": list(k), "lhs": lhs, "rhs": rhs})
+            yield () if lhs == rhs else [{"check": "determinant", "n": n,
+                                          "k": list(k),
+                                          "lhs": lhs, "rhs": rhs}]
     for n in range(1, n_max + 1):
         for s, seq in _seeded_sequences(n, trees, seed):
             counter = SequenceCounter(seq)
             for k in _cube(bound, n):
-                points += 1
                 lhs = counter(k)
                 rhs = product_formula(k)
-                if lhs != rhs:
-                    violations.append({"check": "treeSequence", "n": n,
-                                       "seed": s, "k": list(k),
-                                       "lhs": lhs, "rhs": rhs})
-    parameters = {"nMax": n_max, "bound": bound, "trees": trees, "seed": seed,
-                  "detNMax": det_n_max, "detBound": det_bound}
-    return _finish("theorem-main", parameters, points, violations, started)
+                yield () if lhs == rhs else [{"check": "treeSequence", "n": n,
+                                              "seed": s, "k": list(k),
+                                              "lhs": lhs, "rhs": rhs}]
 
 
+@suite("independence")
 def suite_independence(n_max=4, bound=2, trees=5, seed=7):
     """Every tree sequence yields the same count as the path-tree stack."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for n in range(1, n_max + 1):
         counters = [(s, SequenceCounter(seq))
                     for s, seq in _seeded_sequences(n, trees, seed)]
         for k in _cube(bound, n):
-            points += 1
             reference = signed_pattern_count(k)
-            for s, counter in counters:
-                got = counter(k)
-                if got != reference:
-                    violations.append({"n": n, "seed": s, "k": list(k),
-                                       "lhs": got, "rhs": reference})
-    parameters = {"nMax": n_max, "bound": bound, "trees": trees, "seed": seed}
-    return _finish("independence", parameters, points, violations, started)
+            yield [{"n": n, "seed": s, "k": list(k),
+                    "lhs": got, "rhs": reference}
+                   for s, counter in counters
+                   if (got := counter(k)) != reference]
 
 
+@suite("shift-antisym")
 def suite_shift_antisym(n_max=4, bound=2):
     """f(k) = -f(k') under (k_i,k_j) -> (k_j+j-i, k_i+i-j), both counts."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
+    functions = (("product", product_formula),
+                 ("patterns", signed_pattern_count))
     for n in range(2, n_max + 1):
         for k in _cube(bound, n):
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    points += 1
-                    kp = swap_shift(k, i, j)
-                    for name, f in (("product", product_formula),
-                                    ("patterns", signed_pattern_count)):
-                        a, b = f(k), f(kp)
-                        if a + b != 0:
-                            violations.append({"function": name, "n": n,
-                                               "k": list(k), "i": i, "j": j,
-                                               "lhs": a, "rhs": -b})
-    parameters = {"nMax": n_max, "bound": bound}
-    return _finish("shift-antisym", parameters, points, violations, started)
+            for i, j in combinations(range(1, n + 1), 2):
+                kp = swap_shift(k, i, j)
+                yield [{"function": name, "n": n, "k": list(k), "i": i, "j": j,
+                        "lhs": a, "rhs": -b}
+                       for name, f in functions
+                       if (a := f(k)) + (b := f(kp)) != 0]
 
 
 def _grid_functions(n):
@@ -130,32 +161,23 @@ def _grid_functions(n):
             ("alpha", alpha_function(n)))
 
 
+@suite("delta-n")
 def suite_delta_n(n_max=4, bound=2):
     """The n-th forward difference in any coordinate kills both counts."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for n in range(1, n_max + 1):
         functions = _grid_functions(n)
         ops = [delta(n, c) ** n for c in range(n)]
         for k in _cube(bound, n):
-            points += 1
-            for fname, f in functions:
-                for c, op in enumerate(ops, start=1):
-                    value = apply_operator(op, f, k)
-                    if value != 0:
-                        violations.append({"function": fname, "n": n,
-                                           "coordinate": c, "k": list(k),
-                                           "value": value})
-    parameters = {"nMax": n_max, "bound": bound}
-    return _finish("delta-n", parameters, points, violations, started)
+            yield [{"function": fname, "n": n, "coordinate": c, "k": list(k),
+                    "value": value}
+                   for fname, f in functions
+                   for c, op in enumerate(ops, start=1)
+                   if (value := apply_operator(op, f, k)) != 0]
 
 
+@suite("e-rho")
 def suite_e_rho(n_max=4, bound=2):
     """Elementary symmetric polynomials in the differences annihilate."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for n in range(1, n_max + 1):
         functions = _grid_functions(n)
         ops = []
@@ -167,16 +189,11 @@ def suite_e_rho(n_max=4, bound=2):
                         elementary_symmetric(rho, [small_delta(n, c)
                                                    for c in range(n)])))
         for k in _cube(bound, n):
-            points += 1
-            for fname, f in functions:
-                for family, rho, op in ops:
-                    value = apply_operator(op, f, k)
-                    if value != 0:
-                        violations.append({"function": fname, "family": family,
-                                           "rho": rho, "n": n, "k": list(k),
-                                           "value": value})
-    parameters = {"nMax": n_max, "bound": bound}
-    return _finish("e-rho", parameters, points, violations, started)
+            yield [{"function": fname, "family": family, "rho": rho, "n": n,
+                    "k": list(k), "value": value}
+                   for fname, f in functions
+                   for family, rho, op in ops
+                   if (value := apply_operator(op, f, k)) != 0]
 
 
 def _corner_values(counter, k):
@@ -206,14 +223,12 @@ def _difference_in(corners, masks):
             - sum(map(corners.__getitem__, minus)))
 
 
+@suite("prop-first")
 def suite_prop_first(n_max=4, bound=1, trees=2, seed=11):
     """Top-level vertex pinning computes iterated forward differences.
 
     Also sweeps the distinct-label filter, which must not change the count.
     """
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for n in range(2, n_max + 1):
         seqs = [(0, basic_sequence(n))] + _seeded_sequences(n, trees, seed)
         for s, seq in seqs:
@@ -225,38 +240,28 @@ def suite_prop_first(n_max=4, bound=1, trees=2, seed=11):
                                                plain=counter)
                     masks = _difference_masks(R)
                     for k in _cube(bound, n):
-                        points += 1
                         want = _difference_in(corners[k], masks)
                         got = pinned(k)
-                        if got != want:
-                            violations.append({"check": "difference", "n": n,
-                                               "seed": s, "R": list(R),
-                                               "k": list(k),
-                                               "lhs": got, "rhs": want})
+                        yield () if got == want else [
+                            {"check": "difference", "n": n, "seed": s,
+                             "R": list(R), "k": list(k),
+                             "lhs": got, "rhs": want}]
             for level in range(3, n + 1):
                 for pair in combinations(range(1, level), 2):
                     filtered = FilteredCounter(seq, level, [pair],
                                                plain=counter)
                     for k in _cube(bound, n):
-                        points += 1
                         got = filtered(k)
                         want = counter(k)
-                        if got != want:
-                            violations.append({"check": "distinctFilter",
-                                               "n": n, "seed": s,
-                                               "level": level,
-                                               "pair": list(pair),
-                                               "k": list(k),
-                                               "lhs": got, "rhs": want})
-    parameters = {"nMax": n_max, "bound": bound, "trees": trees, "seed": seed}
-    return _finish("prop-first", parameters, points, violations, started)
+                        yield () if got == want else [
+                            {"check": "distinctFilter", "n": n, "seed": s,
+                             "level": level, "pair": list(pair),
+                             "k": list(k), "lhs": got, "rhs": want}]
 
 
+@suite("prop-second")
 def suite_prop_second(n_max=4, bound=1, trees=2, seed=11):
     """Edge pinning at a level equals vertex pinning one level down."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for n in range(3, n_max + 1):
         seqs = [(0, basic_sequence(n))] + _seeded_sequences(n, trees, seed)
         for s, seq in seqs:
@@ -270,21 +275,15 @@ def suite_prop_second(n_max=4, bound=1, trees=2, seed=11):
                                                       mode="vertex",
                                                       plain=plain)
                         for k in _cube(bound, n):
-                            points += 1
                             a, b = by_edge(k), by_vertex(k)
-                            if a != b:
-                                violations.append({"n": n, "seed": s, "m": m,
-                                                   "R": list(R), "k": list(k),
-                                                   "lhs": a, "rhs": b})
-    parameters = {"nMax": n_max, "bound": bound, "trees": trees, "seed": seed}
-    return _finish("prop-second", parameters, points, violations, started)
+                            yield () if a == b else [
+                                {"n": n, "seed": s, "m": m, "R": list(R),
+                                 "k": list(k), "lhs": a, "rhs": b}]
 
 
+@suite("rho-zero")
 def suite_rho_zero(n_max=4, bound=1, trees=1, seed=11):
     """Summing vertex pinnings over all subsets of one size gives zero."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for n in range(2, n_max + 1):
         seqs = [(0, basic_sequence(n))] + _seeded_sequences(n, trees, seed)
         for s, seq in seqs:
@@ -295,16 +294,13 @@ def suite_rho_zero(n_max=4, bound=1, trees=1, seed=11):
                                                   plain=plain)
                                 for R in combinations(range(1, m + 1), rho)]
                     for k in _cube(bound, n):
-                        points += 1
                         value = sum(c(k) for c in counters)
-                        if value != 0:
-                            violations.append({"n": n, "seed": s, "m": m,
-                                               "rho": rho, "k": list(k),
-                                               "value": value})
-    parameters = {"nMax": n_max, "bound": bound, "trees": trees, "seed": seed}
-    return _finish("rho-zero", parameters, points, violations, started)
+                        yield () if value == 0 else [
+                            {"n": n, "seed": s, "m": m, "rho": rho,
+                             "k": list(k), "value": value}]
 
 
+@suite("extensions-agree")
 def suite_extensions_agree(bound3=2, lo4=0, hi4=3):
     """alpha, the four extensions, and both operator products all agree.
 
@@ -314,67 +310,46 @@ def suite_extensions_agree(bound3=2, lo4=0, hi4=3):
     forms are built once per n and applied to one shared product-formula
     lattice function.
     """
-    started = time.perf_counter()
-    points = 0
-    violations = []
     staircase = {1: 1, 2: 2, 3: 7, 4: 42}
     for n, want in staircase.items():
-        points += 1
         got = alpha(n, tuple(range(1, n + 1)))
-        if got != want:
-            violations.append({"check": "staircase", "n": n,
-                               "lhs": got, "rhs": want})
+        yield () if got == want else [{"check": "staircase", "n": n,
+                                       "lhs": got, "rhs": want}]
     grids = [(3, _cube(bound3, 3)),
              (4, product(range(lo4, hi4 + 1), repeat=4))]
     for n, grid in grids:
-        forms = [(form, alpha_operator(n, form))
-                 for form in ("threeTerm", "deltaDelta")]
+        # (the fields naming a route, the route as a function of k)
+        routes = [({"check": "extension", "variant": variant},
+                   functools.partial(extension_signed_count, variant, n))
+                  for variant in (2, 3, 4)]
+        if n == 3:
+            routes.insert(0, ({"check": "extension", "variant": 1},
+                              lambda k: sum(obj.sign for obj in
+                                            enumerate_extension(1, 3, k))))
+        routes.append(({"check": "extensionThreeRelaxed"},
+                       functools.partial(extension_three_relaxed, n)))
         product_fn = lattice_function(n, product_formula)
+        routes += [({"check": "operator", "form": form},
+                    functools.partial(apply_operator, alpha_operator(n, form),
+                                      product_fn))
+                   for form in ("threeTerm", "deltaDelta")]
         for k in grid:
-            points += 1
             base = alpha(n, k)
-            extensions = [(variant, extension_signed_count(variant, n, k))
-                          for variant in (2, 3, 4)]
-            if n == 3:
-                streamed = sum(obj.sign for obj in enumerate_extension(1, n, k))
-                extensions.insert(0, (1, streamed))
-            for variant, got in extensions:
-                if got != base:
-                    violations.append({"check": "extension", "variant": variant,
-                                       "n": n, "k": list(k),
-                                       "lhs": got, "rhs": base})
-            got = extension_three_relaxed(n, k)
-            if got != base:
-                violations.append({"check": "extensionThreeRelaxed", "n": n,
-                                   "k": list(k), "lhs": got, "rhs": base})
-            for form, op in forms:
-                got = apply_operator(op, product_fn, k)
-                if got != base:
-                    violations.append({"check": "operator", "form": form,
-                                       "n": n, "k": list(k),
-                                       "lhs": got, "rhs": base})
-    parameters = {"bound3": bound3, "lo4": lo4, "hi4": hi4}
-    return _finish("extensions-agree", parameters, points, violations, started)
+            yield [dict(fields, n=n, k=list(k), lhs=got, rhs=base)
+                   for fields, route in routes if (got := route(k)) != base]
 
 
+@suite("alpha-props")
 def suite_alpha_props(n_max=4, bound=2):
     """The four listed alpha properties, pointwise on the cube."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for n in range(1, n_max + 1):
         for prop in ("P1", "P2", "P3", "P4"):
             if prop == "P1" and n < 2:
                 continue
             report = check_alpha_property(prop, n, _cube(bound, n))
-            points += report["pointsChecked"]
-            for v in report["violations"]:
-                v = dict(v)
-                v["property"] = prop
-                v["n"] = n
-                violations.append(v)
-    parameters = {"nMax": n_max, "bound": bound}
-    return _finish("alpha-props", parameters, points, violations, started)
+            yield from _spread(report["pointsChecked"],
+                               [dict(v, property=prop, n=n)
+                                for v in report["violations"]])
 
 
 FROZEN_REFINED = {1: (1,), 2: (1, 1), 3: (2, 3, 2), 4: (7, 14, 14, 7)}
@@ -386,155 +361,103 @@ FROZEN_DOUBLY = {
 }
 
 
+@suite("refined")
 def suite_refined(n_max=4):
     """Refined count routes, frozen small values, linear system, symmetry."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for n in range(1, n_max + 1):
-        points += 1
         try:
             vec = refined_asm(n).vector
         except AssertionError as err:
-            violations.append({"check": "routes", "n": n, "error": str(err)})
+            yield [{"check": "routes", "n": n, "error": str(err)}]
             continue
+        records = []
         if n in FROZEN_REFINED and vec != FROZEN_REFINED[n]:
-            violations.append({"check": "frozen", "n": n, "lhs": list(vec),
-                               "rhs": list(FROZEN_REFINED[n])})
+            records.append({"check": "frozen", "n": n, "lhs": list(vec),
+                            "rhs": list(FROZEN_REFINED[n])})
         if vec != tuple(reversed(vec)):
-            violations.append({"check": "symmetry", "n": n, "lhs": list(vec)})
+            records.append({"check": "symmetry", "n": n, "lhs": list(vec)})
+        yield records
         residuals = linear_system_residuals(n)
-        points += len(residuals)
-        if any(r != 0 for r in residuals):
-            violations.append({"check": "linearSystem", "n": n,
-                               "residuals": residuals})
-    parameters = {"nMax": n_max}
-    return _finish("refined", parameters, points, violations, started)
+        yield from _spread(len(residuals), [
+            {"check": "linearSystem", "n": n, "residuals": residuals}]
+            if any(r != 0 for r in residuals) else ())
 
 
+@suite("doubly-refined")
 def suite_doubly_refined(n_max=4):
     """Doubly refined routes, frozen matrices, and the difference identity."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for n in range(1, n_max + 1):
-        points += 1
         try:
             counts = doubly_refined_asm(n)
         except AssertionError as err:
-            violations.append({"check": "routes", "n": n, "error": str(err)})
+            yield [{"check": "routes", "n": n, "error": str(err)}]
             continue
+        records = []
         if n in FROZEN_DOUBLY and counts.matrix != FROZEN_DOUBLY[n]:
-            violations.append({"check": "frozen", "n": n,
-                               "lhs": [list(r) for r in counts.matrix],
-                               "rhs": [list(r) for r in FROZEN_DOUBLY[n]]})
+            records.append({"check": "frozen", "n": n,
+                            "lhs": [list(r) for r in counts.matrix],
+                            "rhs": [list(r) for r in FROZEN_DOUBLY[n]]})
         row_sums = tuple(sum(r) for r in counts.matrix)
-        if row_sums != refined_asm(n).vector:
-            violations.append({"check": "marginal", "n": n,
-                               "lhs": list(row_sums),
-                               "rhs": list(refined_asm(n).vector)})
-        residuals = doubly_refined_identity_residuals(n)
-        points += len(residuals)
-        for where, r in residuals:
-            if r != 0:
-                violations.append({"check": "identity", "n": n,
-                                   "indices": list(where), "residual": r})
-    parameters = {"nMax": n_max}
-    return _finish("doubly-refined", parameters, points, violations, started)
+        vec = refined_asm(n).vector
+        if row_sums != vec:
+            records.append({"check": "marginal", "n": n,
+                            "lhs": list(row_sums), "rhs": list(vec)})
+        yield records
+        for where, r in doubly_refined_identity_residuals(n):
+            yield () if r == 0 else [{"check": "identity", "n": n,
+                                      "indices": list(where), "residual": r}]
 
 
+@suite("paths")
 def suite_paths(n_max=3, classic_hi=3, general_bound=2):
     """Path family totals against the product formula, all three models."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for n in range(1, n_max + 1):
         for k in product(range(classic_hi + 1), repeat=n):
             if any(a > b for a, b in zip(k, k[1:])):
                 continue
-            points += 1
             want = product_formula(k)
-            for name, value in (
-                    ("classic", signed_families(k, "classic")),
-                    ("nonintersecting", count_nonintersecting(k))):
-                if value != want:
-                    violations.append({"model": name, "n": n, "k": list(k),
-                                       "lhs": value, "rhs": want})
+            yield [{"model": name, "n": n, "k": list(k),
+                    "lhs": value, "rhs": want}
+                   for name, value in (
+                       ("classic", signed_families(k, "classic")),
+                       ("nonintersecting", count_nonintersecting(k)))
+                   if value != want]
         for k in _cube(general_bound, n):
-            points += 1
             value = signed_families(k, "general")
             want = product_formula(k)
-            if value != want:
-                violations.append({"model": "general", "n": n, "k": list(k),
-                                   "lhs": value, "rhs": want})
-    parameters = {"nMax": n_max, "classicHi": classic_hi,
-                  "generalBound": general_bound}
-    return _finish("paths", parameters, points, violations, started)
+            yield () if value == want else [{"model": "general", "n": n,
+                                             "k": list(k),
+                                             "lhs": value, "rhs": want}]
 
 
+@suite("intervals")
 def suite_intervals(bound=5):
     """Both symmetric difference identities and both dichotomies."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
-    rng = range(-bound, bound + 1)
     checks = (("leftAnchored", left_anchored_identity),
               ("rightAnchored", right_anchored_identity),
               ("containment", containment_dichotomy),
               ("rightDichotomy", right_anchored_dichotomy))
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                points += 1
-                for name, check in checks:
-                    if not check(x, y, z):
-                        violations.append({"check": name, "x": x, "y": y,
-                                           "z": z})
-    parameters = {"bound": bound}
-    return _finish("intervals", parameters, points, violations, started)
+    for x, y, z in _cube(bound, 3):
+        yield [{"check": name, "x": x, "y": y, "z": z}
+               for name, check in checks if not check(x, y, z)]
 
 
+@suite("decomposition")
 def suite_decomposition(n=3, bound=2):
     """The four-part split negates componentwise under the adjacent swap."""
-    started = time.perf_counter()
-    points = 0
-    violations = []
     for i in range(1, n):
         for k in _cube(bound, n):
-            points += 1
             left = shift_decomposition_counts(k, i)
             right = shift_decomposition_counts(swap_shift(k, i, i + 1), i)
             total = sum(left.values())
-            if total != signed_pattern_count(k):
-                violations.append({"check": "total", "k": list(k), "i": i,
-                                   "lhs": total,
-                                   "rhs": signed_pattern_count(k)})
-            for key in left:
-                if left[key] != -right[key]:
-                    violations.append({"check": "component", "k": list(k),
-                                       "i": i, "part": list(key),
-                                       "lhs": left[key], "rhs": -right[key]})
-    parameters = {"n": n, "bound": bound}
-    return _finish("decomposition", parameters, points, violations, started)
-
-
-SUITES = {
-    "theorem-main": suite_theorem_main,
-    "independence": suite_independence,
-    "shift-antisym": suite_shift_antisym,
-    "delta-n": suite_delta_n,
-    "e-rho": suite_e_rho,
-    "prop-first": suite_prop_first,
-    "prop-second": suite_prop_second,
-    "rho-zero": suite_rho_zero,
-    "extensions-agree": suite_extensions_agree,
-    "alpha-props": suite_alpha_props,
-    "refined": suite_refined,
-    "doubly-refined": suite_doubly_refined,
-    "paths": suite_paths,
-    "intervals": suite_intervals,
-    "decomposition": suite_decomposition,
-}
+            want = signed_pattern_count(k)
+            records = [] if total == want else [
+                {"check": "total", "k": list(k), "i": i,
+                 "lhs": total, "rhs": want}]
+            yield records + [{"check": "component", "k": list(k), "i": i,
+                              "part": list(key),
+                              "lhs": left[key], "rhs": -right[key]}
+                             for key in left if left[key] != -right[key]]
 
 
 def run_suite(name, **params):
@@ -555,17 +478,10 @@ def run_all(workers=None):
             reports = list(pool.map(run_suite, names))
     else:
         reports = [run_suite(name) for name in names]
-    violations = []
-    points = 0
-    for report in reports:
-        points += report["pointsChecked"]
-        for v in report["violations"]:
-            tagged = {"suite": report["suite"]}
-            tagged.update(v)
-            violations.append(tagged)
     return {"suite": "all",
             "parameters": {"suites": names, "workers": workers or 1},
-            "pointsChecked": points,
-            "violations": violations,
+            "pointsChecked": sum(r["pointsChecked"] for r in reports),
+            "violations": [{"suite": r["suite"], **v}
+                           for r in reports for v in r["violations"]],
             "wallTime": round(time.perf_counter() - started, 3),
             "reports": reports}

@@ -151,6 +151,25 @@ def test_config_rejects_unknown_key(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "count", "product", "--k", "0,2")
     assert code == 2
     assert "turbo" in err
+    # the memo cap of ``gtseq apply`` is gone, so its key is unknown too
+    cfg.write_text("memoCap = 100\n")
+    code, _, err = run(capsys, "apply", "--operator", "D k1", "--at", "0")
+    assert code == 2
+    assert "unknown key 'memoCap'" in err
+
+
+def test_config_grid_soft_for_suites_without_bound(capsys, tmp_path,
+                                                   monkeypatch):
+    cfg = tmp_path / "gtseq.conf"
+    cfg.write_text("grid = 0..3\n")
+    monkeypatch.setenv("GTSEQ_CONFIG", str(cfg))
+    code, out, err = run(capsys, "verify", "refined", "--n", "2")
+    assert code == 0, err
+    assert json.loads(out)["parameters"] == {"nMax": 2}
+    # a suite that takes the bound still rejects it, naming the file's key
+    code, _, err = run(capsys, "verify", "intervals")
+    assert code == 2
+    assert "config key grid must be symmetric" in err
 
 
 def test_emit_tree_formats(capsys):

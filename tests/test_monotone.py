@@ -315,5 +315,6 @@ def test_check_alpha_property_report():
     report = check_alpha_property("P1", 2, grid)
     assert report["pointsChecked"] == len(grid)
     assert report["violations"] == []
-    with pytest.raises(ValueError):
-        check_alpha_property("P9", 2, grid)
+    for prop in ("P9", "linearSystem"):
+        with pytest.raises(ValueError):
+            check_alpha_property(prop, 2, grid)

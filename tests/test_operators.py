@@ -198,9 +198,3 @@ def test_parse_operator_forms():
 def test_parse_operator_rejects(text):
     with pytest.raises(OperatorParseError):
         parse_operator(text, 2)
-
-
-def test_lattice_function_swap():
-    f = lattice_function(2, lambda k: 10 * k[0] + k[1])
-    g = f.swap(0, 1)
-    assert g((3, 7)) == 73

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 from itertools import combinations, product
 
@@ -101,6 +102,21 @@ def test_operator_cache_bounded_after_run_all(run_all_report):
         assert 0 < info.currsize <= info.maxsize
 
 
+def _camel(name):
+    head, *rest = name.split("_")
+    return head + "".join(part[:1].upper() + part[1:] for part in rest)
+
+
+def test_report_parameters_name_every_suite_knob(run_all_report):
+    # the command line maps its flags, and the bench tracer its spans,
+    # through the signatures in SUITES
+    reports = run_all_report["reports"]
+    assert [r["suite"] for r in reports] == list(verify.SUITES)
+    for report in reports:
+        knobs = inspect.signature(verify.SUITES[report["suite"]]).parameters
+        assert set(report["parameters"]) == {_camel(k) for k in knobs}
+
+
 def test_run_all_report_frozen(run_all_report):
     assert run_all_report["pointsChecked"] == 45103
     assert _report_digest(run_all_report) == FROZEN_RUN_ALL
@@ -132,3 +148,140 @@ def test_difference_matches_recursive_definition():
                         corners, verify._difference_masks(R))
                     assert got == _recursive_difference(
                         product_formula, k, R), (k, R)
+
+
+def _off_at_zero_sum(f):
+    """f, but one too large wherever the entries of its last argument k
+    sum to 0."""
+    return lambda *args: f(*args) + (sum(args[-1]) == 0)
+
+
+def _counter_off_at_zero_sum(real, mode=None):
+    """A counter class whose instances (of one pinning mode, or of every
+    mode) count one too many wherever the entries of k sum to 0."""
+    def make(*args, **kwargs):
+        counter = real(*args, **kwargs)
+        if mode is None or kwargs.get("mode") == mode:
+            return _off_at_zero_sum(counter)
+        return counter
+    return make
+
+
+def _p3_off_at_zero_sum(real):
+    def check(prop, n, grid):
+        grid = list(grid)
+        report = real(prop, n, grid)
+        if prop == "P3":
+            report["violations"] = report["violations"] + [
+                {"point": list(k), "residual": [1]}
+                for k in grid if sum(k) == 0]
+        return report
+    return check
+
+
+def _first_residual_off(real):
+    return lambda n: [r + (i == 0) for i, r in enumerate(real(n))]
+
+
+def _routes_fail_at_two(real):
+    def counts(n):
+        if n == 2:
+            raise AssertionError("routes disagree at n=2")
+        return real(n)
+    return counts
+
+
+def _left_anchored_off(real):
+    return lambda x, y, z: real(x, y, z) and x != z
+
+
+def _first_part_off_at_zero_sum(real):
+    def counts(k, i):
+        parts = dict(real(k, i))
+        if sum(k) == 0:
+            parts[next(iter(parts))] += 1
+        return parts
+    return counts
+
+
+# suite -> (the name it reads in gtseq.verify, how to break that name,
+# small parameters at which the broken suite reports violations)
+BROKEN_SUITES = {
+    "theorem-main": ("product_formula", _off_at_zero_sum,
+                     dict(n_max=2, bound=1, trees=1, det_n_max=2,
+                          det_bound=1)),
+    "independence": ("signed_pattern_count", _off_at_zero_sum,
+                     dict(n_max=2, bound=1, trees=2)),
+    "shift-antisym": ("product_formula", _off_at_zero_sum,
+                      dict(n_max=3, bound=1)),
+    "delta-n": ("signed_pattern_count", _off_at_zero_sum,
+                dict(n_max=2, bound=1)),
+    "e-rho": ("signed_pattern_count", _off_at_zero_sum,
+              dict(n_max=2, bound=1)),
+    "prop-first": ("RestrictedCounter", _counter_off_at_zero_sum,
+                   dict(n_max=3, bound=1, trees=1)),
+    "prop-second": ("RestrictedCounter",
+                    lambda real: _counter_off_at_zero_sum(real, "edge"),
+                    dict(n_max=3, bound=1, trees=1)),
+    "rho-zero": ("RestrictedCounter", _counter_off_at_zero_sum,
+                 dict(n_max=3, bound=1, trees=1)),
+    "extensions-agree": ("alpha", _off_at_zero_sum,
+                         dict(bound3=1, lo4=0, hi4=0)),
+    "alpha-props": ("check_alpha_property", _p3_off_at_zero_sum,
+                    dict(n_max=2, bound=1)),
+    "refined": ("linear_system_residuals", _first_residual_off,
+                dict(n_max=3)),
+    "doubly-refined": ("doubly_refined_asm", _routes_fail_at_two,
+                       dict(n_max=3)),
+    "paths": ("product_formula", _off_at_zero_sum,
+              dict(n_max=2, classic_hi=2, general_bound=1)),
+    "intervals": ("left_anchored_identity", _left_anchored_off,
+                  dict(bound=1)),
+    "decomposition": ("shift_decomposition_counts",
+                      _first_part_off_at_zero_sum, dict(n=2, bound=1)),
+}
+
+# Recorded from the suites as they stood before the shared suite runner:
+# the runner must keep each failing report, its point count and the order
+# of its violations.
+FROZEN_BROKEN = {
+    "alpha-props":
+        "03186f1c7c8bc08e06975e2a61c6878d61d53b11da161e609ab5d0561b384164",
+    "decomposition":
+        "bd39006ee7deda1c9368077a1fdea3e908c0366d23fb3d10e032ad9b45996469",
+    "delta-n":
+        "aa1d221b97d4507eaa9139ef0cc413c62b1ba8ac5c4bc19ba6e6349957392ef0",
+    "doubly-refined":
+        "1c57d2e092c8d2c8d8a94934651f78f4e6c87c63e5914f12956aa9995c3f9f05",
+    "e-rho":
+        "71dfe84cc861a41d1e10e92599fef7592f5fa2e1fe2fcbe0ae42c6359059e46e",
+    "extensions-agree":
+        "f96e081a168a1933076ab0b5af831d5b030f86d9bf1d757b2a3901d6f4aed218",
+    "independence":
+        "5e43adce818d4d7548a6e236a2f4e65478b4d8fcac9a6688c93ad6cc0fcb9d06",
+    "intervals":
+        "010b3ebd3ae05a36d01213f3a600142cb9987a31ca79322a5849631f7b4a77af",
+    "paths":
+        "a10a4e57694be24e42f5345fe674e52e99a956bb782503db1c2d15e7c2f4393e",
+    "prop-first":
+        "75ae929a49bae8dc6420d2fabe155e89de49cfe7c910dd82d35920e74be63d96",
+    "prop-second":
+        "4f81874e47d19661ba55a6f0aba325d6a7970a24a179bec64215756f3a21db09",
+    "refined":
+        "3219a6ae4f89938e15d3499ccde1bf73d411abb4054ed5a4e1804ebf7cf226f2",
+    "rho-zero":
+        "5226233129c5d3ff6babdfcd448610fc6c3aa896e419cd0106b822023394f438",
+    "shift-antisym":
+        "7c6827527651c993c7f5c50866bb6f8c83adb57146ea6506662ad6eb608d0673",
+    "theorem-main":
+        "01849f7dfc8d9f456678eb26dabb7085c91737fee65bf0019033433d4e23f1d2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_SUITES))
+def test_broken_suite_reports_frozen(monkeypatch, name):
+    attr, break_, params = BROKEN_SUITES[name]
+    monkeypatch.setattr(verify, attr, break_(getattr(verify, attr)))
+    report = verify.run_suite(name, **params)
+    assert report["violations"]
+    assert _report_digest(report) == FROZEN_BROKEN[name]
