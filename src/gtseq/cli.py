@@ -177,24 +177,24 @@ def cmd_verify(args, config):
         accepted = inspect.signature(fn).parameters
         kwargs = {}
 
-        def put(value, explicit, *names):
+        def put(value, flag, *names):
             if value is None:
                 return
             for candidate in names:
                 if candidate in accepted:
                     kwargs[candidate] = value
                     return
-            if explicit:
-                raise UsageError("suite %s does not take that flag" % name)
+            if getattr(args, flag) is not None:
+                raise UsageError("suite %s does not take --%s" % (name, flag))
 
-        put(n_cap, args.n is not None, "n_max", "n")
+        put(n_cap, "n", "n_max", "n")
         bound_knobs = ("bound", "bound3", "general_bound")
         if grid is not None and any(b in accepted for b in bound_knobs):
             grid = _grid_bound(grid, "--grid" if args.grid is not None
                                else "config key grid")
-        put(grid, args.grid is not None, *bound_knobs)
-        put(trees, args.trees is not None, "trees")
-        put(seed, args.seed is not None, "seed")
+        put(grid, "grid", *bound_knobs)
+        put(trees, "trees", "trees")
+        put(seed, "seed", "seed")
         if args.workers is not None:
             raise UsageError("--workers only applies to verify all")
         report = run_suite(name, **kwargs)

@@ -11,12 +11,25 @@ the summation convention
 
 and it is what makes telescoping identities hold for all integer bounds.
 
-The counting recursions sum a memoized count over a box of such intervals,
-one per slot of a row; ``table_sum`` is that box sum over a memo table.
+Patterns, tree-sequence labeling chains and the monotone-triangle
+extensions are built alike: each row above a row v ranges over a box of
+such intervals, one per slot, and each inverted slot flips the sign.  A
+family gives its rows as a row generator ``rows(v)`` yielding, for every
+admissible choice of the row above v, (decoration, sign, inverted, box):
+the family's own mark of the choice and its sign, the inverted slots
+(ascending, from 1), and one value range per entry of the row above (a
+1-tuple when pinned; ``slot`` gives a free entry's range).  The choices
+above a one-entry row have empty boxes and do not depend on its entry.
+``row_walk`` streams the objects from such a generator, and ``row_count``
+sums the memoized count of each box through ``table_sum``, so a check of
+the stream against the count tests the walk, not the rows; ``interval``
+stays the reference the rows are held to.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
+from math import prod
 
 
 @dataclass(frozen=True)
@@ -47,6 +60,16 @@ def interval(x, y):
     return GeneralizedInterval(x, y, tuple(range(y + 1, x)), True)
 
 
+def slot(lo, hi):
+    """The generalized interval [lo, hi] of one slot as (members, inverted),
+    with members a range, or None when the interval is empty."""
+    if lo <= hi:
+        return range(lo, hi + 1), False
+    if lo == hi + 1:
+        return None
+    return range(hi + 1, lo), True
+
+
 def table_sum(table, fill, level, ranges):
     """Sum of table[l] over l in product(*ranges), at C speed when every
     entry is present; otherwise ``fill(level, l)`` computes (and stores)
@@ -61,6 +84,58 @@ def table_sum(table, fill, level, ranges):
         value = get(l)
         total += fill(level, l) if value is None else value
     return total
+
+
+def row_count(rows, table, n, v):
+    """Signed total above row v of length n, memoized in table.
+
+    Each choice from rows(v) adds its sign times the sum of the level n-1
+    count over its box, read from the table (``table_sum``), which calls
+    back here only for missing entries.  Above a row of length 2 every entry
+    counts 1, so that box sum is the product of the range lengths.
+    """
+    if n == 1:
+        return 1
+    try:
+        return table[v]
+    except KeyError:
+        pass
+    fill = partial(row_count, rows, table)
+    total = 0
+    for _, sign, inverted, box in rows(v):
+        if len(inverted) % 2:
+            sign = -sign
+        if n == 2:
+            total += sign * prod(map(len, box))
+        else:
+            total += sign * table_sum(table, fill, n - 1, box)
+    table[v] = total
+    return total
+
+
+def row_walk(rows, k):
+    """Stream the objects over bottom row k, built row by row from rows(v),
+    as (rows top first, decorations top first, inversions, sign).  An
+    inversion (i, q) is slot q of row i; each choice above the top row
+    finishes one object."""
+    top = list(rows(k[:1]))
+
+    def up(stack, decorations, inversions, sign):
+        v = stack[-1]
+        for decoration, row_sign, inverted, box in (rows(v) if len(v) > 1
+                                                    else top):
+            decorations_up = (decoration,) + decorations
+            inversions_up = (tuple([(len(box), q) for q in inverted])
+                             + inversions)
+            sign_up = sign * row_sign * (-1) ** len(inverted)
+            if len(v) == 1:
+                yield tuple(stack[::-1]), decorations_up, inversions_up, sign_up
+                continue
+            for u in product(*box):
+                yield from up(stack + [u], decorations_up, inversions_up,
+                              sign_up)
+
+    return up([k], (), (), 1)
 
 
 def _symmetric_difference(a, b):

@@ -11,8 +11,9 @@ carries the larger label is an inversion.
 
 A tree-sequence labeling chain (T_1..T_n, l_1..l_n) fixes l_n = k and asks
 l_{i-1} to be admissible for (T_i, l_i); its sign is (-1)^{#inversions}
-times the product of the tree signs.  ``signed_count`` evaluates the signed
-total without materializing the chains, by a memoized recursion over levels.
+times the product of the tree signs.  ``enumerate_sequences`` lists the
+chains by ``intervals.row_walk``, one row choice per level; ``signed_count``
+evaluates the signed total without them, by a memoized recursion over levels.
 
 The "weak" machinery pins selected edges to the labels of selected vertices
 (one pinned edge per chosen vertex, exclusions keeping the pin unique) and
@@ -60,7 +61,7 @@ from itertools import combinations, product
 from math import prod
 from operator import getitem
 
-from .intervals import table_sum
+from .intervals import row_walk, table_sum
 
 
 @dataclass(frozen=True)
@@ -221,36 +222,28 @@ def signed_count(seq, k):
     return SequenceCounter(seq)(k)
 
 
+def _chain_rows(seq, values):
+    """The one choice of the level below ``values``: edge e of the tree at
+    level len(values) ranges over its admissible values."""
+    tree = seq.tree(len(values))
+    ranges = _edge_ranges(tree, values)
+    if ranges is not None:
+        yield None, 1, sorted(inversion_edges(tree, values)), ranges
+
+
 def enumerate_sequences(seq, k):
     """All labeling chains, sorted lexicographically on (l_1, l_2, ...).
 
     Each chain records per-level inversions and its sign including the tree
     sequence sign.  Materializes the whole set; use signed_count for totals.
     """
-    n = seq.order
-    k = tuple(k)
     base_sign = seq.sign()
-    out = []
-
-    def descend(level, values, levels_acc, inv_acc):
-        if level == 1:
-            levels = tuple(reversed(levels_acc + [values]))
-            inversions = tuple(sorted(inv_acc))
-            sign = base_sign * (-1) ** len(inversions)
-            out.append(GTTreeSequence(levels, inversions, sign))
-            return
-        tree = seq.tree(level)
-        ranges = _edge_ranges(tree, values)
-        if ranges is None:
-            return
-        inv = inversion_edges(tree, values)
-        tagged = [(level, e) for e in sorted(inv)]
-        for l in product(*ranges):
-            descend(level - 1, l, levels_acc + [values], inv_acc + tagged)
-
-    descend(n, k, [], [])
-    out.sort(key=lambda g: g.levels)
-    return out
+    # the walk tags an inversion by its row, one below the level of its tree
+    return sorted((GTTreeSequence(levels, tuple([(i + 1, e) for i, e in inv]),
+                                  base_sign * sign)
+                   for levels, _, inv, sign in row_walk(
+                       partial(_chain_rows, seq), tuple(k))),
+                  key=lambda g: g.levels)
 
 
 # --- weak admissibility -------------------------------------------------

@@ -18,18 +18,15 @@ marks interior entries whose two upper neighbours ("parents") collapse onto
 them.  Variant 4 assigns an arrow to every entry; the arrows of a row
 tighten the intervals of the row above it.
 
-Each variant has one row generator, ``_rows_1`` to ``_rows_4``.  For a row
-v it yields every admissible choice of the row above: the decoration and
-its sign, the inverted slots, and one range of values per slot (``_slot``
-turns a slot's bounds into a range, an inverted range or nothing).  Both
-routes read the same generator.  The object stream (``enumerate_extension``)
-walks the product of the ranges row by row.  The memoized count (``alpha``
-and ``extension_signed_count``) adds, per row choice, its sign times the
-level n-1 count summed over the box through the memo table
-(``intervals.table_sum``), calling itself only for missing entries; above a
-row of length 2 that sum is the product of the range lengths.  The relaxed
-variant 3 is ``_rows_3`` over all subsets of specials, counted through a
-table local to the call.
+Each variant has one row generator, ``_rows_1`` to ``_rows_4``, in the
+protocol of ``intervals``: for a row v it yields every admissible choice
+of the row above, with its decoration and sign, its inverted slots and
+one value range per slot (``intervals.slot``).  The object stream
+(``enumerate_extension``) is ``intervals.row_walk`` over the generator,
+with the decorations turned into the triangle's marks; the memoized count
+(``alpha`` and ``extension_signed_count``) is ``intervals.row_count`` over
+it, in the variant's memo table.  The relaxed variant 3 is ``_rows_3``
+over all subsets of specials, counted through a table local to the call.
 
 The stream-against-count check therefore tests the walk, not the rows.
 The independent routes share nothing with the generators: the monotone
@@ -45,9 +42,8 @@ at fixed short points, and are cross-checked against direct enumeration.
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
-from math import prod
 
-from .intervals import table_sum
+from .intervals import row_count, row_walk, slot
 from .operators import (apply_operator, delta, elementary_symmetric, identity,
                         lattice_function, shift, small_delta, v_operator)
 from .operators import product_formula, falling_binomial
@@ -64,7 +60,7 @@ def alpha(n, k):
     k = tuple(k)
     if len(k) != n:
         raise ValueError("k must have length n")
-    return _count(_rows_1, _alpha_memo, n, k)
+    return row_count(_rows_1, _alpha_memo, n, k)
 
 
 def alpha_function(n):
@@ -158,22 +154,8 @@ class ExtTriangle:
                 "sign": self.sign}
 
 
-def _slot(lo, hi):
-    """The generalized interval [lo, hi] of one slot as (members, inverted),
-    with members a range, or None when the interval is empty."""
-    if lo <= hi:
-        return range(lo, hi + 1), False
-    if lo == hi + 1:
-        return None
-    return range(hi + 1, lo), True
-
-
-# A row generator takes a row v and yields, for every admissible row above
-# it, (decoration, sign, inverted, box).  The decoration is (r, marks...),
-# one tuple of positions in row r per kind of mark; variant 4 gives (m,
-# arrows) instead.  The sign is the decoration's own; each position in
-# inverted (slots from 1) flips it once more.  The box has one value range
-# per entry of the row above, and a pinned entry is a 1-tuple.
+# The decoration of a row choice is (r, marks...), one tuple of positions
+# in row r per kind of mark; variant 4 gives (m, arrows) instead.
 
 
 def _rows_1(v):
@@ -182,8 +164,8 @@ def _rows_1(v):
     the top when entry q+1 is starred."""
     m = len(v)
     positions = range(1, m)
-    free = [None] + [_slot(v[q - 1] + 1, v[q]) for q in positions]
-    tight = [None] + [_slot(v[q - 1] + 1, v[q] - 1) for q in positions]
+    free = [None] + [slot(v[q - 1] + 1, v[q]) for q in positions]
+    tight = [None] + [slot(v[q - 1] + 1, v[q] - 1) for q in positions]
     for size in range(m):
         for pinned in combinations(positions, size):
             inverted, box = [], []
@@ -191,12 +173,12 @@ def _rows_1(v):
                 if q in pinned:
                     box.append((v[q - 1],))
                     continue
-                slot = tight[q] if q + 1 in pinned else free[q]
-                if slot is None:
+                iv = tight[q] if q + 1 in pinned else free[q]
+                if iv is None:
                     break
-                if slot[1]:
+                if iv[1]:
                     inverted.append(q)
-                box.append(slot[0])
+                box.append(iv[0])
             else:
                 yield (m - 1, pinned), 1, inverted, box
 
@@ -206,7 +188,7 @@ def _rows_2(v):
     v_{q-1} or to its right parent v_q, or ranges over [v_{q-1} + 1, v_q - 1];
     a right pin directly left of a left pin is forbidden."""
     m = len(v)
-    plain = [None] + [_slot(v[q - 1] + 1, v[q] - 1) for q in range(1, m)]
+    plain = [None] + [slot(v[q - 1] + 1, v[q] - 1) for q in range(1, m)]
     for states in product(("plain", "left", "right"), repeat=m - 1):
         if ("right", "left") in zip(states, states[1:]):
             continue
@@ -215,12 +197,12 @@ def _rows_2(v):
             if state != "plain":
                 box.append((v[q - 1] if state == "left" else v[q],))
                 continue
-            slot = plain[q]
-            if slot is None:
+            iv = plain[q]
+            if iv is None:
                 break
-            if slot[1]:
+            if iv[1]:
                 inverted.append(q)
-            box.append(slot[0])
+            box.append(iv[0])
         else:
             lefts = tuple(q for q, s in enumerate(states, 1) if s == "left")
             rights = tuple(q for q, s in enumerate(states, 1) if s == "right")
@@ -245,7 +227,7 @@ def _rows_3(v, subsets=_nonadjacent_subsets):
     yields all subsets (the relaxed variant); two adjacent specials both pin
     the entry they share, so they need v_{j-1} = v_j."""
     m = len(v)
-    free = [None] + [_slot(v[q - 1], v[q]) for q in range(1, m)]
+    free = [None] + [slot(v[q - 1], v[q]) for q in range(1, m)]
     for chosen in subsets(range(2, m)):
         if any(v[j - 1] != v[j] for j in chosen if j + 1 in chosen):
             continue
@@ -257,12 +239,12 @@ def _rows_3(v, subsets=_nonadjacent_subsets):
             if q in pins:
                 box.append((pins[q],))
                 continue
-            slot = free[q]
-            if slot is None:
+            iv = free[q]
+            if iv is None:
                 break
-            if slot[1]:
+            if iv[1]:
                 inverted.append(q)
-            box.append(slot[0])
+            box.append(iv[0])
         else:
             yield (m, chosen), (-1) ** len(chosen), inverted, box
 
@@ -274,18 +256,18 @@ def _rows_4(v):
     points left (LEFT or BOTH)."""
     m = len(v)
     # slots[q][raised][lowered], indexed by the two arrows as booleans
-    slots = [None] + [[[_slot(v[q - 1] + raised, v[q] - lowered)
+    slots = [None] + [[[slot(v[q - 1] + raised, v[q] - lowered)
                         for lowered in (0, 1)] for raised in (0, 1)]
                       for q in range(1, m)]
     for arrows in product(ARROWS, repeat=m):
         inverted, box = [], []
         for q in range(1, m):
-            slot = slots[q][arrows[q - 1] != LEFT][arrows[q] != RIGHT]
-            if slot is None:
+            iv = slots[q][arrows[q - 1] != LEFT][arrows[q] != RIGHT]
+            if iv is None:
                 break
-            if slot[1]:
+            if iv[1]:
                 inverted.append(q)
-            box.append(slot[0])
+            box.append(iv[0])
         else:
             yield (m, arrows), (-1) ** arrows.count(BOTH), inverted, box
 
@@ -321,73 +303,27 @@ def enumerate_extension(variant, n, k):
     The arguments are checked by the call; the objects come lazily.
     """
     k = _bottom_row(n, k)
-    return _up(variant, _rows_of(variant), k)
+    return _triangles(variant, row_walk(_rows_of(variant), k), k)
 
 
-def _up(variant, rows, k):
-    """The ExtTriangle objects over bottom row k, built row by row from
-    rows(v).  The row choices above a top row have empty boxes, and each
-    finishes one object; that is where variant 4 gives the top entry its
-    arrow."""
-    n = len(k)
-    # the choices above a one-entry row have no slots, so they are the same
-    # for every top entry
-    top = list(rows(k[:1]))
-
-    def up(stack, marks, inversions, sign):
-        v = stack[-1]
-        for decoration, row_sign, inverted, box in (rows(v) if len(v) > 1
-                                                    else top):
-            if variant == 4:
-                marks_up = ((decoration[1],) + marks[0],)
-            else:
-                row = decoration[0]
-                marks_up = tuple([tuple([(row, q) for q in kind]) + old
-                                  for kind, old in zip(decoration[1:], marks)])
-            inversions_up = (tuple([(len(box), q) for q in inverted])
-                             + inversions)
-            sign_up = sign * row_sign * (-1) ** len(inverted)
-            if len(v) == 1:
-                obj = ExtTriangle(variant, tuple(stack[::-1]),
-                                  marks_up if variant == 2 else marks_up[0],
-                                  inversions_up, sign_up)
-                _check_bounds(obj.rows, k, n)
-                yield obj
-                continue
-            for u in product(*box):
-                yield from up(stack + [u], marks_up, inversions_up, sign_up)
-
-    return up([k], ((), ()), (), 1)
+def _triangles(variant, walk, k):
+    """The ExtTriangle of each walked object, its decorations turned into
+    marks: variant 4 keeps one arrow row per row, the others collect the
+    (row, position) marks of each kind."""
+    for rows, decorations, inversions, sign in walk:
+        if variant == 4:
+            marks = tuple([arrows for _, arrows in decorations])
+        else:
+            marks = tuple([tuple([(d[0], q) for d in decorations
+                                  for q in d[kind]])
+                           for kind in range(1, len(decorations[0]))])
+            if variant != 2:
+                marks = marks[0]
+        _check_bounds(rows, k, len(k))
+        yield ExtTriangle(variant, rows, marks, inversions, sign)
 
 
 _ext_memos = {1: _alpha_memo, 2: {}, 3: {}, 4: {}}
-
-
-def _count(rows, table, n, v):
-    """Signed total above row v of length n, memoized in table.
-
-    Each row from rows(v) adds its sign times the sum of the level n-1 count
-    over its box, read from the table (``intervals.table_sum``), which calls
-    back here only for missing entries.  Above a row of length 2 every entry
-    counts 1, so that box sum is the product of the range lengths.
-    """
-    if n == 1:
-        return 1
-    try:
-        return table[v]
-    except KeyError:
-        pass
-    fill = partial(_count, rows, table)
-    total = 0
-    for _, sign, inverted, box in rows(v):
-        if len(inverted) % 2:
-            sign = -sign
-        if n == 2:
-            total += sign * prod(map(len, box))
-        else:
-            total += sign * table_sum(table, fill, n - 1, box)
-    table[v] = total
-    return total
 
 
 def extension_signed_count(variant, n, k):
@@ -395,14 +331,14 @@ def extension_signed_count(variant, n, k):
     its stream: the count of each row above is summed over the row's box
     through the variant's memo table.  Variant 1 is alpha."""
     k = _bottom_row(n, k)
-    return _count(_rows_of(variant), _ext_memos[variant], n, k)
+    return row_count(_rows_of(variant), _ext_memos[variant], n, k)
 
 
 def extension_three_relaxed(n, k):
     """Variant 3 with adjacent specials permitted (same signed total); its
     box sums go through a table local to the call."""
     k = _bottom_row(n, k)
-    return _count(partial(_rows_3, subsets=_subsets), {}, n, k)
+    return row_count(partial(_rows_3, subsets=_subsets), {}, n, k)
 
 
 @lru_cache(maxsize=8)

@@ -13,11 +13,12 @@ pair differs by exactly one the interval is empty and no pattern exists with
 that row.  The sign of a pattern is (-1)^{#inversions} and the signed count
 over a fixed bottom row equals the same product formula that counts labeling
 chains of tree sequences; the two pictures match row for row over the path
-trees (see pattern_to_chain).  ``signed_pattern_count`` computes the
-intervals of a row inline, as ranges and one sign, and sums the count of the
-row above over their box through the memo table (``intervals.table_sum``);
-``intervals.interval`` stays the reference convention, used by the
-enumerator and by the per-member recursion the tests hold the count to.
+trees (see pattern_to_chain).  The rows above v have one row generator,
+``_rows``, in the protocol of ``intervals``: ``enumerate_patterns`` walks it
+(``intervals.row_walk``) and ``signed_pattern_count`` counts through it
+(``intervals.row_count``).  ``intervals.interval`` stays the reference
+convention, used by ``validate_pattern`` and by the per-member recursion
+the tests hold the count to.
 
 Classic patterns (all intervals normal, nonnegative weakly increasing bottom
 row) biject with semistandard tableaux: entry a_{i,j} is the number of cells
@@ -25,9 +26,8 @@ with value at most i in tableau row i + 1 - j.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
-from .intervals import interval, table_sum
+from .intervals import interval, row_count, row_walk, slot
 from .labelings import GTTreeSequence
 from .trees import basic_sequence
 
@@ -46,17 +46,6 @@ class Pattern:
         return {"rows": [list(r) for r in self.rows],
                 "inversions": [list(p) for p in self.inversions],
                 "sign": self.sign}
-
-
-def _row_intervals(parent):
-    """Intervals constraining the row above ``parent``; None if one is empty."""
-    out = []
-    for x, y in zip(parent, parent[1:]):
-        iv = interval(x, y)
-        if not iv.members:
-            return None
-        out.append(iv)
-    return out
 
 
 def validate_pattern(rows):
@@ -89,33 +78,25 @@ def make_pattern(rows):
     return Pattern(rows, inv, (-1) ** len(inv))
 
 
+def _rows(v):
+    """The one choice of the row above v: entry q ranges over
+    slot(v[q-1], v[q]), and an empty slot leaves no choice."""
+    inverted, box = [], []
+    for q in range(1, len(v)):
+        iv = slot(v[q - 1], v[q])
+        if iv is None:
+            return
+        if iv[1]:
+            inverted.append(q)
+        box.append(iv[0])
+    yield None, 1, inverted, box
+
+
 def enumerate_patterns(k):
     """All patterns with bottom row k, sorted by rows read top to bottom."""
-    k = tuple(k)
-    out = []
-
-    def descend(stack):
-        top = stack[-1]
-        if len(top) == 1:
-            rows = tuple(reversed(stack))
-            inv = []
-            for i in range(1, len(rows)):
-                parent = rows[i]
-                for j in range(1, i + 1):
-                    if interval(parent[j - 1], parent[j]).inverted:
-                        inv.append((i, j))
-            inv = tuple(sorted(inv))
-            out.append(Pattern(rows, inv, (-1) ** len(inv)))
-            return
-        ivs = _row_intervals(top)
-        if ivs is None:
-            return
-        for row in product(*(iv.members for iv in ivs)):
-            descend(stack + [row])
-
-    descend([k])
-    out.sort(key=lambda p: p.rows)
-    return out
+    return sorted((Pattern(rows, inversions, sign)
+                   for rows, _, inversions, sign in row_walk(_rows, tuple(k))),
+                  key=lambda p: p.rows)
 
 
 _count_memo = {}
@@ -124,35 +105,7 @@ _count_memo = {}
 def signed_pattern_count(k):
     """Signed number of patterns with bottom row k, by a memoized recursion."""
     k = tuple(k)
-    if len(k) == 1:
-        return 1
-    try:
-        return _count_memo[k]
-    except KeyError:
-        pass
-    sign = 1
-    ranges = []
-    for x, y in zip(k, k[1:]):
-        # interval(x, y), inline
-        if x <= y:
-            ranges.append(range(x, y + 1))
-        elif y == x - 1:
-            _count_memo[k] = 0
-            return 0
-        else:
-            sign = -sign
-            ranges.append(range(y + 1, x))
-    if len(ranges) == 1:
-        total = len(ranges[0])
-    else:
-        total = table_sum(_count_memo, _count_row, len(ranges), ranges)
-    result = sign * total
-    _count_memo[k] = result
-    return result
-
-
-def _count_row(order, row):
-    return signed_pattern_count(row)
+    return row_count(_rows, _count_memo, len(k), k)
 
 
 def pattern_to_chain(pattern):
@@ -165,7 +118,9 @@ def pattern_to_chain(pattern):
     """
     rows = pattern.rows
     seq = basic_sequence(len(rows))
-    return seq, GTTreeSequence(rows, pattern.inversions, pattern.sign)
+    # a chain tags an inversion by the level of its tree, one above the row
+    inversions = tuple((i + 1, j) for i, j in pattern.inversions)
+    return seq, GTTreeSequence(rows, inversions, pattern.sign)
 
 
 def chain_to_pattern(chain):

@@ -15,7 +15,8 @@ keeps the body's signature.  Called with any of the body's parameters, it
 binds the defaults, runs the body and returns the report: the suite name,
 the parameters under camelCase names (``n_max`` becomes ``nMax``), the
 number of points checked, the violations in the order yielded, and the
-wall time.  A suite passes when its violation list is empty.  To add a
+wall time.  A suite passes when its violation list is empty; parameters
+at which the body yields no point raise ValueError.  To add a
 suite, write one such generator under ``@suite``: the command line maps
 its flags onto the signature's parameters.  ``run_all`` chains every suite
 at its default parameters, which is the full check behind the command
@@ -87,6 +88,10 @@ def suite(name):
             for points, records in enumerate(body(**params.arguments), 1):
                 if records:
                     violations += records
+            if not points:
+                raise ValueError("suite %s checks no point at %s" % (
+                    name, ", ".join("%s=%r" % item
+                                    for item in params.arguments.items())))
             return {"suite": name,
                     "parameters": {_camel(key): value
                                    for key, value in params.arguments.items()},

@@ -96,6 +96,28 @@ def test_verify_flag_mapping(capsys):
     assert report["parameters"]["seed"] == 3
 
 
+@pytest.mark.parametrize("argv", (("decomposition", "--n", "1"),
+                                  ("prop-second", "--n", "2"),
+                                  ("shift-antisym", "--n", "1"),
+                                  ("prop-first", "--n", "1"),
+                                  ("rho-zero", "--n", "1")),
+                         ids=" ".join)
+def test_verify_without_points_fails(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "suite %s checks no point" % argv[0] in err
+
+
+@pytest.mark.parametrize("argv, flag", ((("refined", "--grid=-1..1"), "--grid"),
+                                        (("extensions-agree", "--n", "3"),
+                                         "--n")))
+def test_verify_names_the_refused_flag(capsys, argv, flag):
+    code, _, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert "suite %s does not take %s" % (argv[0], flag) in err
+
+
 def test_verify_asymmetric_grid_rejected(capsys):
     code, _, err = run(capsys, "verify", "theorem-main", "--grid=0..2")
     assert code == 2

@@ -8,6 +8,7 @@ from gtseq.intervals import (
     left_anchored_identity,
     right_anchored_dichotomy,
     right_anchored_identity,
+    slot,
 )
 
 
@@ -27,6 +28,19 @@ def test_interval_table(x, y, members, inverted):
     assert iv.members == members
     assert iv.inverted is inverted
     assert iv.sign == (-1 if inverted else 1)
+
+
+def test_slot_agrees_with_interval():
+    for x in range(-4, 5):
+        for y in range(-4, 5):
+            iv = interval(x, y)
+            got = slot(x, y)
+            if not iv.members:
+                assert got is None, (x, y)
+                continue
+            members, inverted = got
+            assert tuple(members) == iv.members, (x, y)
+            assert inverted is iv.inverted, (x, y)
 
 
 def test_membership_operator():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations, product
 
@@ -73,6 +75,37 @@ def test_enumeration_agrees_with_counter(n, seed, k):
     seq = random_sequence(n, seed)
     chains = enumerate_sequences(seq, k)
     assert sum(c.sign for c in chains) == signed_count(seq, k)
+
+
+# sha256 of json.dumps([c.to_json() for c in enumerate_sequences(
+# random_sequence(n, seed), k)]), recorded while enumerate_sequences still
+# walked its own levels, before it ran on the row walk of intervals.py.
+# The points hit inverted edges, blocked edges (an empty stream) and
+# mixed signs, so the digests freeze order, levels, inversion tags and
+# signs.
+FROZEN_SEQUENCE_STREAMS = [
+    (2, 3, (3, 0),
+     "19dc487cd3c36b9aa715357fddd67d16ced57668b3843a06f68fbe1615181f4f"),
+    (3, 5, (1, -1, 2),
+     "66025c6cf8d64ed3db8029c43674b8a005120d3344c0ba0076d1fc1ef44dc8a4"),
+    (3, 8, (0, 2, 2),
+     "cea1a0b62cb65ee650df99db7f3456d560c0e425b0142f72d816c0fb8dd73ed3"),
+    (4, 2, (0, 2, -1, 1),
+     "8eced2581345ab6b50b25c97e5b07d4245704c0a6720d91234243a9f478af7b0"),
+    (4, 9, (2, 0, 1, -1),
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (4, 11, (0, 1, 1, 3),
+     "ff5cbba37a48cb6c181b3b2810c815b16c18d2e5e96451e27a9b5219a1260093"),
+    (4, 17, (1, 0, 3, 2),
+     "1997fe22c9296ea02740e0b1d756366125f633c923fecdcbd4a9df2e8d5e4333"),
+]
+
+
+@pytest.mark.parametrize("n, seed, k, digest", FROZEN_SEQUENCE_STREAMS)
+def test_sequence_streams_frozen(n, seed, k, digest):
+    chains = enumerate_sequences(random_sequence(n, seed), k)
+    text = json.dumps([c.to_json() for c in chains])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_signed_count_equals_product_formula_small():

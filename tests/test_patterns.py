@@ -1,3 +1,5 @@
+import hashlib
+import json
 from functools import lru_cache
 from itertools import product
 
@@ -5,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from gtseq import patterns
+from gtseq import patterns, verify
 from gtseq.intervals import interval
 from gtseq.operators import product_formula
 from gtseq.patterns import (
@@ -22,7 +24,7 @@ from gtseq.patterns import (
     validate_pattern,
 )
 from gtseq.trees import basic_sequence
-from gtseq.labelings import signed_count
+from gtseq.labelings import enumerate_sequences, signed_count
 
 
 def brute_classic_patterns(k):
@@ -52,6 +54,36 @@ def test_classic_bottom_rows_match_brute_force(k):
     assert all(p.sign == 1 and not p.inversions for p in pats)
     assert sorted(p.rows for p in pats) == brute
     assert signed_pattern_count(k) == len(brute) == product_formula(k)
+
+
+# sha256 of json.dumps([p.to_json() for p in enumerate_patterns(k)]),
+# recorded while enumerate_patterns still walked its own rows, before it
+# ran on the row walk shared with the monotone extensions.  The points hit
+# empty intervals (whole streams vanish), inverted intervals, repeated
+# entries and mixed signs, so the digests freeze order, rows, inversion
+# tags and signs.
+FROZEN_PATTERN_STREAMS = [
+    ((3, 0),
+     "09711732c7b5fdac34c833bcfb3c900d3fb9bbed973c907f19a4d74e40d18ced"),
+    ((0, 3, 1),
+     "e6e7a1d835c492f6f7f9c8c2185d5eb3892c8931312cd20d10c4bb0a436eeb2d"),
+    ((2, 0, 4),
+     "ac28826630eba27b3b11e385063bf19ad2ab5aa8dde65fa34d6cd7369f752be8"),
+    ((0, 2, 2, 1),
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ((1, 0, 3, 2),
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ((3, 0, 2, 2),
+     "cc3011861e5618b94b4dd8c09385d8fa20e91169a018972bc0eea31bb1cfc551"),
+    ((0, 3, 1, 4),
+     "90fb38fe956e40fe441a12e12734d4aab9128179df302a9368c47de5a07fb464"),
+]
+
+
+@pytest.mark.parametrize("k, digest", FROZEN_PATTERN_STREAMS)
+def test_pattern_streams_frozen(k, digest):
+    text = json.dumps([p.to_json() for p in enumerate_patterns(k)])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_pattern_count_known_values():
@@ -98,6 +130,24 @@ def test_signed_count_matches_per_member_reference(k):
     assert signed_pattern_count(k) == want
 
 
+def test_independence_catches_moved_upper_limit(monkeypatch):
+    # the stream-against-count check only tests the walk, so a wrong row
+    # must show against the tree-sequence counters instead
+    real = patterns._rows
+
+    def moved(v):
+        for decoration, sign, inverted, box in real(v):
+            if box:
+                # the first slot's upper limit, one higher
+                box = [range(box[0][0], box[0][-1] + 2)] + box[1:]
+            yield decoration, sign, inverted, box
+
+    monkeypatch.setattr(patterns, "_count_memo", {})
+    monkeypatch.setattr(patterns, "_rows", moved)
+    rep = verify.suite_independence(n_max=3, bound=1, trees=1)
+    assert rep["violations"]
+
+
 @given(st.lists(st.integers(-3, 3), min_size=2, max_size=5),
        st.integers(1, 4), st.integers(2, 5))
 def test_swap_shift_is_an_involution(k, i, j):
@@ -138,6 +188,16 @@ def test_chain_round_trip_preserves_signs():
             assert chain.sign == pat.sign
             assert chain_to_pattern(chain) == pat
         assert sum(p.sign for p in pats) == signed_count(seq, k)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_chains_of_patterns_are_the_path_tree_chains(n):
+    # pattern_to_chain must tag each inversion by the level of its tree, as
+    # enumerate_sequences does, not by the row of the pattern entry
+    seq = basic_sequence(n)
+    for k in product(range(-1, 3), repeat=n):
+        chains = [pattern_to_chain(p)[1] for p in enumerate_patterns(k)]
+        assert chains == enumerate_sequences(seq, k), k
 
 
 def is_semistandard(tableau, n):

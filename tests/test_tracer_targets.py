@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gtseq.trees import basic_sequence
+from gtseq.trees import basic_sequence, basic_tree
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -17,6 +17,15 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 INSTANCES = {
     "labelings.SequenceCounter": lambda cls: cls(basic_sequence(2)),
     "operators.LatticeFunction": lambda cls: cls(1, lambda k: 0),
+}
+
+
+# Arguments and object count for every target whose items callback is the
+# tracer's _length, which needs a sized result.
+SIZED = {
+    "patterns:enumerate_patterns": (((0, 2),), 3),
+    "labelings:weak_admissible_witnesses": ((basic_tree(2), (0, 2), ()), 3),
+    "labelings:edge_admissible_witnesses": ((basic_tree(2), (0, 2), ()), 3),
 }
 
 
@@ -33,15 +42,19 @@ def _gtseq_module(name):
     return importlib.import_module("gtseq." + name)
 
 
+def _resolve(target):
+    module_name, qualname = target.split(":")
+    owner = _gtseq_module(module_name)
+    for part in qualname.split("."):
+        assert hasattr(owner, part), target
+        owner = getattr(owner, part)
+    return owner
+
+
 def test_tracer_wrap_targets_resolve(tracer):
     assert tracer.WRAPS
     for _, _, target, _, _ in tracer.WRAPS:
-        module_name, qualname = target.split(":")
-        owner = _gtseq_module(module_name)
-        for part in qualname.split("."):
-            assert hasattr(owner, part), target
-            owner = getattr(owner, part)
-        assert callable(owner), target
+        assert callable(_resolve(target)), target
 
 
 def test_tracer_module_memos_resolve(tracer):
@@ -59,3 +72,12 @@ def test_tracer_instance_memos_resolve(tracer):
         module_name, cls = label.split(".")
         instance = INSTANCES[label](getattr(_gtseq_module(module_name), cls))
         assert size(getattr(instance, attr)) >= 0, label
+
+
+def test_tracer_length_targets_return_sized_results(tracer):
+    targets = {target for _, _, target, _, items in tracer.WRAPS
+               if items is tracer._length}
+    assert targets == set(SIZED)
+    for target, (args, want) in SIZED.items():
+        result = _resolve(target)(*args)
+        assert tracer._length(args, result) == want, target
