@@ -33,8 +33,8 @@ from .operators import (OperatorParseError, binomial_determinant,
                         lattice_function, parse_operator, product_formula)
 from .paths import count_nonintersecting, enumerate_families, family_to_svg, \
     signed_families
-from .patterns import (chain_to_pattern, enumerate_patterns, make_pattern,
-                       pattern_to_chain, pattern_to_tableau,
+from .patterns import (chain_to_pattern, enumerate_patterns, is_classic,
+                       make_pattern, pattern_to_chain, pattern_to_tableau,
                        signed_pattern_count, tableau_to_pattern)
 from .trees import (NTree, basic_tree, canonical_sequence, random_sequence,
                     random_tree)
@@ -100,10 +100,10 @@ def _config_int(config, key):
 def _config_grid(config):
     if "grid" not in config:
         return None
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", config["grid"])
-    if not m:
-        raise UsageError("config key grid must look like -2..2")
-    return int(m.group(1)), int(m.group(2))
+    try:
+        return parse_grid(config["grid"])
+    except argparse.ArgumentTypeError as err:
+        raise UsageError("config key grid: %s" % err)
 
 
 def _sequence_for(args, n):
@@ -236,8 +236,7 @@ def cmd_emit(args, config):
     elif args.artifact == "ssyt":
         tableaux = []
         for p in enumerate_patterns(k):
-            if p.sign == 1 and not p.inversions \
-                    and all(e >= 0 for row in p.rows for e in row):
+            if is_classic(p):
                 tableaux.append([list(r) for r in pattern_to_tableau(p)])
         if args.limit is not None:
             tableaux = tableaux[:args.limit]

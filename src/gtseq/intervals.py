@@ -12,18 +12,21 @@ the summation convention
 and it is what makes telescoping identities hold for all integer bounds.
 
 Patterns, tree-sequence labeling chains and the monotone-triangle
-extensions are built alike: each row above a row v ranges over a box of
-such intervals, one per slot, and each inverted slot flips the sign.  A
-family gives its rows as a row generator ``rows(v)`` yielding, for every
-admissible choice of the row above v, (decoration, sign, inverted, box):
-the family's own mark of the choice and its sign, the inverted slots
-(ascending, from 1), and one value range per entry of the row above (a
-1-tuple when pinned; ``slot`` gives a free entry's range).  The choices
-above a one-entry row have empty boxes and do not depend on its entry.
-``row_walk`` streams the objects from such a generator, and ``row_count``
-sums the memoized count of each box through ``table_sum``, so a check of
-the stream against the count tests the walk, not the rows; ``interval``
-stays the reference the rows are held to.
+extensions are built alike: each entry of the row above a row v ranges
+over one such interval, its slot, and each inverted slot flips the sign.
+A family gives its rows as a row generator ``rows(v)`` yielding, for every
+candidate choice of the row above v, (decoration, sign, slots): the
+family's own mark of the choice and its sign, and one slot per entry of
+the row above.  A slot is a ``slot(lo, hi)`` result, (members, inverted),
+or None when that interval is empty; a pinned entry is the slot
+((x,), False).  The choices above a one-entry row have no slots and do
+not depend on its entry.  Only ``row_walk`` and ``row_count`` read the
+slots: a choice holding None has no objects, each inverted slot flips
+its sign, and its box is the members of its slots.  ``row_walk`` streams
+the objects from such a generator, and ``row_count`` sums the memoized
+count of each box through ``table_sum``, so a check of the stream
+against the count tests the walk, not the rows; ``interval`` stays the
+reference the rows are held to.
 """
 
 from dataclasses import dataclass
@@ -70,6 +73,16 @@ def slot(lo, hi):
     return range(hi + 1, lo), True
 
 
+def bottom_row(n, k):
+    """k as a tuple, checked to be a bottom row of length n >= 1."""
+    k = tuple(k)
+    if len(k) != n:
+        raise ValueError("k must have length n")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return k
+
+
 def table_sum(table, fill, level, ranges):
     """Sum of table[l] over l in product(*ranges), at C speed when every
     entry is present; otherwise ``fill(level, l)`` computes (and stores)
@@ -89,8 +102,9 @@ def table_sum(table, fill, level, ranges):
 def row_count(rows, table, n, v):
     """Signed total above row v of length n, memoized in table.
 
-    Each choice from rows(v) adds its sign times the sum of the level n-1
-    count over its box, read from the table (``table_sum``), which calls
+    Each choice from rows(v) without an empty slot adds its sign, flipped
+    once per inverted slot, times the sum of the level n-1 count over the
+    members of its slots, read from the table (``table_sum``), which calls
     back here only for missing entries.  Above a row of length 2 every entry
     counts 1, so that box sum is the product of the range lengths.
     """
@@ -102,8 +116,11 @@ def row_count(rows, table, n, v):
         pass
     fill = partial(row_count, rows, table)
     total = 0
-    for _, sign, inverted, box in rows(v):
-        if len(inverted) % 2:
+    for _, sign, slots in rows(v):
+        if None in slots:
+            continue
+        box, inverted = zip(*slots)
+        if inverted.count(True) % 2:
             sign = -sign
         if n == 2:
             total += sign * prod(map(len, box))
@@ -116,22 +133,24 @@ def row_count(rows, table, n, v):
 def row_walk(rows, k):
     """Stream the objects over bottom row k, built row by row from rows(v),
     as (rows top first, decorations top first, inversions, sign).  An
-    inversion (i, q) is slot q of row i; each choice above the top row
-    finishes one object."""
+    inversion (i, q) is an inverted slot q of row i; each choice above the
+    top row finishes one object."""
     top = list(rows(k[:1]))
 
     def up(stack, decorations, inversions, sign):
         v = stack[-1]
-        for decoration, row_sign, inverted, box in (rows(v) if len(v) > 1
-                                                    else top):
+        for decoration, row_sign, slots in rows(v) if len(v) > 1 else top:
+            if None in slots:
+                continue
+            flips = [q for q, (_, flip) in enumerate(slots, 1) if flip]
             decorations_up = (decoration,) + decorations
-            inversions_up = (tuple([(len(box), q) for q in inverted])
+            inversions_up = (tuple([(len(slots), q) for q in flips])
                              + inversions)
-            sign_up = sign * row_sign * (-1) ** len(inverted)
+            sign_up = sign * row_sign * (-1) ** len(flips)
             if len(v) == 1:
                 yield tuple(stack[::-1]), decorations_up, inversions_up, sign_up
                 continue
-            for u in product(*box):
+            for u in product(*[members for members, _ in slots]):
                 yield from up(stack + [u], decorations_up, inversions_up,
                               sign_up)
 

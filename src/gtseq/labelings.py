@@ -7,7 +7,9 @@ l_e + e) is admissible for (T, k) when every edge e = (p, q) satisfies
     min(k_p+p, k_q+q) <= l_e + e < max(k_p+p, k_q+q),
 
 which is impossible if the endpoint labels coincide.  An edge whose tail
-carries the larger label is an inversion.
+carries the larger label is an inversion.  So the values of edge e = (t, h)
+form the generalized interval ``intervals.slot(k_t + t - e, k_h + h - e - 1)``:
+empty at a tie and inverted exactly at an inversion (``_edge_slots``).
 
 A tree-sequence labeling chain (T_1..T_n, l_1..l_n) fixes l_n = k and asks
 l_{i-1} to be admissible for (T_i, l_i); its sign is (-1)^{#inversions}
@@ -61,7 +63,7 @@ from itertools import combinations, product
 from math import prod
 from operator import getitem
 
-from .intervals import row_walk, table_sum
+from .intervals import row_walk, slot, table_sum
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,12 @@ class GTTreeSequence:
                 "sign": self.sign}
 
 
-def shifted_vertex_labels(k):
-    """k_v + v for v = 1..n, as a dict."""
-    return {v: kv + v for v, kv in enumerate(k, start=1)}
+def _edge_slots(tree, k):
+    """Per edge e = (t, h), in name order, the slot of its unshifted values,
+    slot(k_t + t - e, k_h + h - e - 1): None when the end labels tie, and
+    inverted when the tail label is the larger."""
+    return [slot(k[t - 1] + t - e, k[h - 1] + h - e - 1)
+            for e, t, h in _edge_triples(tree)]
 
 
 def inversion_edges(tree, k):
@@ -93,15 +98,11 @@ def inversion_edges(tree, k):
     Returns None when some edge has equal endpoint labels (no admissible
     labeling exists at all in that case).
     """
-    lab = shifted_vertex_labels(k)
-    out = []
-    for name in tree.edge_names():
-        t, h = tree.edge(name)
-        if lab[t] == lab[h]:
-            return None
-        if lab[t] > lab[h]:
-            out.append(name)
-    return frozenset(out)
+    slots = _edge_slots(tree, k)
+    if None in slots:
+        return None
+    return frozenset(e for e, (_, inverted) in enumerate(slots, 1)
+                     if inverted)
 
 
 def _edge_triples(tree):
@@ -138,18 +139,13 @@ def _range_sum(r):
     return (r.start + r.stop - 1) * len(r) // 2
 
 
-def _edge_ranges(tree, k):
-    """Per-edge unshifted admissible values, or None if an edge is blocked."""
-    return _ranges_and_parity(_edge_triples(tree), k)[0]
-
-
 def admissible_labelings(tree, k):
     """All admissible labelings of (tree, k), lexicographic in l."""
-    ranges = _edge_ranges(tree, k)
-    if ranges is None:
-        return []
     inv = inversion_edges(tree, k)
-    return [AdmissibleLabeling(l, inv) for l in product(*ranges)]
+    if inv is None:
+        return []
+    members = [members for members, _ in _edge_slots(tree, k)]
+    return [AdmissibleLabeling(l, inv) for l in product(*members)]
 
 
 class SequenceCounter:
@@ -224,11 +220,8 @@ def signed_count(seq, k):
 
 def _chain_rows(seq, values):
     """The one choice of the level below ``values``: edge e of the tree at
-    level len(values) ranges over its admissible values."""
-    tree = seq.tree(len(values))
-    ranges = _edge_ranges(tree, values)
-    if ranges is not None:
-        yield None, 1, sorted(inversion_edges(tree, values)), ranges
+    level len(values) ranges over its slot of admissible values."""
+    yield None, 1, _edge_slots(seq.tree(len(values)), values)
 
 
 def enumerate_sequences(seq, k):
@@ -430,21 +423,17 @@ def _pin_options(edges, values):
     options = []
     bits = []
     for name, t, h in edges:
-        a, b = lab[t], lab[h]
-        tail = range(a - name, a - name + 1)
-        head = range(b - name, b - name + 1)
-        if a == b:
+        a, b = lab[t] - name, lab[h] - name
+        tail, head = range(a, a + 1), range(b, b + 1)
+        iv = slot(a, b - 1)
+        if iv is None:
             options.append((None, None, None, None, tail, None, head, None))
             bits.append(_LOW_TAIL)
             continue
-        if a > b:
-            odd ^= 1
-            lo, hi, low_mark = b, a, 2
-            bits.append(_LOW_HEAD)
-        else:
-            lo, hi, low_mark = a, b, 1
-            bits.append(_LOW_TAIL)
-        free = range(lo - name, hi - name)
+        free, inverted = iv
+        odd ^= inverted
+        low_mark = 2 if inverted else 1
+        bits.append(_LOW_HEAD if inverted else _LOW_TAIL)
         cut = free[1:] or None
         options.append(tuple(cut if s & low_mark else free for s in range(4))
                        + (tail, tail, head, head))

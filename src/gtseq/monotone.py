@@ -19,14 +19,15 @@ them.  Variant 4 assigns an arrow to every entry; the arrows of a row
 tighten the intervals of the row above it.
 
 Each variant has one row generator, ``_rows_1`` to ``_rows_4``, in the
-protocol of ``intervals``: for a row v it yields every admissible choice
-of the row above, with its decoration and sign, its inverted slots and
-one value range per slot (``intervals.slot``).  The object stream
-(``enumerate_extension``) is ``intervals.row_walk`` over the generator,
-with the decorations turned into the triangle's marks; the memoized count
-(``alpha`` and ``extension_signed_count``) is ``intervals.row_count`` over
-it, in the variant's memo table.  The relaxed variant 3 is ``_rows_3``
-over all subsets of specials, counted through a table local to the call.
+protocol of ``intervals``: for a row v it yields every choice of pins and
+marks for the row above, with its decoration, its sign and one slot per
+entry (``intervals.slot`` or a pin), picked from slots built once per
+row.  The object stream (``enumerate_extension``) is ``intervals.row_walk``
+over the generator, with the decorations turned into the triangle's marks;
+the memoized count (``alpha`` and ``extension_signed_count``) is
+``intervals.row_count`` over it, in the variant's memo table.  The relaxed
+variant 3 is ``_rows_3`` over all subsets of specials, counted through a
+table local to the call.
 
 The stream-against-count check therefore tests the walk, not the rows.
 The independent routes share nothing with the generators: the monotone
@@ -42,8 +43,9 @@ at fixed short points, and are cross-checked against direct enumeration.
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
+from operator import getitem
 
-from .intervals import row_count, row_walk, slot
+from .intervals import bottom_row, row_count, row_walk, slot
 from .operators import (apply_operator, delta, elementary_symmetric, identity,
                         lattice_function, shift, small_delta, v_operator)
 from .operators import product_formula, falling_binomial
@@ -57,10 +59,7 @@ _alpha_memo = {}
 
 def alpha(n, k):
     """Polynomial extension of the monotone triangle count, exact on Z^n."""
-    k = tuple(k)
-    if len(k) != n:
-        raise ValueError("k must have length n")
-    return row_count(_rows_1, _alpha_memo, n, k)
+    return row_count(_rows_1, _alpha_memo, n, bottom_row(n, k))
 
 
 def alpha_function(n):
@@ -166,21 +165,16 @@ def _rows_1(v):
     positions = range(1, m)
     free = [None] + [slot(v[q - 1] + 1, v[q]) for q in positions]
     tight = [None] + [slot(v[q - 1] + 1, v[q] - 1) for q in positions]
+    pins = [None] + [((v[q - 1],), False) for q in positions]
     for size in range(m):
         for pinned in combinations(positions, size):
-            inverted, box = [], []
-            for q in positions:
-                if q in pinned:
-                    box.append((v[q - 1],))
-                    continue
-                iv = tight[q] if q + 1 in pinned else free[q]
-                if iv is None:
-                    break
-                if iv[1]:
-                    inverted.append(q)
-                box.append(iv[0])
-            else:
-                yield (m - 1, pinned), 1, inverted, box
+            # the entry left of a star is tight unless starred too
+            slots = free[:]
+            for q in pinned:
+                slots[q - 1] = tight[q - 1]
+            for q in pinned:
+                slots[q] = pins[q]
+            yield (m - 1, pinned), 1, slots[1:]
 
 
 def _rows_2(v):
@@ -188,25 +182,15 @@ def _rows_2(v):
     v_{q-1} or to its right parent v_q, or ranges over [v_{q-1} + 1, v_q - 1];
     a right pin directly left of a left pin is forbidden."""
     m = len(v)
-    plain = [None] + [slot(v[q - 1] + 1, v[q] - 1) for q in range(1, m)]
+    slots = [{"plain": slot(v[q - 1] + 1, v[q] - 1),
+              "left": ((v[q - 1],), False), "right": ((v[q],), False)}
+             for q in range(1, m)]
     for states in product(("plain", "left", "right"), repeat=m - 1):
         if ("right", "left") in zip(states, states[1:]):
             continue
-        inverted, box = [], []
-        for q, state in enumerate(states, 1):
-            if state != "plain":
-                box.append((v[q - 1] if state == "left" else v[q],))
-                continue
-            iv = plain[q]
-            if iv is None:
-                break
-            if iv[1]:
-                inverted.append(q)
-            box.append(iv[0])
-        else:
-            lefts = tuple(q for q, s in enumerate(states, 1) if s == "left")
-            rights = tuple(q for q, s in enumerate(states, 1) if s == "right")
-            yield (m - 1, lefts, rights), 1, inverted, box
+        lefts = tuple(q for q, s in enumerate(states, 1) if s == "left")
+        rights = tuple(q for q, s in enumerate(states, 1) if s == "right")
+        yield (m - 1, lefts, rights), 1, list(map(getitem, slots, states))
 
 
 def _subsets(positions):
@@ -233,20 +217,9 @@ def _rows_3(v, subsets=_nonadjacent_subsets):
             continue
         pins = {}
         for j in chosen:
-            pins[j - 1] = pins[j] = v[j - 1]
-        inverted, box = [], []
-        for q in range(1, m):
-            if q in pins:
-                box.append((pins[q],))
-                continue
-            iv = free[q]
-            if iv is None:
-                break
-            if iv[1]:
-                inverted.append(q)
-            box.append(iv[0])
-        else:
-            yield (m, chosen), (-1) ** len(chosen), inverted, box
+            pins[j - 1] = pins[j] = ((v[j - 1],), False)
+        yield (m, chosen), (-1) ** len(chosen), [pins.get(q, free[q])
+                                                 for q in range(1, m)]
 
 
 def _rows_4(v):
@@ -260,32 +233,15 @@ def _rows_4(v):
                         for lowered in (0, 1)] for raised in (0, 1)]
                       for q in range(1, m)]
     for arrows in product(ARROWS, repeat=m):
-        inverted, box = [], []
-        for q in range(1, m):
-            iv = slots[q][arrows[q - 1] != LEFT][arrows[q] != RIGHT]
-            if iv is None:
-                break
-            if iv[1]:
-                inverted.append(q)
-            box.append(iv[0])
-        else:
-            yield (m, arrows), (-1) ** arrows.count(BOTH), inverted, box
+        yield (m, arrows), (-1) ** arrows.count(BOTH), [
+            slots[q][arrows[q - 1] != LEFT][arrows[q] != RIGHT]
+            for q in range(1, m)]
 
 
 def _rows_of(variant):
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1, 2, 3 or 4")
     return (_rows_1, _rows_2, _rows_3, _rows_4)[variant - 1]
-
-
-def _bottom_row(n, k):
-    """k as a tuple, checked to be a bottom row of length n >= 1."""
-    k = tuple(k)
-    if len(k) != n:
-        raise ValueError("k must have length n")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return k
 
 
 def _check_bounds(rows, k, n):
@@ -302,7 +258,7 @@ def enumerate_extension(variant, n, k):
 
     The arguments are checked by the call; the objects come lazily.
     """
-    k = _bottom_row(n, k)
+    k = bottom_row(n, k)
     return _triangles(variant, row_walk(_rows_of(variant), k), k)
 
 
@@ -330,14 +286,14 @@ def extension_signed_count(variant, n, k):
     """Signed total of one extension, read from the same row generator as
     its stream: the count of each row above is summed over the row's box
     through the variant's memo table.  Variant 1 is alpha."""
-    k = _bottom_row(n, k)
+    k = bottom_row(n, k)
     return row_count(_rows_of(variant), _ext_memos[variant], n, k)
 
 
 def extension_three_relaxed(n, k):
     """Variant 3 with adjacent specials permitted (same signed total); its
     box sums go through a table local to the call."""
-    k = _bottom_row(n, k)
+    k = bottom_row(n, k)
     return row_count(partial(_rows_3, subsets=_subsets), {}, n, k)
 
 

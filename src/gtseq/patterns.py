@@ -27,7 +27,7 @@ with value at most i in tableau row i + 1 - j.
 
 from dataclasses import dataclass
 
-from .intervals import interval, row_count, row_walk, slot
+from .intervals import bottom_row, interval, row_count, row_walk, slot
 from .labelings import GTTreeSequence
 from .trees import basic_sequence
 
@@ -80,22 +80,16 @@ def make_pattern(rows):
 
 def _rows(v):
     """The one choice of the row above v: entry q ranges over
-    slot(v[q-1], v[q]), and an empty slot leaves no choice."""
-    inverted, box = [], []
-    for q in range(1, len(v)):
-        iv = slot(v[q - 1], v[q])
-        if iv is None:
-            return
-        if iv[1]:
-            inverted.append(q)
-        box.append(iv[0])
-    yield None, 1, inverted, box
+    slot(v[q-1], v[q])."""
+    yield None, 1, [slot(a, b) for a, b in zip(v, v[1:])]
 
 
 def enumerate_patterns(k):
     """All patterns with bottom row k, sorted by rows read top to bottom."""
+    k = tuple(k)
+    walk = row_walk(_rows, bottom_row(len(k), k))
     return sorted((Pattern(rows, inversions, sign)
-                   for rows, _, inversions, sign in row_walk(_rows, tuple(k))),
+                   for rows, _, inversions, sign in walk),
                   key=lambda p: p.rows)
 
 
@@ -105,7 +99,7 @@ _count_memo = {}
 def signed_pattern_count(k):
     """Signed number of patterns with bottom row k, by a memoized recursion."""
     k = tuple(k)
-    return row_count(_rows, _count_memo, len(k), k)
+    return row_count(_rows, _count_memo, len(k), bottom_row(len(k), k))
 
 
 def pattern_to_chain(pattern):

@@ -194,6 +194,16 @@ def test_config_grid_soft_for_suites_without_bound(capsys, tmp_path,
     assert "config key grid must be symmetric" in err
 
 
+def test_config_grid_checked_like_the_flag(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "gtseq.conf"
+    cfg.write_text("grid = 2..-2\n")
+    monkeypatch.setenv("GTSEQ_CONFIG", str(cfg))
+    code, _, err = run(capsys, "verify", "independence")
+    assert code == 2
+    assert "config key grid" in err
+    assert "exceeds upper" in err
+
+
 def test_emit_tree_formats(capsys):
     code, out, _ = run(capsys, "emit", "tree", "--n", "4", "--format", "dot")
     assert code == 0

@@ -1,15 +1,22 @@
+from functools import partial
+from itertools import product
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from gtseq import labelings, monotone, patterns
 from gtseq.intervals import (
     containment_dichotomy,
     interval,
     left_anchored_identity,
     right_anchored_dichotomy,
     right_anchored_identity,
+    row_count,
+    row_walk,
     slot,
 )
+from gtseq.trees import basic_sequence, random_sequence
 
 
 @pytest.mark.parametrize(
@@ -87,3 +94,65 @@ def test_member_set_is_frozen():
     s = interval(1, 3).member_set()
     assert s == frozenset({1, 2, 3})
     assert isinstance(s, frozenset)
+
+
+def _toy_rows(v):
+    """Above (0, 4, 1): a choice holding an empty slot, then one pinning
+    entry 1 to 0 with entry 2 in the inverted slot [4, 1] = {2, 3}.  Above
+    a pair (a, b): entry 1 in [a, b]."""
+    if v == (0, 4, 1):
+        yield "empty", 1, [((0,), False), None]
+        yield "pinned", 1, [((0,), False), slot(4, 1)]
+    elif len(v) == 2:
+        yield "pair", 1, [slot(*v)]
+    else:
+        yield "top", 1, []
+
+
+def test_row_protocol_on_a_synthetic_generator():
+    k = (0, 4, 1)
+    walk = list(row_walk(_toy_rows, k))
+    assert sorted(rows for rows, _, _, _ in walk) == sorted(
+        ((t,), (0, u), k) for u in (2, 3) for t in range(u + 1))
+    for _, decorations, inversions, sign in walk:
+        # the empty-slot choice is never streamed; the pin leaves the sign
+        # alone and the inverted slot flips it once
+        assert decorations == ("top", "pair", "pinned")
+        assert inversions == ((2, 2),)
+        assert sign == -1
+    assert row_count(_toy_rows, {}, 3, k) == -7 == sum(w[3] for w in walk)
+
+
+@pytest.mark.parametrize("rows", (
+    patterns._rows, monotone._rows_1, monotone._rows_2, monotone._rows_3,
+    partial(monotone._rows_3, subsets=monotone._subsets), monotone._rows_4,
+    partial(labelings._chain_rows, basic_sequence(3)),
+    partial(labelings._chain_rows, random_sequence(3, 5)),
+), ids=("patterns", "v1", "v2", "v3", "v3relaxed", "v4", "chainBasic",
+        "chainRandom"))
+def test_row_generators_yield_named_slots(rows):
+    for m in (1, 2, 3):
+        for v in product(range(-2, 3), repeat=m):
+            for choice in rows(v):
+                assert len(choice) == 3, v
+                _, sign, slots = choice
+                assert sign in (1, -1)
+                assert len(slots) == m - 1, v
+                for entry in slots:
+                    if entry is None:
+                        continue
+                    members, inverted = entry
+                    assert len(members) > 0, v
+                    assert type(inverted) is bool, v
+
+
+@pytest.mark.parametrize("call", (
+    lambda: monotone.alpha(0, ()),
+    lambda: monotone.extension_signed_count(1, 0, ()),
+    lambda: monotone.enumerate_extension(1, 0, ()),
+    lambda: patterns.signed_pattern_count(()),
+    lambda: patterns.enumerate_patterns(()),
+), ids=("alpha", "extension", "stream", "patternCount", "patterns"))
+def test_empty_bottom_row_rejected(call):
+    with pytest.raises(ValueError, match="at least 1"):
+        call()

@@ -136,11 +136,15 @@ def test_independence_catches_moved_upper_limit(monkeypatch):
     real = patterns._rows
 
     def moved(v):
-        for decoration, sign, inverted, box in real(v):
-            if box:
-                # the first slot's upper limit, one higher
-                box = [range(box[0][0], box[0][-1] + 2)] + box[1:]
-            yield decoration, sign, inverted, box
+        for decoration, sign, slots in real(v):
+            slots = list(slots)
+            for q, found in enumerate(slots):
+                if found is not None:
+                    # the first non-empty slot's upper limit, one higher
+                    members, inverted = found
+                    slots[q] = range(members[0], members[-1] + 2), inverted
+                    break
+            yield decoration, sign, slots
 
     monkeypatch.setattr(patterns, "_count_memo", {})
     monkeypatch.setattr(patterns, "_rows", moved)

@@ -76,11 +76,15 @@ def test_extensions_agree_catches_moved_upper_limit(monkeypatch, variant):
         if ("subsets" in kwargs) != relaxed:
             yield from real(v, **kwargs)
             return
-        for decoration, sign, inverted, box in real(v, **kwargs):
-            if box:
-                # the first slot's upper limit, one higher
-                box = [range(box[0][0], box[0][-1] + 2)] + box[1:]
-            yield decoration, sign, inverted, box
+        for decoration, sign, slots in real(v, **kwargs):
+            slots = list(slots)
+            for q, found in enumerate(slots):
+                if found is not None:
+                    # the first non-empty slot's upper limit, one higher
+                    members, inverted = found
+                    slots[q] = range(members[0], members[-1] + 2), inverted
+                    break
+            yield decoration, sign, slots
 
     monkeypatch.setattr(monotone, name, moved)
     if not relaxed:
