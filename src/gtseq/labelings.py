@@ -49,9 +49,11 @@ records, splitting the work by what it depends on:
   both read from the setup through the state codes.
 
 Counters with a pinned or filtered level m (``RestrictedCounter``,
-``FilteredCounter``) read the levels below m from a ``SequenceCounter``
-they are handed, so every pinning of one tree sequence can share one plain
-memo.  Without one they make a fresh counter.  Box sums over a memo table
+``FilteredCounter``) are ``SequenceCounter`` walks with one memoized level
+step: they differ only at level m, which is their ``_transition``, and
+below m, where every box is summed by a plain ``SequenceCounter`` they are
+handed, so every pinning of one tree sequence can share one plain memo.
+Without one they make a fresh counter.  Box sums over a memo table
 (``intervals.table_sum``) run at C speed when every entry is present and
 compute only the missing ones otherwise.
 """
@@ -204,6 +206,11 @@ class SequenceCounter:
         return setup
 
     def __call__(self, k):
+        return self._signed(k)
+
+    def _signed(self, k):
+        """The signed count at k, which every counter class's ``__call__``
+        returns."""
         k = tuple(k)
         total = self._memo[self._order].get(k)
         if total is None:
@@ -495,12 +502,17 @@ def edge_admissible_witnesses(tree, k, edge_set):
         1)
 
 
-class _LevelWalk:
-    """Signed enumeration with level m replaced by ``self._transition``.
+class _LevelWalk(SequenceCounter):
+    """A ``SequenceCounter`` whose level m is ``self._transition``.
 
-    Levels above m are walked with this walk's own memo; the transition at
-    m reads level m-1 from the plain counter ``plain`` (a fresh one when
-    None), which every other walk over the same tree sequence may share.
+    Two steps differ from the plain walk: ``_raw`` at level m memoizes the
+    transition, and ``_box`` below m sums the plain counter ``plain`` (a
+    fresh one when None), which every walk over the same tree sequence may
+    share.  Above m the plain level step runs on this walk's own memo.  The
+    tree sequence data (edges, per-values pin setups, sign, order) come from
+    ``plain``; ``SequenceCounter.__init__`` is not called, so a wrapper on
+    it (bench/tracer.py counts memo entries that way) sees plain counters
+    only.
     """
 
     def __init__(self, seq, m, plain=None):
@@ -510,36 +522,26 @@ class _LevelWalk:
             plain = SequenceCounter(seq)
         elif plain.seq != seq:
             raise ValueError("plain counter is for another tree sequence")
-        self.seq = seq
         self.m = m
-        self.tree_sign = plain.tree_sign
         self._plain = plain
-        self._memo = [None] + [dict() for _ in range(seq.order)]
+        self.seq, self.tree_sign, self._order = (plain.seq, plain.tree_sign,
+                                                 plain._order)
+        self._edges, self._setups = plain._edges, plain._setups
+        self._memo = [None] + [dict() for _ in range(plain._order)]
 
-    def _count(self, level, values):
+    def _raw(self, level, values):
+        if level != self.m:
+            return SequenceCounter._raw(self, level, values)
         memo = self._memo[level]
         total = memo.get(values)
-        if total is not None:
-            return total
-        if level == self.m:
-            total = self._transition(values)
-        else:
-            ranges, odd = _ranges_and_parity(self._plain._edges[level], values)
-            total = 0
-            if ranges is not None:
-                total = table_sum(self._memo[level - 1], self._count,
-                                  level - 1, ranges)
-                if odd:
-                    total = -total
-        memo[values] = total
+        if total is None:
+            total = memo[values] = self._transition(values)
         return total
 
-    def _total(self, k):
-        k = tuple(k)
-        order = self._plain._order
-        if len(k) != order:
-            raise ValueError("k must have length %d" % order)
-        return self.tree_sign * self._count(order, k)
+    def _box(self, level, ranges):
+        if level < self.m:
+            return self._plain._box(level, ranges)
+        return table_sum(self._memo[level], self._raw, level, ranges)
 
 
 class RestrictedCounter(_LevelWalk):
@@ -561,31 +563,32 @@ class RestrictedCounter(_LevelWalk):
         super().__init__(seq, m, plain)
         self.R = _pin_set(R, mode, m)
         self.mode = mode
-        edges = self._plain._edges[m]
+        edges = self._edges[m]
         self._plan = _compile_plan(edges, self.ASSIGNMENTS[mode](
             edges, _incidence(m, edges), self.R))
-        self._box = partial(self._plain._box, m - 1)
 
     def _transition(self, values):
         """Sum over the plan of the signed weight times the level m-1 count
         summed over the slot box."""
-        odd, options, bits = self._plain._pin_setup(self.m, values)
+        odd, options, bits = self._pin_setup(self.m, values)
         box = self._box
+        below = self.m - 1
         total = 0
         for states in self._plan:
             slots = list(map(getitem, options, states))
             if None in slots:
                 continue
             if (odd + sum(map(getitem, bits, states))) & 1:
-                total -= box(slots)
+                total -= box(below, slots)
             else:
-                total += box(slots)
+                total += box(below, slots)
         return total
 
     def __call__(self, k):
-        # not inherited, so wrapping it (bench/tracer.py does) times
-        # restricted counts only, not filtered ones
-        return self._total(k)
+        # not inherited, and not through SequenceCounter.__call__, so a
+        # wrapper on either (bench/tracer.py wraps both) times restricted
+        # counts only, not plain or filtered ones
+        return self._signed(k)
 
 
 def restricted_signed_count(seq, k, m, R=(), mode="vertex", plain=None):
@@ -611,22 +614,23 @@ class FilteredCounter(_LevelWalk):
     def __init__(self, seq, m, distinct_pairs, plain=None):
         super().__init__(seq, m, plain)
         self.pairs = [tuple(p) for p in distinct_pairs]
-        self._below = partial(self._plain._raw, m - 1)
 
     def _transition(self, values):
-        ranges, odd = _ranges_and_parity(self._plain._edges[self.m], values)
+        ranges, odd = _ranges_and_parity(self._edges[self.m], values)
         if ranges is None:
             return 0
         pairs = self.pairs
-        below = self._below
+        below = self._plain._raw
+        level = self.m - 1
         total = 0
         for l in product(*ranges):
             if all(l[a - 1] + a != l[b - 1] + b for a, b in pairs):
-                total += below(l)
+                total += below(level, l)
         return -total if odd else total
 
     def __call__(self, k):
-        return self._total(k)
+        # its own, like RestrictedCounter.__call__
+        return self._signed(k)
 
 
 def signed_count_filtered(seq, k, level, distinct_pairs, plain=None):

@@ -445,19 +445,13 @@ def doubly_refined_asm(n):
     return RefinedCounts(n, vector, direct)
 
 
-def _binom(m, r):
-    if r < 0:
-        return 0
-    return falling_binomial(m, r)
-
-
 def linear_system_residuals(n):
     """Residuals of A(n,i) = sum_k binom(2n-1-i, k-i) (-1)^(k+n) A(n,k)."""
     vec = refined_asm(n).vector
     out = []
     for i in range(1, n + 1):
-        rhs = sum(_binom(2 * n - 1 - i, kk - i) * (-1) ** (kk + n) * vec[kk - 1]
-                  for kk in range(1, n + 1))
+        rhs = sum(falling_binomial(2 * n - 1 - i, kk - i) * (-1) ** (kk + n)
+                  * vec[kk - 1] for kk in range(1, n + 1))
         out.append(vec[i - 1] - rhs)
     return out
 
@@ -491,7 +485,8 @@ def doubly_refined_identity_residuals(n, imax=None, jmax=None):
             rhs = 0
             for p in range(0, 2 * n - 2 - i):
                 for q in range(0, 2 * n - 2 - j):
-                    rhs += (_binom(2 * n - 3 - i, p) * _binom(2 * n - 3 - j, q)
+                    rhs += (falling_binomial(2 * n - 3 - i, p)
+                            * falling_binomial(2 * n - 3 - j, q)
                             * (-1) ** (i + j + p + q)
                             * (A(q + j, p + i) - A(q + j + 1, p + i + 1)))
             out.append(((i, j), lhs - rhs))

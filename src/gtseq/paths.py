@@ -63,61 +63,38 @@ def path_vertices(i, steps):
     return out
 
 
-def _ne_paths(r, d):
-    """All east/north step words with r east and d north steps."""
-    if d < 0:
-        return []
+def _words(first, a, second, b):
+    """All step words with a letters ``first`` and b letters ``second``,
+    lexicographic with ``first`` before ``second``: the positions of
+    ``first`` run through their combinations in order."""
     out = []
-
-    def walk(word, e, nn):
-        if e == r and nn == d:
-            out.append(tuple(word))
-            return
-        if e < r:
-            walk(word + ["E"], e + 1, nn)
-        if nn < d:
-            walk(word + ["N"], e, nn + 1)
-
-    walk([], 0, 0)
-    return out
-
-
-def _descent_paths(r, d):
-    """Descent words: a forced south step, then r diagonals and extra souths."""
-    extra = -d - 1 - r
-    if extra < 0:
-        return []
-    out = []
-
-    def walk(word, dd, ss):
-        if dd == r and ss == extra:
-            out.append(("S",) + tuple(word))
-            return
-        if dd < r:
-            walk(word + ["D"], dd + 1, ss)
-        if ss < extra:
-            walk(word + ["S"], dd, ss + 1)
-
-    walk([], 0, 0)
+    for chosen in combinations(range(a + b), a):
+        word = [second] * (a + b)
+        for p in chosen:
+            word[p] = first
+        out.append(tuple(word))
     return out
 
 
 def _pair_paths(i, end, general):
-    """Step words from start i to the end point, per the variant's grammar."""
+    """Step words from start i to the end point, per the variant's grammar:
+    east/north words, or for an end below the start a forced south step
+    followed by r diagonals and the extra south steps."""
     x0, y0 = -i + 1, i - 1
     x1, y1 = end
     r, d = x1 - x0, y1 - y0
     if r < 0:
         return []
     if d >= 0:
-        return _ne_paths(r, d)
-    if general:
-        return _descent_paths(r, d)
+        return _words("E", r, "N", d)
+    extra = -d - 1 - r
+    if general and extra >= 0:
+        return [("S",) + w for w in _words("D", r, "S", extra)]
     return []
 
 
 def _step_sign(steps):
-    return (-1) ** sum(1 for s in steps if s == "D")
+    return (-1) ** steps.count("D")
 
 
 def _assert_box(k, n, steps_by_path):
@@ -133,23 +110,28 @@ def classic_end_points(k):
     return [(0, kv + i) for i, kv in enumerate(k)]
 
 
+def _pair_words(k, variant):
+    """Per start i and end point j (both from 0), the variant's step words,
+    once the variant and k are checked."""
+    if variant not in ("classic", "general"):
+        raise ValueError("variant must be classic or general")
+    general = variant == "general"
+    if not general and any(kv < 0 for kv in k):
+        raise ValueError("classic model needs nonnegative k")
+    ends = classic_end_points(k)
+    return [[_pair_paths(i, end, general) for end in ends]
+            for i in range(1, len(k) + 1)]
+
+
 def enumerate_families(k, variant="classic"):
     """Stream every signed family of the classic or general model."""
     k = tuple(k)
     n = len(k)
-    general = variant == "general"
-    if variant not in ("classic", "general"):
-        raise ValueError("variant must be classic or general")
-    if not general and any(kv < 0 for kv in k):
-        raise ValueError("classic model needs nonnegative k")
-    ends = classic_end_points(k)
+    words = _pair_words(k, variant)
     for pi in permutations(range(1, n + 1)):
-        choice_lists = [_pair_paths(i, ends[pi[i - 1] - 1], general)
-                        for i in range(1, n + 1)]
-        if any(not c for c in choice_lists):
-            continue
         base = _permutation_sign(pi)
-        for steps_by_path in product(*choice_lists):
+        for steps_by_path in product(*(words[i][j - 1]
+                                       for i, j in enumerate(pi))):
             _assert_box(k, n, steps_by_path)
             sign = base
             for steps in steps_by_path:
@@ -166,17 +148,8 @@ def signed_families(k, variant="classic"):
     """
     k = tuple(k)
     n = len(k)
-    general = variant == "general"
-    if variant not in ("classic", "general"):
-        raise ValueError("variant must be classic or general")
-    if not general and any(kv < 0 for kv in k):
-        raise ValueError("classic model needs nonnegative k")
-    ends = classic_end_points(k)
-    pair_total = [[None] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(n):
-            paths = _pair_paths(i, ends[j], general)
-            pair_total[i - 1][j] = sum(_step_sign(p) for p in paths)
+    pair_total = [[sum(map(_step_sign, w)) for w in row]
+                  for row in _pair_words(k, variant)]
     total = 0
     for pi in permutations(range(n)):
         term = _permutation_sign(tuple(p + 1 for p in pi))

@@ -402,11 +402,6 @@ def suite_doubly_refined(n_max=4):
             records.append({"check": "frozen", "n": n,
                             "lhs": [list(r) for r in counts.matrix],
                             "rhs": [list(r) for r in FROZEN_DOUBLY[n]]})
-        row_sums = tuple(sum(r) for r in counts.matrix)
-        vec = refined_asm(n).vector
-        if row_sums != vec:
-            records.append({"check": "marginal", "n": n,
-                            "lhs": list(row_sums), "rhs": list(vec)})
         yield records
         for where, r in doubly_refined_identity_residuals(n):
             yield () if r == 0 else [{"check": "identity", "n": n,

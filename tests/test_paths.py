@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations, combinations_with_replacement, product
 
 from hypothesis import given, settings
@@ -65,6 +67,37 @@ def test_general_counts_match_product():
             assert signed_families(k, "general") == product_formula(k), k
     for k in ((-2, 0, 1), (2, -1, 0), (-1, -1, -1), (0, 2, -2)):
         assert signed_families(k, "general") == product_formula(k), k
+
+
+# sha256 of json.dumps([[list(k), [f.to_json() for f in
+# enumerate_families(k, variant)]] for k in product(grid, repeat=n)]),
+# recorded while each pair's step words came from two recursive builders
+# (east/north and descent).  The cubes hold empty pairs, descent paths,
+# every permutation and both signs, so the digests freeze the family
+# order, the step words and the signs.
+FAMILY_GRIDS = {"classic": range(0, 3), "general": range(-3, 3)}
+FROZEN_FAMILY_STREAMS = [
+    ("classic", 1,
+     "45430f26fdecf11d5d21e40b73f85e98b62c0d8fbf6d3d6798533427b38feccf"),
+    ("classic", 2,
+     "2a032673093ba1d701dd64f7c304d054f24c1cab0f16bbd354e13d8cbb7abe6a"),
+    ("classic", 3,
+     "6580b70caca1592d2577ab2343bc1143b793617a55d27eb074080f158b714ae4"),
+    ("general", 1,
+     "8fab2df939f1f32bf92b5f294b4197db2fb4d760339a0c46238bec74e977c3e4"),
+    ("general", 2,
+     "7b0a86b924a88376b0b0057bc02ac7c58d12c0fc5ba8e7ff45619ac88fcdc2ac"),
+    ("general", 3,
+     "2a85391398be12461d5bfa696cc45a1a634e4163a9b9209618375f52cc1130b6"),
+]
+
+
+@pytest.mark.parametrize("variant, n, digest", FROZEN_FAMILY_STREAMS)
+def test_family_streams_frozen(variant, n, digest):
+    text = json.dumps([[list(k), [f.to_json()
+                                  for f in enumerate_families(k, variant)]]
+                       for k in product(FAMILY_GRIDS[variant], repeat=n)])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @given(st.lists(st.integers(-2, 2), min_size=1, max_size=2))
