@@ -43,11 +43,12 @@ at fixed short points, and are cross-checked against direct enumeration.
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
-from operator import getitem
+from operator import add, getitem
 
 from .intervals import bottom_row, row_count, row_walk, slot
-from .operators import (apply_operator, delta, elementary_symmetric, identity,
-                        lattice_function, shift, small_delta, v_operator)
+from .operators import (apply_at, apply_operator, delta,
+                        elementary_symmetric, identity, lattice_function,
+                        shift, small_delta, v_operator)
 from .operators import product_formula, falling_binomial
 from .patterns import swap_shift
 
@@ -445,9 +446,13 @@ def doubly_refined_asm(n):
     return RefinedCounts(n, vector, direct)
 
 
-def linear_system_residuals(n):
-    """Residuals of A(n,i) = sum_k binom(2n-1-i, k-i) (-1)^(k+n) A(n,k)."""
-    vec = refined_asm(n).vector
+def linear_system_residuals(n, vector=None):
+    """Residuals of A(n,i) = sum_k binom(2n-1-i, k-i) (-1)^(k+n) A(n,k).
+
+    ``vector`` is A(n, .) when the caller already has it; by default it is
+    computed by ``refined_asm``.
+    """
+    vec = refined_asm(n).vector if vector is None else vector
     out = []
     for i in range(1, n + 1):
         rhs = sum(falling_binomial(2 * n - 1 - i, kk - i) * (-1) ** (kk + n)
@@ -522,39 +527,40 @@ def property_four_residual(n, k, p):
     return apply_operator(op, alpha_function(n), k)
 
 
-def _property_residuals(prop, n):
-    """k -> residual list of one property, its operators built once for n.
+def _property_residuals(prop, n, grid):
+    """The residual list of one property at each point of grid, in order.
 
-    The returned function shares one alpha lattice function over all points
-    and gives the same residuals as the property_*_residual functions.
+    Each operator is built once for n and applied to the whole grid through
+    one shared alpha lattice function; the residuals are those of the
+    property_*_residual functions.
     """
+    if prop == "P3":
+        return [[property_three_residual(n, k)] for k in grid]
     f = alpha_function(n)
     if prop == "P1":
-        vs = [(i, v_operator(n, i - 1, i)) for i in range(1, n)]
-        return lambda k: [_swap_residual(v, f, k, i) for i, v in vs]
-    if prop == "P2":
-        ops = [delta(n, c) ** n for c in range(n)]
-    elif prop == "P3":
-        return lambda k: [property_three_residual(n, k)]
+        columns = []
+        for i in range(1, n):
+            # v at every k, then v at every swapped k, in one sweep
+            both = apply_at(v_operator(n, i - 1, i), f,
+                            grid + [swap_shift(k, i, i + 1) for k in grid])
+            columns.append(list(map(add, both[:len(grid)], both[len(grid):])))
+    elif prop == "P2":
+        columns = [apply_at(delta(n, c) ** n, f, grid) for c in range(n)]
     elif prop == "P4":
         differences = [delta(n, c) for c in range(n)]
-        ops = [elementary_symmetric(p, differences) for p in range(1, n + 1)]
+        columns = [apply_at(elementary_symmetric(p, differences), f, grid)
+                   for p in range(1, n + 1)]
     else:
         raise ValueError("unknown property %r" % prop)
-    return lambda k: [apply_operator(op, f, k) for op in ops]
+    return [[column[i] for column in columns] for i in range(len(grid))]
 
 
 def check_alpha_property(prop, n, grid):
     """Evaluate one property P1-P4 over a grid of n-tuples; residuals must
     vanish.  Returns a JSON-ready report."""
-    residuals = _property_residuals(prop, n)
-    violations = []
-    points = 0
-    for k in grid:
-        k = tuple(k)
-        points += 1
-        bad = residuals(k)
-        if any(r != 0 for r in bad):
-            violations.append({"point": list(k), "residual": bad})
-    return {"property": prop, "n": n, "pointsChecked": points,
+    grid = [tuple(k) for k in grid]
+    violations = [{"point": list(k), "residual": bad}
+                  for k, bad in zip(grid, _property_residuals(prop, n, grid))
+                  if any(r != 0 for r in bad)]
+    return {"property": prop, "n": n, "pointsChecked": len(grid),
             "violations": violations}

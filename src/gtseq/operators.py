@@ -8,6 +8,12 @@ floating point.  The two evaluation targets are
 * ``binomial_determinant(k)``: det[ binom(k_j + j - 1, i - 1) ] with the
   binomial extended polynomially to negative tops.
 
+Both have a kernel over a whole cube of points.  ``column_determinants``
+is Bareiss elimination taken column by column, so the combinations of
+candidate columns that share a prefix share its elimination;
+``binomial_determinants`` feeds it the binomial columns of a product of
+ranges, and the single determinant is its one-choice case.
+
 ``OperatorExpression`` models Z-linear combinations of commuting coordinate
 shifts E_{x_i}: f(..., x_i, ...) -> f(..., x_i + 1, ...).  Difference
 operators are built on top:
@@ -18,18 +24,23 @@ operators are built on top:
 An expression is built once and then evaluated at any number of points.
 Construction normalizes the terms and freezes them: ``terms`` is a read-only
 shift -> coefficient map and ``stencil`` the same pairs as a tuple.
-``apply_operator`` walks the stencil, adding each shift to the point and
-summing coeff * f(point + shift), so evaluating a prebuilt operator over a
-grid does no operator arithmetic at all.  Callers that sweep a grid build
-each operator once per arity and share it across every point.
+``apply_at`` evaluates one operator at a list of points: it numbers points
+and shifts as integers in the box they span, calls f once per distinct
+point reached, and sums each stencil term over all points as integer
+additions and table lookups, with no operator arithmetic and no
+per-point Python loop.  ``apply_operator`` is its one-point case.  Callers
+that sweep a grid build each operator once per arity and apply it to the
+whole grid.
 
 ``LatticeFunction`` wraps an integer-valued function on Z^arity with a memo
-table so operator evaluation does not recompute points.  A grid sweep shares
-one wrapper, so neighbouring stencils reuse each other's lookups.
+table, so the operators applied to one function over one grid compute each
+point once between them.
 """
 
 import re
-from operator import add
+from itertools import chain, repeat
+from math import prod
+from operator import add, mul
 from types import MappingProxyType
 
 
@@ -65,49 +76,86 @@ def falling_binomial(m, r):
     return num
 
 
+def _binomial_column(m, n):
+    """[binom(m, i)]_{i=0..n-1}, built by binom(m, i) = binom(m, i - 1)
+    (m - i + 1) / i, an exact division."""
+    column = [1]
+    for i in range(1, n):
+        column.append(column[-1] * (m - i + 1) // i)
+    return column
+
+
 def binomial_matrix(k):
-    """[binom(k_j + j - 1, i - 1)]_{i,j=1..n}, each column built by
-    binom(m, i) = binom(m, i - 1) (m - i + 1) / i, an exact division."""
+    """[binom(k_j + j - 1, i - 1)]_{i,j=1..n}."""
     k = tuple(k)
     n = len(k)
-    columns = []
-    for j, kj in enumerate(k):
-        m = kj + j
-        column = [1]
-        for i in range(1, n):
-            column.append(column[-1] * (m - i + 1) // i)
-        columns.append(column)
+    columns = [_binomial_column(kj + j, n) for j, kj in enumerate(k)]
     return [list(row) for row in zip(*columns)]
 
 
+def column_determinants(choices):
+    """The determinant of every matrix whose column j is one of
+    ``choices[j]``, in ``itertools.product`` order.
+
+    Fraction-free Bareiss elimination taken column by column: the steps that
+    eliminate a prefix of columns (pivot, row swap, eliminated column) are
+    found once and replayed on each candidate for the next column, so a
+    combination costs O(n^2) on top of its prefix, not a fresh O(n^3).  A
+    prefix whose last column has no pivot is singular, and every completion
+    of it yields 0 without further work.  Exact for integer columns.
+    """
+    choices = [[list(column) for column in candidates]
+               for candidates in choices]
+    n = len(choices)
+    if any(len(column) != n for candidates in choices for column in candidates):
+        raise ValueError("every column must have one entry per position")
+    steps = []   # (position, pivot row, pivot, column below it, previous pivot)
+
+    def descend(j, sign, prev):
+        for x in choices[j]:
+            x = x[:]
+            for c, r, pivot, below, before in steps:
+                if r != c:
+                    x[c], x[r] = x[r], x[c]
+                xc = x[c]
+                x[c + 1:] = [(xi * pivot - ei * xc) // before
+                             for xi, ei in zip(x[c + 1:], below)]
+            if j == n - 1:
+                yield sign * x[j]
+                continue
+            r = j if x[j] else next((r for r in range(j + 1, n) if x[r]),
+                                    None)
+            if r is None:
+                yield from repeat(0, prod(map(len, choices[j + 1:])))
+                continue
+            if r != j:
+                x[j], x[r] = x[r], x[j]
+            steps.append((j, r, x[j], x[j + 1:], prev))
+            yield from descend(j + 1, -sign if r != j else sign, x[j])
+            steps.pop()
+
+    if n:
+        return descend(0, 1, 1)
+    return iter((1,))
+
+
 def integer_determinant(mat):
-    """Fraction-free Bareiss elimination; exact for integer matrices."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            for r in range(c + 1, n):
-                if a[r][c] != 0:
-                    a[c], a[r] = a[r], a[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(c + 1, n):
-            for s in range(c + 1, n):
-                a[r][s] = (a[r][s] * a[c][c] - a[r][c] * a[c][s]) // prev
-            a[r][c] = 0
-        prev = a[c][c]
-    return sign * a[n - 1][n - 1]
+    """The determinant of a square integer matrix, exactly: the one-choice
+    case of ``column_determinants``."""
+    return next(column_determinants([[column] for column in zip(*mat)]))
+
+
+def binomial_determinants(ranges):
+    """det[ binom(k_j + j - 1, i - 1) ] for every k in the product of
+    ``ranges`` (one range of k_j per position), in product order."""
+    n = len(ranges)
+    return column_determinants([[_binomial_column(kj + j, n) for kj in kjs]
+                                for j, kjs in enumerate(ranges)])
 
 
 def binomial_determinant(k):
     """det[ binom(k_j + j - 1, i - 1) ]_{i,j=1..n}, exact."""
-    return integer_determinant(binomial_matrix(k))
+    return next(binomial_determinants([(kj,) for kj in k]))
 
 
 def extended_sum(f, a, b):
@@ -294,13 +342,54 @@ def lattice_function(arity, func):
     return LatticeFunction(arity, func)
 
 
+def apply_at(op, f, points):
+    """[(op f)(p) for p in points], evaluated exactly, f called once per
+    distinct point the stencil reaches.
+
+    Every point and every shift is numbered as one integer in the box they
+    span (mixed radix, last coordinate fastest), so the code of p + s is
+    code(p) + code(s) and one stencil term over all points is an integer
+    addition and a table lookup per point.  Only the reached codes are
+    decoded back into points, coordinate by coordinate; the box itself is
+    never built, so a sparse stencil with far shifts costs no more than a
+    near one.
+    """
+    points = [tuple(p) for p in points]
+    arity = op.arity
+    for p in points:
+        if len(p) != arity:
+            raise ValueError("point %r does not match arity %d" % (p, arity))
+    if not points or not op.stencil:
+        return [0] * len(points)
+    shifts = [sh for sh, _ in op.stencil]
+    lows, widths = [], []
+    for xs, ss in zip(zip(*points), zip(*shifts)):
+        lows.append(min(xs) + min(ss))
+        widths.append(max(xs) + max(ss) - lows[-1] + 1)
+    strides = [1] * arity
+    for c in range(arity - 1, 0, -1):
+        strides[c - 1] = strides[c] * widths[c]
+    base = [0] * len(points)
+    for xs, lo, stride in zip(zip(*points), lows, strides):
+        base = list(map(add, base, [(x - lo) * stride for x in xs]))
+    offsets = [sum(map(mul, sh, strides)) for sh in shifts]
+    values = dict.fromkeys(chain.from_iterable(
+        map(o.__add__, base) for o in offsets))
+    codes = list(values)
+    columns = [[code // stride % width + lo for code in codes]
+               for lo, width, stride in zip(lows, widths, strides)]
+    reached = zip(*columns) if arity else repeat((), len(codes))
+    values = dict(zip(codes, map(f, reached)))
+    totals = [0] * len(points)
+    for o, (_, coeff) in zip(offsets, op.stencil):
+        totals = list(map(add, totals, map(mul, repeat(coeff), map(
+            values.__getitem__, map(o.__add__, base)))))
+    return totals
+
+
 def apply_operator(op, f, point):
-    """(op f)(point), evaluated exactly by walking the stencil of op."""
-    point = tuple(point)
-    total = 0
-    for sh, coeff in op.stencil:
-        total += coeff * f(tuple(map(add, point, sh)))
-    return total
+    """(op f)(point), exactly: the one-point case of ``apply_at``."""
+    return apply_at(op, f, [point])[0]
 
 
 # --- operator mini-language -------------------------------------------------

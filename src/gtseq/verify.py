@@ -46,7 +46,7 @@ from .monotone import (alpha, alpha_function, alpha_operator,
                        enumerate_extension, extension_signed_count,
                        extension_three_relaxed, linear_system_residuals,
                        refined_asm)
-from .operators import (apply_operator, binomial_determinant, delta,
+from .operators import (apply_at, binomial_determinants, delta,
                         elementary_symmetric, lattice_function,
                         product_formula, small_delta)
 from .paths import count_nonintersecting, signed_families
@@ -115,18 +115,18 @@ def suite_theorem_main(n_max=4, bound=2, trees=5, seed=7,
                        det_n_max=5, det_bound=3):
     """Signed chain count == product formula == binomial determinant."""
     for n in range(1, det_n_max + 1):
-        for k in _cube(det_bound, n):
-            lhs = binomial_determinant(k)
+        dets = binomial_determinants([range(-det_bound, det_bound + 1)] * n)
+        for k, lhs in zip(_cube(det_bound, n), dets):
             rhs = product_formula(k)
             yield () if lhs == rhs else [{"check": "determinant", "n": n,
                                           "k": list(k),
                                           "lhs": lhs, "rhs": rhs}]
     for n in range(1, n_max + 1):
+        wanted = [(k, product_formula(k)) for k in _cube(bound, n)]
         for s, seq in _seeded_sequences(n, trees, seed):
             counter = SequenceCounter(seq)
-            for k in _cube(bound, n):
+            for k, rhs in wanted:
                 lhs = counter(k)
-                rhs = product_formula(k)
                 yield () if lhs == rhs else [{"check": "treeSequence", "n": n,
                                               "seed": s, "k": list(k),
                                               "lhs": lhs, "rhs": rhs}]
@@ -161,44 +161,43 @@ def suite_shift_antisym(n_max=4, bound=2):
                        if (a := f(k)) + (b := f(kp)) != 0]
 
 
-def _grid_functions(n):
-    return (("signedCount", lattice_function(n, signed_pattern_count)),
-            ("alpha", alpha_function(n)))
+def _annihilated(n, bound, ops):
+    """Each (fields, op) of ops applied over the cube to both grid counts,
+    one call per operator and count; yields per point the records of the
+    operators that do not kill a count there."""
+    grid = list(_cube(bound, n))
+    functions = (("signedCount", lattice_function(n, signed_pattern_count)),
+                 ("alpha", alpha_function(n)))
+    swept = [(fname, fields, apply_at(op, f, grid))
+             for fname, f in functions for fields, op in ops]
+    for i, k in enumerate(grid):
+        yield [{"function": fname, "n": n, **fields, "k": list(k),
+                "value": values[i]}
+               for fname, fields, values in swept if values[i] != 0]
 
 
 @suite("delta-n")
 def suite_delta_n(n_max=4, bound=2):
     """The n-th forward difference in any coordinate kills both counts."""
     for n in range(1, n_max + 1):
-        functions = _grid_functions(n)
-        ops = [delta(n, c) ** n for c in range(n)]
-        for k in _cube(bound, n):
-            yield [{"function": fname, "n": n, "coordinate": c, "k": list(k),
-                    "value": value}
-                   for fname, f in functions
-                   for c, op in enumerate(ops, start=1)
-                   if (value := apply_operator(op, f, k)) != 0]
+        yield from _annihilated(n, bound, [({"coordinate": c + 1},
+                                            delta(n, c) ** n)
+                                           for c in range(n)])
 
 
 @suite("e-rho")
 def suite_e_rho(n_max=4, bound=2):
     """Elementary symmetric polynomials in the differences annihilate."""
     for n in range(1, n_max + 1):
-        functions = _grid_functions(n)
         ops = []
         for rho in range(1, n + 1):
-            ops.append(("forward", rho,
+            ops.append(({"family": "forward", "rho": rho},
                         elementary_symmetric(rho, [delta(n, c)
                                                    for c in range(n)])))
-            ops.append(("backward", rho,
+            ops.append(({"family": "backward", "rho": rho},
                         elementary_symmetric(rho, [small_delta(n, c)
                                                    for c in range(n)])))
-        for k in _cube(bound, n):
-            yield [{"function": fname, "family": family, "rho": rho, "n": n,
-                    "k": list(k), "value": value}
-                   for fname, f in functions
-                   for family, rho, op in ops
-                   if (value := apply_operator(op, f, k)) != 0]
+        yield from _annihilated(n, bound, ops)
 
 
 def _corner_values(counter, k):
@@ -320,8 +319,8 @@ def suite_extensions_agree(bound3=2, lo4=0, hi4=3):
         got = alpha(n, tuple(range(1, n + 1)))
         yield () if got == want else [{"check": "staircase", "n": n,
                                        "lhs": got, "rhs": want}]
-    grids = [(3, _cube(bound3, 3)),
-             (4, product(range(lo4, hi4 + 1), repeat=4))]
+    grids = [(3, list(_cube(bound3, 3))),
+             (4, list(product(range(lo4, hi4 + 1), repeat=4)))]
     for n, grid in grids:
         # (the fields naming a route, the route as a function of k)
         routes = [({"check": "extension", "variant": variant},
@@ -335,8 +334,8 @@ def suite_extensions_agree(bound3=2, lo4=0, hi4=3):
                        functools.partial(extension_three_relaxed, n)))
         product_fn = lattice_function(n, product_formula)
         routes += [({"check": "operator", "form": form},
-                    functools.partial(apply_operator, alpha_operator(n, form),
-                                      product_fn))
+                    dict(zip(grid, apply_at(alpha_operator(n, form),
+                                            product_fn, grid))).__getitem__)
                    for form in ("threeTerm", "deltaDelta")]
         for k in grid:
             base = alpha(n, k)
@@ -382,7 +381,7 @@ def suite_refined(n_max=4):
         if vec != tuple(reversed(vec)):
             records.append({"check": "symmetry", "n": n, "lhs": list(vec)})
         yield records
-        residuals = linear_system_residuals(n)
+        residuals = linear_system_residuals(n, vec)
         yield from _spread(len(residuals), [
             {"check": "linearSystem", "n": n, "residuals": residuals}]
             if any(r != 0 for r in residuals) else ())

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,9 +8,12 @@ import pytest
 from gtseq.operators import (
     OperatorExpression,
     OperatorParseError,
+    apply_at,
     apply_operator,
     binomial_determinant,
+    binomial_determinants,
     binomial_matrix,
+    column_determinants,
     delta,
     elementary_symmetric,
     extended_sum,
@@ -79,10 +82,27 @@ def test_falling_binomial_is_polynomial(m, r):
     assert falling_binomial(m, r) == want
 
 
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
-                min_size=4, max_size=4))
-def test_integer_determinant_matches_leibniz(mat):
-    assert integer_determinant(mat) == brute_determinant(mat)
+@st.composite
+def _column_choices(draw):
+    """1-3 candidate columns for each of n <= 4 positions; small entries,
+    so that zero pivots, row swaps and singular prefixes come up often."""
+    n = draw(st.integers(0, 4))
+    column = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return [draw(st.lists(column, min_size=1, max_size=3)) for _ in range(n)]
+
+
+@given(_column_choices())
+def test_integer_determinant_matches_leibniz(choices):
+    # every combination of candidate columns, against the Leibniz sum of
+    # its matrix; the kernel replays one prefix's elimination on each next
+    # candidate, so shared prefixes with swaps are exercised here
+    combinations = list(product(*choices))
+    dets = list(column_determinants(choices))
+    assert len(dets) == len(combinations)
+    for columns, det in zip(combinations, dets):
+        mat = [list(row) for row in zip(*columns)]
+        assert det == brute_determinant(mat), columns
+        assert integer_determinant(mat) == det
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4))
@@ -90,6 +110,10 @@ def test_binomial_determinant_equals_product(k):
     k = tuple(k)
     assert binomial_determinant(k) == product_formula(k)
     assert brute_determinant(binomial_matrix(k)) == product_formula(k)
+    # the sweep over the box from k to k + 1, in product order
+    ranges = [range(x, x + 2) for x in k]
+    assert list(binomial_determinants(ranges)) == [
+        product_formula(p) for p in product(*ranges)]
 
 
 @given(st.lists(st.integers(-12, 12), min_size=0, max_size=8))
@@ -124,10 +148,12 @@ _small_terms = st.lists(
     max_size=6)
 
 
-@given(_small_terms, st.tuples(*[st.integers(-3, 3)] * 3))
-def test_stencil_matches_naive_sum(pairs, point):
+@given(_small_terms, st.lists(st.tuples(*[st.integers(-3, 3)] * 3),
+                              min_size=1, max_size=4))
+def test_stencil_matches_naive_sum(pairs, points):
     # build the operator through the algebra, evaluate the naive sum from
-    # the raw pairs, so repeated and cancelling shifts are exercised too
+    # the raw pairs, so repeated and cancelling shifts are exercised too;
+    # the first point comes again at the end
     def g(k):
         return 7 * k[0] ** 3 - 5 * k[0] * k[1] + k[2] ** 2 + 11
 
@@ -137,12 +163,44 @@ def test_stencil_matches_naive_sum(pairs, point):
         for coord, power in enumerate(sh):
             term = term * shift(3, coord, power)
         op = op + coeff * term
-    naive = sum(coeff * g(tuple(p + s for p, s in zip(point, sh)))
-                for sh, coeff in pairs)
+    points = points + points[:1]
+    naive = [sum(coeff * g(tuple(p + s for p, s in zip(point, sh)))
+                 for sh, coeff in pairs) for point in points]
     assert isinstance(op.stencil, tuple)
     assert dict(op.stencil) == op.terms
-    assert apply_operator(op, lattice_function(3, g), point) == naive
-    assert apply_operator(op, g, point) == naive
+    assert apply_at(op, lattice_function(3, g), points) == naive
+    assert apply_operator(op, g, points[0]) == naive[0]
+
+    calls = []
+    assert apply_at(op, lambda k: calls.append(k) or g(k), points) == naive
+    reached = {tuple(p + s for p, s in zip(point, sh))
+               for point in points for sh in op.terms}
+    assert sorted(calls) == sorted(reached)
+
+
+def test_sparse_wide_stencil():
+    # five shifts 1000 apart in five coordinates: the box they span holds
+    # 1001^5 points, of which the stencil reaches five per point
+    op = parse_operator(
+        "e(1; E^1000 k1, E^1000 k2, E^1000 k3, E^1000 k4, E^1000 k5)", 5)
+    calls = []
+
+    def f(k):
+        calls.append(k)
+        return sum(k)
+
+    assert apply_at(op, f, [(0,) * 5, (1, -2, 3, 0, 0)]) == [5000, 5010]
+    assert len(calls) == 10
+
+
+def test_apply_rejects_point_of_wrong_length():
+    # a plain function does no length check of its own
+    f = lambda k: sum(k)
+    with pytest.raises(ValueError):
+        apply_operator(delta(3, 2), f, (1, 2))
+    with pytest.raises(ValueError):
+        apply_at(delta(2, 0), f, [(0, 0), (1, 2, 3)])
+    assert apply_at(delta(2, 0), f, []) == []
 
 
 def test_operator_terms_are_frozen():

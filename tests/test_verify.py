@@ -184,7 +184,8 @@ def _p3_off_at_zero_sum(real):
 
 
 def _first_residual_off(real):
-    return lambda n: [r + (i == 0) for i, r in enumerate(real(n))]
+    return lambda n, vector=None: [r + (i == 0)
+                                   for i, r in enumerate(real(n, vector))]
 
 
 def _routes_fail_at_two(real):
