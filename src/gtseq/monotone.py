@@ -501,19 +501,13 @@ def doubly_refined_identity_residuals(n, imax=None, jmax=None):
 # --- the four listed properties -------------------------------------------
 
 
-def _swap_residual(v, f, k, i):
-    """(id + E_{k_{i+1}} E^{-1}_{k_i} S) applied to v f at k."""
-    return (apply_operator(v, f, k)
-            + apply_operator(v, f, swap_shift(k, i, i + 1)))
-
-
 def property_one_residual(n, k, i):
     """(id + E_{k_{i+1}} E^{-1}_{k_i} S) V_{k_i, k_{i+1}} alpha at k (0 if true)."""
-    return _swap_residual(v_operator(n, i - 1, i), alpha_function(n), k, i)
+    return _property_residuals("P1", n, [tuple(k)])[0][i - 1]
 
 
 def property_two_residual(n, k, i):
-    return apply_operator(delta(n, i - 1) ** n, alpha_function(n), k)
+    return _property_residuals("P2", n, [tuple(k)])[0][i - 1]
 
 
 def property_three_residual(n, k):
@@ -523,16 +517,15 @@ def property_three_residual(n, k):
 
 
 def property_four_residual(n, k, p):
-    op = elementary_symmetric(p, [delta(n, c) for c in range(n)])
-    return apply_operator(op, alpha_function(n), k)
+    return _property_residuals("P4", n, [tuple(k)])[0][p - 1]
 
 
 def _property_residuals(prop, n, grid):
     """The residual list of one property at each point of grid, in order.
 
     Each operator is built once for n and applied to the whole grid through
-    one shared alpha lattice function; the residuals are those of the
-    property_*_residual functions.
+    one shared alpha lattice function; the property_*_residual functions
+    are the one-point case.
     """
     if prop == "P3":
         return [[property_three_residual(n, k)] for k in grid]

@@ -84,15 +84,18 @@ def test_falling_binomial_is_polynomial(m, r):
 
 @st.composite
 def _column_choices(draw):
-    """1-3 candidate columns for each of n <= 4 positions; small entries,
-    so that zero pivots, row swaps and singular prefixes come up often."""
+    """1-3 candidate columns for each of n <= 4 positions; hypothesis
+    favours 0, so zero pivots, row swaps and singular prefixes come up."""
     n = draw(st.integers(0, 4))
-    column = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    column = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
     return [draw(st.lists(column, min_size=1, max_size=3)) for _ in range(n)]
 
 
-@given(_column_choices())
-def test_integer_determinant_matches_leibniz(choices):
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+                min_size=4, max_size=4),
+       _column_choices())
+def test_integer_determinant_matches_leibniz(mat, choices):
+    assert integer_determinant(mat) == brute_determinant(mat)
     # every combination of candidate columns, against the Leibniz sum of
     # its matrix; the kernel replays one prefix's elimination on each next
     # candidate, so shared prefixes with swaps are exercised here
@@ -100,9 +103,9 @@ def test_integer_determinant_matches_leibniz(choices):
     dets = list(column_determinants(choices))
     assert len(dets) == len(combinations)
     for columns, det in zip(combinations, dets):
-        mat = [list(row) for row in zip(*columns)]
-        assert det == brute_determinant(mat), columns
-        assert integer_determinant(mat) == det
+        matrix = [list(row) for row in zip(*columns)]
+        assert det == brute_determinant(matrix), columns
+        assert integer_determinant(matrix) == det
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4))
