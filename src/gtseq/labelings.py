@@ -65,7 +65,7 @@ from itertools import combinations, product
 from math import prod
 from operator import getitem
 
-from .intervals import row_walk, slot, table_sum
+from .intervals import bottom_row, row_walk, slot, table_sum
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,7 @@ def _range_sum(r):
 
 def admissible_labelings(tree, k):
     """All admissible labelings of (tree, k), lexicographic in l."""
+    k = bottom_row(tree.n, k)
     inv = inversion_edges(tree, k)
     if inv is None:
         return []
@@ -162,6 +163,8 @@ class SequenceCounter:
     """
 
     def __init__(self, seq):
+        if seq.order < 1:
+            raise ValueError("a tree sequence needs order at least 1")
         self.seq = seq
         self.tree_sign = seq.sign()
         self._order = seq.order
@@ -242,7 +245,7 @@ def enumerate_sequences(seq, k):
     return sorted((GTTreeSequence(levels, tuple([(i + 1, e) for i, e in inv]),
                                   base_sign * sign)
                    for levels, _, inv, sign in row_walk(
-                       partial(_chain_rows, seq), tuple(k))),
+                       partial(_chain_rows, seq), bottom_row(seq.order, k))),
                   key=lambda g: g.levels)
 
 

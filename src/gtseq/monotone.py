@@ -73,7 +73,7 @@ def enumerate_monotone_triangles(k):
     Rows are returned top first.  Every row is strictly increasing and
     weakly interlaces the row below it.
     """
-    k = tuple(k)
+    k = bottom_row(len(k), k)
     if any(a >= b for a, b in zip(k, k[1:])):
         raise ValueError("bottom row must be strictly increasing")
     out = []
@@ -102,9 +102,7 @@ def strict_row_patterns(n, k):
     Counts Gelfand-Tsetlin patterns (weak interlacing) whose rows 1..n-1
     are strictly increasing; agrees with alpha on weakly increasing k.
     """
-    k = tuple(k)
-    if len(k) != n:
-        raise ValueError("k must have length n")
+    k = bottom_row(n, k)
     if any(a > b for a, b in zip(k, k[1:])):
         raise ValueError("bottom row must be weakly increasing")
 
@@ -341,11 +339,9 @@ def alpha_via_operator(n, k, form="deltaDelta"):
     form "deltaDelta" builds id + Delta_p delta_q; the two normalize to the
     same expression.
     """
-    k = tuple(k)
-    if len(k) != n:
-        raise ValueError("k must have length n")
     return apply_operator(alpha_operator(n, form),
-                          lattice_function(n, product_formula), k)
+                          lattice_function(n, product_formula),
+                          bottom_row(n, k))
 
 
 # --- refined counts --------------------------------------------------------
@@ -503,11 +499,11 @@ def doubly_refined_identity_residuals(n, imax=None, jmax=None):
 
 def property_one_residual(n, k, i):
     """(id + E_{k_{i+1}} E^{-1}_{k_i} S) V_{k_i, k_{i+1}} alpha at k (0 if true)."""
-    return _property_residuals("P1", n, [tuple(k)])[0][i - 1]
+    return _residual_at("P1", n, k, i, n - 1)
 
 
 def property_two_residual(n, k, i):
-    return _property_residuals("P2", n, [tuple(k)])[0][i - 1]
+    return _residual_at("P2", n, k, i, n)
 
 
 def property_three_residual(n, k):
@@ -517,7 +513,14 @@ def property_three_residual(n, k):
 
 
 def property_four_residual(n, k, p):
-    return _property_residuals("P4", n, [tuple(k)])[0][p - 1]
+    return _residual_at("P4", n, k, p, n)
+
+
+def _residual_at(prop, n, k, index, top):
+    """The residual of prop at k for index 1..top, the one-point case."""
+    if not 1 <= index <= top:
+        raise ValueError("index must be in 1..%d" % top)
+    return _property_residuals(prop, n, [tuple(k)])[0][index - 1]
 
 
 def _property_residuals(prop, n, grid):

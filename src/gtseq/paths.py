@@ -189,8 +189,8 @@ def tail_swap(family, a, b):
     connects the same points under the transposed permutation and carries
     the opposite sign.  Raises ValueError when the paths never meet.
     """
-    va = path_vertices(a, family.paths[a - 1])
-    vb = path_vertices(b, family.paths[b - 1])
+    sa, sb = family.paths[a - 1], family.paths[b - 1]
+    va, vb = path_vertices(a, sa), path_vertices(b, sb)
     pos_b = {v: idx for idx, v in enumerate(vb)}
     meet = None
     for ia, v in enumerate(va):
@@ -200,22 +200,9 @@ def tail_swap(family, a, b):
     if meet is None:
         raise ValueError("paths %d and %d do not intersect" % (a, b))
     ia, ib = meet
-
-    def steps_from(vertices):
-        out = []
-        for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-            for name, (dx, dy) in STEP_MOVES.items():
-                if (x1 - x0, y1 - y0) == (dx, dy):
-                    out.append(name)
-                    break
-            else:
-                raise ValueError("non-unit gap in path")
-        return tuple(out)
-
-    new_a = steps_from(va[:ia + 1] + vb[ib + 1:])
-    new_b = steps_from(vb[:ib + 1] + va[ia + 1:])
+    # vertex ia of a is vertex ib of b: the steps before it are sa[:ia]
     paths = list(family.paths)
-    paths[a - 1], paths[b - 1] = new_a, new_b
+    paths[a - 1], paths[b - 1] = sa[:ia] + sb[ib:], sb[:ib] + sa[ia:]
     pi = list(family.pi)
     pi[a - 1], pi[b - 1] = pi[b - 1], pi[a - 1]
     sign = _permutation_sign(tuple(pi))

@@ -186,8 +186,11 @@ def tableau_to_pattern(tableau, n):
 
 
 def swap_shift(k, i, j):
-    """Replace (k_i, k_j) by (k_j + j - i, k_i + i - j)."""
+    """Replace (k_i, k_j) by (k_j + j - i, k_i + i - j), for i, j in
+    1..len(k)."""
     k = list(k)
+    if not 0 < i <= len(k) >= j > 0:
+        raise ValueError("swap index out of range 1..%d" % len(k))
     ki, kj = k[i - 1], k[j - 1]
     k[i - 1] = kj + j - i
     k[j - 1] = ki + i - j

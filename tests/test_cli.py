@@ -152,58 +152,6 @@ def test_verify_exit_one_on_violation(capsys, monkeypatch):
     assert json.loads(out)["violations"]
 
 
-def test_config_file_defaults(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "gtseq.conf"
-    cfg.write_text("# sweep bounds\nnMax = 2\ngrid = -1..1\nseed = 5\n")
-    monkeypatch.setenv("GTSEQ_CONFIG", str(cfg))
-    code, out, _ = run(capsys, "verify", "delta-n")
-    assert code == 0
-    report = json.loads(out)
-    assert report["parameters"]["nMax"] == 2
-    assert report["parameters"]["bound"] == 1
-    # flags still win over the file
-    code, out, _ = run(capsys, "verify", "delta-n", "--n", "1")
-    assert json.loads(out)["parameters"]["nMax"] == 1
-
-
-def test_config_rejects_unknown_key(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "bad.conf"
-    cfg.write_text("turbo = yes\n")
-    monkeypatch.setenv("GTSEQ_CONFIG", str(cfg))
-    code, _, err = run(capsys, "count", "product", "--k", "0,2")
-    assert code == 2
-    assert "turbo" in err
-    # the memo cap of ``gtseq apply`` is gone, so its key is unknown too
-    cfg.write_text("memoCap = 100\n")
-    code, _, err = run(capsys, "apply", "--operator", "D k1", "--at", "0")
-    assert code == 2
-    assert "unknown key 'memoCap'" in err
-
-
-def test_config_grid_soft_for_suites_without_bound(capsys, tmp_path,
-                                                   monkeypatch):
-    cfg = tmp_path / "gtseq.conf"
-    cfg.write_text("grid = 0..3\n")
-    monkeypatch.setenv("GTSEQ_CONFIG", str(cfg))
-    code, out, err = run(capsys, "verify", "refined", "--n", "2")
-    assert code == 0, err
-    assert json.loads(out)["parameters"] == {"nMax": 2}
-    # a suite that takes the bound still rejects it, naming the file's key
-    code, _, err = run(capsys, "verify", "intervals")
-    assert code == 2
-    assert "config key grid must be symmetric" in err
-
-
-def test_config_grid_checked_like_the_flag(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "gtseq.conf"
-    cfg.write_text("grid = 2..-2\n")
-    monkeypatch.setenv("GTSEQ_CONFIG", str(cfg))
-    code, _, err = run(capsys, "verify", "independence")
-    assert code == 2
-    assert "config key grid" in err
-    assert "exceeds upper" in err
-
-
 def test_emit_tree_formats(capsys):
     code, out, _ = run(capsys, "emit", "tree", "--n", "4", "--format", "dot")
     assert code == 0
@@ -234,6 +182,57 @@ def test_emit_paths_json_and_svg(capsys):
     code, _, err = run(capsys, "emit", "paths", "--k", "0,2", "--format",
                        "svg", "--index", "9")
     assert code == 2 and "index" in err
+
+
+@pytest.mark.parametrize("argv, message", (
+    (("emit", "pattern", "--k", "0,2", "--limit", "-1"), "--limit"),
+    (("verify", "all", "--workers", "0"), "--workers"),
+    (("verify", "all", "--workers", "-3"), "--workers"),
+), ids=("limit", "workersZero", "workersNegative"))
+def test_negative_counts_rejected(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "must be at least" in err
+
+
+def test_emit_limit_zero_is_empty(capsys):
+    code, out, _ = run(capsys, "emit", "pattern", "--k", "0,2", "--limit",
+                       "0")
+    assert code == 0
+    assert json.loads(out)["patterns"] == []
+
+
+@pytest.mark.parametrize("artifact, fmt", (("tree", "svg"), ("paths", "dot"),
+                                           ("pattern", "dot"),
+                                           ("ssyt", "svg")))
+def test_emit_format_must_fit_the_artifact(capsys, artifact, fmt):
+    code, out, err = run(capsys, "emit", artifact, "--k", "0,2", "--format",
+                         fmt)
+    assert code == 2
+    assert out == ""
+    assert "emit %s writes only" % artifact in err
+
+
+@pytest.mark.parametrize("argv", (("emit", "tree", "--kind", "star"),
+                                  ("apply", "--operator", "D k1", "--function",
+                                   "zeta", "--at", "0")),
+                         ids=" ".join)
+def test_unknown_names_rejected_by_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_environment_does_not_change_a_report(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "gtseq.conf"
+    cfg.write_text("nMax = 2\ngrid = -1..1\n")
+    monkeypatch.setenv("GTSEQ_CONFIG", str(cfg))
+    code, out, _ = run(capsys, "verify", "delta-n")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"bound": 2, "nMax": 4}
 
 
 def test_convert_round_trip(capsys, tmp_path):

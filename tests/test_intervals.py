@@ -152,7 +152,19 @@ def test_row_generators_yield_named_slots(rows):
     lambda: monotone.enumerate_extension(1, 0, ()),
     lambda: patterns.signed_pattern_count(()),
     lambda: patterns.enumerate_patterns(()),
-), ids=("alpha", "extension", "stream", "patternCount", "patterns"))
+    lambda: monotone.enumerate_monotone_triangles(()),
+    lambda: monotone.strict_row_patterns(0, ()),
+    lambda: monotone.refined_direct(0),
+    lambda: monotone.refined_asm(0),
+    lambda: monotone.doubly_refined_asm(0),
+    lambda: monotone.linear_system_residuals(0),
+    lambda: monotone.alpha_via_operator(0, ()),
+    lambda: labelings.signed_count(basic_sequence(0), ()),
+    lambda: labelings.enumerate_sequences(basic_sequence(0), ()),
+), ids=("alpha", "extension", "stream", "patternCount", "patterns",
+        "triangles", "strictRows", "refinedDirect", "refined",
+        "doublyRefined", "linearSystem", "alphaViaOperator", "signedCount",
+        "chains"))
 def test_empty_bottom_row_rejected(call):
     with pytest.raises(ValueError, match="at least 1"):
         call()

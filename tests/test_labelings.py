@@ -23,7 +23,7 @@ from gtseq.labelings import (
     weak_admissible_witnesses,
 )
 from gtseq.operators import product_formula
-from gtseq.trees import (NTree, TreeSequence, basic_sequence,
+from gtseq.trees import (NTree, TreeSequence, basic_sequence, basic_tree,
                          random_sequence, random_tree)
 
 
@@ -107,6 +107,19 @@ def test_sequence_streams_frozen(n, seed, k, digest):
     chains = enumerate_sequences(random_sequence(n, seed), k)
     text = json.dumps([c.to_json() for c in chains])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("call", (
+    lambda: enumerate_sequences(basic_sequence(3), (0, 1)),
+    lambda: enumerate_sequences(basic_sequence(3), (0, 1, 2, 3)),
+    lambda: admissible_labelings(basic_tree(3), (0, 1)),
+    lambda: admissible_labelings(basic_tree(3), (0, 1, 2, 3)),
+    lambda: signed_count(basic_sequence(3), (0, 1)),
+), ids=("chainsShort", "chainsLong", "labelingsShort", "labelingsLong",
+        "count"))
+def test_wrong_length_k_rejected(call):
+    with pytest.raises(ValueError, match="k must have length"):
+        call()
 
 
 def test_signed_count_equals_product_formula_small():

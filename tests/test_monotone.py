@@ -22,7 +22,10 @@ from gtseq.monotone import (
     extension_signed_count,
     extension_three_relaxed,
     linear_system_residuals,
+    property_four_residual,
+    property_one_residual,
     property_three_residual,
+    property_two_residual,
     refined_asm,
     strict_row_patterns,
 )
@@ -308,6 +311,15 @@ def test_linear_system_and_identity_hold():
 def test_cyclic_shift_property_pointwise():
     for k in product(range(-1, 2), repeat=3):
         assert property_three_residual(3, k) == 0
+
+
+@pytest.mark.parametrize("residual, index", (
+    (property_one_residual, 0), (property_one_residual, 3),
+    (property_two_residual, 0), (property_two_residual, 4),
+    (property_four_residual, 0), (property_four_residual, 4)))
+def test_property_index_checked(residual, index):
+    with pytest.raises(ValueError, match="index must be in"):
+        residual(3, (0, 1, 2), index)
 
 
 def test_check_alpha_property_report():

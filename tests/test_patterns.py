@@ -164,6 +164,12 @@ def test_swap_shift_is_an_involution(k, i, j):
     assert swap_shift(swap_shift(k, i, j), i, j) == k
 
 
+@pytest.mark.parametrize("i, j", ((0, 1), (1, 0), (4, 1), (2, 4), (-1, 2)))
+def test_swap_shift_index_checked(i, j):
+    with pytest.raises(ValueError, match="swap index"):
+        swap_shift((1, 2, 3), i, j)
+
+
 def test_validate_pattern_shapes():
     with pytest.raises(ValueError):
         validate_pattern(((1, 2), (0, 1, 2)))
