@@ -10,27 +10,10 @@ triangular patterns, and lattice path families.  The monotone triangle
 count alpha(n; k) arises from the same machinery through a difference
 operator product.  Everything is exact integer arithmetic; enumerators and
 counting recursions are kept separate so each can check the other.
+
+Import the submodule that holds a name, like ``from gtseq.monotone import
+alpha``: the package itself re-exports nothing, so a process loads only the
+modules it uses.
 """
 
-from .intervals import GeneralizedInterval, interval
-from .labelings import (AdmissibleLabeling, GTTreeSequence, SequenceCounter,
-                        admissible_labelings, enumerate_sequences,
-                        restricted_signed_count, signed_count)
-from .monotone import (alpha, alpha_via_operator, enumerate_extension,
-                       enumerate_monotone_triangles, extension_signed_count,
-                       refined_asm)
-from .operators import (LatticeFunction, OperatorExpression,
-                        binomial_determinant, delta, falling_binomial,
-                        parse_operator, product_formula, shift, small_delta)
-from .paths import (PathFamily, count_nonintersecting, enumerate_families,
-                    signed_families)
-from .patterns import (Pattern, enumerate_patterns, make_pattern,
-                       pattern_to_tableau, signed_pattern_count, swap_shift,
-                       tableau_to_pattern)
-from .trees import (NTree, TreeSequence, basic_sequence, basic_tree,
-                    canonical_sequence, random_sequence, random_tree,
-                    tree_sign)
-
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,31 +13,21 @@ Subcommands:
 
 Each subcommand's names are the keys of one table below (``COUNTS``,
 ``EMITS``, ``CONVERSIONS``, ``FUNCTIONS``, ``VERIFY_FLAGS``), which both the
-parser's choices and the dispatch read.  Output depends on the arguments
-alone: no environment variable or file is consulted, all numbers are exact
-integers and reports are printed with sorted keys, so identical flags and
-seeds give identical output except for the wallTime field.  A bad argument
-exits 2 with a message on stderr.
+parser's choices and the dispatch read.  Suite names are not a parser choice
+list: ``cmd_verify`` checks them against ``verify.SUITES``.  Each command
+imports the gtseq modules it runs inside its own function, so a process
+loads only what its subcommand executes; ``verify`` loads them all.
+
+Output depends on the arguments alone: no environment variable or file is
+consulted, all numbers are exact integers and reports are printed with
+sorted keys, so identical flags and seeds give identical output except for
+the wallTime field.  A bad argument exits 2 with a message on stderr.
 """
 
 import argparse
-import inspect
 import json
 import re
 import sys
-
-from .labelings import GTTreeSequence, signed_count
-from .monotone import alpha, alpha_function
-from .operators import (binomial_determinant, lattice_function,
-                        parse_operator, product_formula)
-from .paths import count_nonintersecting, enumerate_families, family_to_svg, \
-    signed_families
-from .patterns import (chain_to_pattern, enumerate_patterns, is_classic,
-                       make_pattern, pattern_to_chain, pattern_to_tableau,
-                       signed_pattern_count, tableau_to_pattern)
-from .trees import (basic_tree, canonical_sequence, random_sequence,
-                    random_tree)
-from .verify import SUITES, run_all, run_suite
 
 
 class UsageError(ValueError):
@@ -78,6 +68,7 @@ def at_least(lo):
 
 
 def _sequence_for(args, n):
+    from .trees import canonical_sequence, random_sequence
     spec = args.sequence
     if spec == "basic":
         return canonical_sequence("basic", n)
@@ -94,7 +85,28 @@ def _sequence_for(args, n):
     raise UsageError("unknown sequence spec %r" % spec)
 
 
+def _count_product(args):
+    from .operators import product_formula
+    return product_formula(args.k)
+
+
+def _count_det(args):
+    from .operators import binomial_determinant
+    return binomial_determinant(args.k)
+
+
+def _count_gtseq(args):
+    from .labelings import signed_count
+    return signed_count(_sequence_for(args, len(args.k)), args.k)
+
+
+def _count_patterns(args):
+    from .patterns import signed_pattern_count
+    return signed_pattern_count(args.k)
+
+
 def _count_alpha(args):
+    from .monotone import alpha
     n = args.n if args.n is not None else len(args.k)
     if n != len(args.k):
         raise UsageError("--n disagrees with the length of --k")
@@ -102,17 +114,17 @@ def _count_alpha(args):
 
 
 def _count_paths(args):
+    from .paths import count_nonintersecting, signed_families
     if args.variant == "nonintersecting":
         return count_nonintersecting(args.k)
     return signed_families(args.k, args.variant)
 
 
 COUNTS = {
-    "product": lambda args: product_formula(args.k),
-    "det": lambda args: binomial_determinant(args.k),
-    "gtseq": lambda args: signed_count(_sequence_for(args, len(args.k)),
-                                       args.k),
-    "patterns": lambda args: signed_pattern_count(args.k),
+    "product": _count_product,
+    "det": _count_det,
+    "gtseq": _count_gtseq,
+    "patterns": _count_patterns,
     "alpha": _count_alpha,
     "paths": _count_paths,
 }
@@ -135,6 +147,11 @@ VERIFY_FLAGS = {
 
 
 def cmd_verify(args):
+    import inspect
+    from .verify import SUITES, run_all, run_suite
+    if args.suite != "all" and args.suite not in SUITES:
+        raise UsageError("unknown suite %r (choose from %s)"
+                         % (args.suite, ", ".join(("all", *SUITES))))
     flags = {flag: getattr(args, flag) for flag in VERIFY_FLAGS
              if getattr(args, flag) is not None}
     if args.suite == "all":
@@ -171,10 +188,16 @@ def _random_tree(args):
     if args.seed is None:
         raise UsageError("emit tree --kind random needs --seed")
     import random
+    from .trees import random_tree
     return random_tree(args.n, random.Random(args.seed))
 
 
-TREE_KINDS = {"basic": lambda args: basic_tree(args.n), "random": _random_tree}
+def _basic_tree(args):
+    from .trees import basic_tree
+    return basic_tree(args.n)
+
+
+TREE_KINDS = {"basic": _basic_tree, "random": _random_tree}
 
 
 def _emit_tree(args):
@@ -185,6 +208,7 @@ def _emit_tree(args):
 
 
 def _emit_pattern(args):
+    from .patterns import enumerate_patterns, signed_pattern_count
     doc = {"k": list(args.k), "signedCount": signed_pattern_count(args.k),
            "patterns": [p.to_json()
                         for p in enumerate_patterns(args.k)[:args.limit]]}
@@ -192,6 +216,7 @@ def _emit_pattern(args):
 
 
 def _emit_ssyt(args):
+    from .patterns import enumerate_patterns, is_classic, pattern_to_tableau
     tableaux = [[list(r) for r in pattern_to_tableau(p)]
                 for p in enumerate_patterns(args.k) if is_classic(p)]
     return json.dumps({"k": list(args.k), "tableaux": tableaux[:args.limit]},
@@ -199,6 +224,7 @@ def _emit_ssyt(args):
 
 
 def _emit_paths(args):
+    from .paths import enumerate_families, family_to_svg
     families = list(enumerate_families(args.k, args.variant))
     if args.format == "svg":
         if not 0 <= args.index < len(families):
@@ -244,21 +270,32 @@ def _read_json(path):
 
 
 def _pattern(data):
+    from .patterns import make_pattern
     return make_pattern([tuple(r) for r in data["rows"]])
 
 
 def _pattern_to_ssyt(data):
+    from .patterns import pattern_to_tableau
     pat = _pattern(data)
     return {"rows": [list(r) for r in pattern_to_tableau(pat)],
             "n": pat.order}
 
 
 def _pattern_to_treeseq(data):
+    from .patterns import pattern_to_chain
     seq, chain = pattern_to_chain(_pattern(data))
     return {"trees": seq.to_json(), "chain": chain.to_json()}
 
 
+def _ssyt_to_pattern(data):
+    from .patterns import tableau_to_pattern
+    return tableau_to_pattern([tuple(r) for r in data["rows"]],
+                              data["n"]).to_json()
+
+
 def _treeseq_to_pattern(data):
+    from .labelings import GTTreeSequence
+    from .patterns import chain_to_pattern
     chain = GTTreeSequence(tuple(tuple(l) for l in data["levels"]),
                            tuple(tuple(p) for p in data.get("inversions", ())),
                            data.get("sign", 1))
@@ -267,8 +304,7 @@ def _treeseq_to_pattern(data):
 
 CONVERSIONS = {
     "pattern-to-ssyt": _pattern_to_ssyt,
-    "ssyt-to-pattern": lambda data: tableau_to_pattern(
-        [tuple(r) for r in data["rows"]], data["n"]).to_json(),
+    "ssyt-to-pattern": _ssyt_to_pattern,
     "pattern-to-treeseq": _pattern_to_treeseq,
     "treeseq-to-pattern": _treeseq_to_pattern,
 }
@@ -286,15 +322,32 @@ def cmd_convert(args):
 
 # --- apply -------------------------------------------------------------------
 
+def _product_function(n):
+    from .operators import lattice_function, product_formula
+    return lattice_function(n, product_formula)
+
+
+def _patterns_function(n):
+    from .operators import lattice_function
+    from .patterns import signed_pattern_count
+    return lattice_function(n, signed_pattern_count)
+
+
+def _alpha_function(n):
+    from .monotone import alpha_function
+    return alpha_function(n)
+
+
 # function name -> its lattice function of order n
 FUNCTIONS = {
-    "product": lambda n: lattice_function(n, product_formula),
-    "patterns": lambda n: lattice_function(n, signed_pattern_count),
-    "alpha": alpha_function,
+    "product": _product_function,
+    "patterns": _patterns_function,
+    "alpha": _alpha_function,
 }
 
 
 def cmd_apply(args):
+    from .operators import parse_operator
     n = len(args.at)
     f = FUNCTIONS[args.function](n)
     print(parse_operator(args.operator, n).apply(f, args.at))
@@ -323,10 +376,11 @@ def build_parser():
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    p.add_argument("--n", type=int, help="cap on the order")
+    p.add_argument("suite", help="all, or a name in gtseq.verify.SUITES")
+    p.add_argument("--n", type=at_least(1), help="cap on the order")
     p.add_argument("--grid", type=parse_grid, help="like -2..2")
-    p.add_argument("--trees", type=int, help="random sequences per order")
+    p.add_argument("--trees", type=at_least(1),
+                   help="random sequences per order")
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=at_least(1), help="verify all only")
     p.set_defaults(fn=cmd_verify)

@@ -29,7 +29,6 @@ pinned the grammar down.
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .operators import product_formula
 from .trees import _permutation_sign
 
 STEP_MOVES = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "D": (1, -1)}

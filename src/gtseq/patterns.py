@@ -28,8 +28,6 @@ with value at most i in tableau row i + 1 - j.
 from dataclasses import dataclass
 
 from .intervals import bottom_row, interval, row_count, row_walk, slot
-from .labelings import GTTreeSequence
-from .trees import basic_sequence
 
 
 @dataclass(frozen=True)
@@ -110,6 +108,8 @@ def pattern_to_chain(pattern):
     and edge inversions coincide with inverted intervals, so the chain is the
     pattern read row by row.
     """
+    from .labelings import GTTreeSequence
+    from .trees import basic_sequence
     rows = pattern.rows
     seq = basic_sequence(len(rows))
     # a chain tags an inversion by the level of its tree, one above the row

@@ -188,7 +188,11 @@ def test_emit_paths_json_and_svg(capsys):
     (("emit", "pattern", "--k", "0,2", "--limit", "-1"), "--limit"),
     (("verify", "all", "--workers", "0"), "--workers"),
     (("verify", "all", "--workers", "-3"), "--workers"),
-), ids=("limit", "workersZero", "workersNegative"))
+    (("verify", "theorem-main", "--n", "2", "--trees", "0"), "--trees"),
+    (("verify", "theorem-main", "--n", "-1"), "--n"),
+    (("verify", "independence", "--n", "2", "--trees", "0"), "--trees"),
+), ids=("limit", "workersZero", "workersNegative", "treesZero", "nNegative",
+        "independenceTreesZero"))
 def test_negative_counts_rejected(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
@@ -224,6 +228,55 @@ def test_unknown_names_rejected_by_the_parser(capsys, argv):
         cli.main(list(argv))
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_unknown_suite_lists_the_suites(capsys):
+    code, out, err = run(capsys, "verify", "nosuch")
+    assert code == 2
+    assert out == ""
+    assert "unknown suite 'nosuch'" in err
+    assert all(name in err for name in ("all", *SUITES))
+
+
+# The gtseq modules a fresh process holds after one command: each command
+# imports only the modules it runs, and verify imports every one.
+EVERY_MODULE = {"cli", "intervals", "labelings", "monotone", "operators",
+                "paths", "patterns", "trees", "verify"}
+PATTERN_MODULES = {"cli", "patterns", "intervals"}
+ALPHA_MODULES = {"cli", "monotone", "operators", "patterns", "intervals"}
+LOADED_BY = (
+    ((), {"cli"}),
+    (("count", "det", "--k", "0,2"), {"cli", "operators"}),
+    (("count", "gtseq", "--k", "0,1,2", "--sequence", "random", "--seed",
+      "3"), {"cli", "labelings", "intervals", "trees"}),
+    (("count", "patterns", "--k", "0,2"), PATTERN_MODULES),
+    (("emit", "pattern", "--k", "0,2", "--limit", "1"), PATTERN_MODULES),
+    (("count", "paths", "--variant", "general", "--k", "0,2"),
+     {"cli", "paths", "trees"}),
+    (("count", "alpha", "--k", "1,2,3"), ALPHA_MODULES),
+    (("apply", "--operator", "D k1", "--function", "alpha", "--at", "1,2"),
+     ALPHA_MODULES),
+    (("verify", "paths", "--n", "2"), EVERY_MODULE),
+)
+
+PROBE = ("import sys\n"
+         "from gtseq.cli import main\n"
+         "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+         "print(code, *sorted(name[len('gtseq.'):] for name in sys.modules\n"
+         "                    if name.startswith('gtseq.')))\n")
+
+
+@pytest.mark.parametrize("argv, modules", LOADED_BY,
+                         ids=[" ".join(argv) or "import gtseq.cli"
+                              for argv, _ in LOADED_BY])
+def test_a_command_loads_only_the_modules_it_runs(cli_env, tmp_path, argv,
+                                                  modules):
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=cli_env, cwd=tmp_path)
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    assert set(loaded) == modules
 
 
 def test_environment_does_not_change_a_report(capsys, monkeypatch, tmp_path):
