@@ -17,6 +17,23 @@ times the product of the tree signs.  ``enumerate_sequences`` lists the
 chains by ``intervals.row_walk``, one row choice per level; ``signed_count``
 evaluates the signed total without them, by a memoized recursion over levels.
 
+``SequenceCounter.sweep`` fills the same memo tables for a whole grid at
+once.  When the points fill the box they span, that box is propagated down
+the sequence: edge e = (t, h) of T_i takes coordinate e of level i-1 over
+[min(L_t+t, L_h+h) - e, max(H_t+t, H_h+h) - e - 1], with [L_v, H_v] the
+level-i box in coordinate v (``_boxes_below``).  The levels are then filled
+bottom-up over those boxes, from the all-ones level 1.  Extended summation
+makes the signed sum over a slot a prefix-sum difference F(b) - F(a),
+whatever the order of a and b, so each level-i value is the signed sum of
+the level below's prefix table (``_prefix_table``) at 2^(i-1) corners, one
+difference per edge (``_corner_sums``): an inversion needs no case of its
+own, and at a tie the two corners coincide and cancel.  Every value of
+levels 3..n goes into the per-level memo, so later point calls, and every
+pinned or filtered walk handed the counter, read the filled tables; the
+prefix tables are dropped.  Any other point list (sparse, a single point,
+an order below 3), ``__call__``, and the pinned and filtered walks keep the
+memoized step.
+
 The "weak" machinery pins selected edges to the labels of selected vertices
 (one pinned edge per chosen vertex, exclusions keeping the pin unique) and
 is what finite differences of the signed count turn into: applying the
@@ -61,9 +78,9 @@ compute only the missing ones otherwise.
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import accumulate, chain, combinations, product, repeat
 from math import prod
-from operator import getitem
+from operator import add, getitem, sub
 
 from .intervals import bottom_row, row_walk, slot, table_sum
 
@@ -141,6 +158,92 @@ def _range_sum(r):
     return (r.start + r.stop - 1) * len(r) // 2
 
 
+def _spanned_box(points, n):
+    """The box (one range per coordinate) that ``points`` span, when they
+    are n-vectors whose distinct values fill it with at least two points;
+    None otherwise."""
+    distinct = set(points)
+    if len(distinct) < 2 or any(len(k) != n for k in distinct):
+        return None
+    box = [range(min(column), max(column) + 1) for column in zip(*distinct)]
+    if len(distinct) != prod(map(len, box)):
+        return None
+    return box
+
+
+def _boxes_below(edges, box):
+    """The box of level i-1 that the level-i ``box`` reaches: edge e = (t, h)
+    of T_i takes coordinate e over [min(L_t+t, L_h+h) - e,
+    max(H_t+t, H_h+h) - e - 1], with [L_v, H_v] the box's coordinate v."""
+    return [range(min(box[t - 1].start + t, box[h - 1].start + h) - e,
+                  max(box[t - 1].stop + t, box[h - 1].stop + h) - e - 1)
+            for e, t, h in edges]
+
+
+def _prefix_table(values, widths):
+    """The prefix sums of a table given row-major over a box of these
+    widths, row-major over the box padded by one zero entry at the low end
+    of every coordinate: the entry at x sums the values at every y <= x."""
+    if len(widths) == 1:
+        return [0] + list(accumulate(values))
+    inner = prod(widths[1:])
+    total = [0] * prod(w + 1 for w in widths[1:])
+    table = total[:]
+    for j in range(widths[0]):
+        total = list(map(add, total, _prefix_table(
+            values[j * inner:(j + 1) * inner], widths[1:])))
+        table += total
+    return table
+
+
+def _column(box, v, entries):
+    """Per point of ``box``, row-major, the entry of ``entries`` that its
+    coordinate v selects."""
+    widths = list(map(len, box))
+    return (list(chain.from_iterable(repeat(x, prod(widths[v:]))
+                                     for x in entries))
+            * prod(widths[:v - 1]))
+
+
+def _corner_terms(edges, box, below):
+    """Per edge e = (t, h) of the level-i tree, as columns over the level-i
+    ``box``: the offsets of coordinate e's two corners in the padded prefix
+    table of the level-(i-1) box ``below``, l_h + h - e - 1 (plus) and
+    l_t + t - e - 1 (minus)."""
+    widths = [len(r) + 1 for r in below]
+    terms = []
+    for e, t, h in edges:
+        stride = prod(widths[e:])
+        origin = below[e - 1].start + e
+        terms.append(tuple(_column(box, v, [(x + v - origin) * stride
+                                            for x in box[v - 1]])
+                           for v in (h, t)))
+    return terms
+
+
+def _corner_sums(prefix, terms, size):
+    """Per point of a box of ``size`` points, the signed sum of the level
+    below over the point's slot box: the prefix table summed at the 2^(i-1)
+    corners that ``terms`` name, one F(b_e) - F(a_e) per edge.  That
+    difference is the signed sum over slot(a_e + 1, b_e) whatever the order
+    of a_e and b_e, so an inversion needs no case of its own, and at a tie
+    the two corners coincide and cancel."""
+    get = prefix.__getitem__
+    total = [0] * size
+
+    def expand(j, offsets, plus):
+        nonlocal total
+        if j == len(terms):
+            total = list(map(add if plus else sub, total, map(get, offsets)))
+            return
+        high, low = terms[j]
+        expand(j + 1, list(map(add, offsets, high)), plus)
+        expand(j + 1, list(map(add, offsets, low)), not plus)
+
+    expand(0, [0] * size, True)
+    return total
+
+
 def admissible_labelings(tree, k):
     """All admissible labelings of (tree, k), lexicographic in l."""
     k = bottom_row(tree.n, k)
@@ -155,7 +258,9 @@ class SequenceCounter:
     """Signed enumeration of labeling chains over one tree sequence.
 
     Memo tables are shared across evaluation points, which is what makes
-    grid sweeps cheap: the level-i table is keyed by the level-i vector.
+    grid sweeps cheap: the level-i table is keyed by the level-i vector,
+    filled one point at a time by ``__call__`` or one box at a time by
+    ``sweep``.
     Level 2 is one edge, whose signed width needs no table, and a level-3
     entry sums that width over a box in closed form.  ``_setups`` holds, per
     level, the per-values setup of a pinned level (``_pin_options``), which
@@ -210,6 +315,41 @@ class SequenceCounter:
 
     def __call__(self, k):
         return self._signed(k)
+
+    def sweep(self, points):
+        """The signed counts at ``points``, in order.
+
+        When the points fill the box they span, every level is filled over
+        the box the top one reaches (``_fill``); any other list takes the
+        memoized step point by point."""
+        points = [tuple(k) for k in points]
+        box = _spanned_box(points, self._order) if self._order >= 3 else None
+        if box is None:
+            return list(map(self, points))
+        self._fill(box)
+        top = self._memo[self._order]
+        return [self.tree_sign * top[k] for k in points]
+
+    def _fill(self, box):
+        """Fill the memo of every level from 3 up over the box that the
+        level-n ``box`` reaches, bottom-up from the all-ones level 1, each
+        level by prefix corners of the level below."""
+        boxes = [box]
+        for level in range(self._order, 1, -1):
+            boxes.append(_boxes_below(self._edges[level], boxes[-1]))
+        boxes.reverse()          # boxes[i - 1] is the box of level i
+        # level 1 is all ones, so its padded prefix table counts
+        prefix = list(range(len(boxes[0][0]) + 1))
+        for level in range(2, self._order + 1):
+            box, below = boxes[level - 1], boxes[level - 2]
+            values = _corner_sums(prefix,
+                                  _corner_terms(self._edges[level], box,
+                                                below),
+                                  prod(map(len, box)))
+            if level >= 3:
+                self._memo[level].update(zip(product(*box), values))
+            if level < self._order:
+                prefix = _prefix_table(values, list(map(len, box)))
 
     def _signed(self, k):
         """The signed count at k, which every counter class's ``__call__``
@@ -546,6 +686,12 @@ class _LevelWalk(SequenceCounter):
             return self._plain._box(level, ranges)
         return table_sum(self._memo[level], self._raw, level, ranges)
 
+    def sweep(self, points):
+        # the inherited box fill would treat level m as a plain level; the
+        # walk keeps its memoized step, which reads whatever tables a swept
+        # plain counter filled below m
+        return list(map(self, points))
+
 
 class RestrictedCounter(_LevelWalk):
     """Signed enumeration with one level replaced by a pinned variant.
@@ -617,6 +763,11 @@ class FilteredCounter(_LevelWalk):
     def __init__(self, seq, m, distinct_pairs, plain=None):
         super().__init__(seq, m, plain)
         self.pairs = [tuple(p) for p in distinct_pairs]
+        for pair in self.pairs:
+            if (len(pair) != 2 or pair[0] == pair[1]
+                    or not all(1 <= e < m for e in pair)):
+                raise ValueError("pair %r is not two distinct edge names of"
+                                 " a %d-tree" % (pair, m))
 
     def _transition(self, values):
         ranges, odd = _ranges_and_parity(self._edges[self.m], values)

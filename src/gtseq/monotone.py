@@ -22,7 +22,9 @@ Each variant has one row generator, ``_rows_1`` to ``_rows_4``, in the
 protocol of ``intervals``: for a row v it yields every choice of pins and
 marks for the row above, with its decoration, its sign and one slot per
 entry (``intervals.slot`` or a pin), picked from slots built once per
-row.  The object stream (``enumerate_extension``) is ``intervals.row_walk``
+row.  Variants 1 and 4 grow their choices entry by entry and drop a
+choice as soon as one of its slots is empty, so they yield only choices
+that hold objects.  The object stream (``enumerate_extension``) is ``intervals.row_walk``
 over the generator, with the decorations turned into the triangle's marks;
 the memoized count (``alpha`` and ``extension_signed_count``) is
 ``intervals.row_count`` over it, in the variant's memo table.  The relaxed
@@ -161,19 +163,26 @@ def _rows_1(v):
     v_{q-1}; an unstarred entry ranges over [v_{q-1} + 1, v_q], less one at
     the top when entry q+1 is starred."""
     m = len(v)
-    positions = range(1, m)
-    free = [None] + [slot(v[q - 1] + 1, v[q]) for q in positions]
-    tight = [None] + [slot(v[q - 1] + 1, v[q] - 1) for q in positions]
-    pins = [None] + [((v[q - 1],), False) for q in positions]
-    for size in range(m):
-        for pinned in combinations(positions, size):
-            # the entry left of a star is tight unless starred too
-            slots = free[:]
-            for q in pinned:
-                slots[q - 1] = tight[q - 1]
-            for q in pinned:
-                slots[q] = pins[q]
-            yield (m - 1, pinned), 1, slots[1:]
+    # (stars, slots) over the entries q..m-1, grown from the right; the
+    # entry left of a star is tight unless starred too, and a choice whose
+    # slot is empty is dropped at once.  An empty free slot leaves the
+    # tight one, [v_q + 1, v_q - 1], inverted and inhabited.
+    choices = [((), [])]
+    for q in range(m - 1, 0, -1):
+        pin = ((v[q - 1],), False)
+        free = slot(v[q - 1] + 1, v[q])
+        tight = slot(v[q - 1] + 1, v[q] - 1)
+        grown = []
+        for pinned, slots in choices:
+            grown.append(((q,) + pinned, [pin] + slots))
+            own = tight if pinned[:1] == (q + 1,) else free
+            if own is not None:
+                grown.append((pinned, [own] + slots))
+        choices = grown
+    # by number of stars, then lexicographic: the order of combinations
+    choices.sort(key=lambda choice: (len(choice[0]), choice[0]))
+    for pinned, slots in choices:
+        yield (m - 1, pinned), 1, slots
 
 
 def _rows_2(v):
@@ -231,10 +240,17 @@ def _rows_4(v):
     slots = [None] + [[[slot(v[q - 1] + raised, v[q] - lowered)
                         for lowered in (0, 1)] for raised in (0, 1)]
                       for q in range(1, m)]
-    for arrows in product(ARROWS, repeat=m):
-        yield (m, arrows), (-1) ** arrows.count(BOTH), [
-            slots[q][arrows[q - 1] != LEFT][arrows[q] != RIGHT]
-            for q in range(1, m)]
+    # (arrows, slots) grown left to right in product order; an arrow that
+    # empties the slot between it and its left neighbour is dropped at once
+    choices = [((arrow,), []) for arrow in ARROWS]
+    for q in range(1, m):
+        table = slots[q]
+        choices = [(arrows + (arrow,), picked + [own])
+                   for arrows, picked in choices for arrow in ARROWS
+                   if (own := table[arrows[-1] != LEFT][arrow != RIGHT])
+                   is not None]
+    for arrows, picked in choices:
+        yield (m, arrows), (-1) ** arrows.count(BOTH), picked
 
 
 def _rows_of(variant):

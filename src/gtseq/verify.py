@@ -122,11 +122,11 @@ def suite_theorem_main(n_max=4, bound=2, trees=5, seed=7,
                                           "k": list(k),
                                           "lhs": lhs, "rhs": rhs}]
     for n in range(1, n_max + 1):
-        wanted = [(k, product_formula(k)) for k in _cube(bound, n)]
+        grid = list(_cube(bound, n))
+        wanted = list(map(product_formula, grid))
         for s, seq in _seeded_sequences(n, trees, seed):
-            counter = SequenceCounter(seq)
-            for k, rhs in wanted:
-                lhs = counter(k)
+            swept = SequenceCounter(seq).sweep(grid)
+            for k, lhs, rhs in zip(grid, swept, wanted):
                 yield () if lhs == rhs else [{"check": "treeSequence", "n": n,
                                               "seed": s, "k": list(k),
                                               "lhs": lhs, "rhs": rhs}]
@@ -136,14 +136,15 @@ def suite_theorem_main(n_max=4, bound=2, trees=5, seed=7,
 def suite_independence(n_max=4, bound=2, trees=5, seed=7):
     """Every tree sequence yields the same count as the path-tree stack."""
     for n in range(1, n_max + 1):
-        counters = [(s, SequenceCounter(seq))
-                    for s, seq in _seeded_sequences(n, trees, seed)]
-        for k in _cube(bound, n):
+        grid = list(_cube(bound, n))
+        swept = [(s, SequenceCounter(seq).sweep(grid))
+                 for s, seq in _seeded_sequences(n, trees, seed)]
+        for i, k in enumerate(grid):
             reference = signed_pattern_count(k)
             yield [{"n": n, "seed": s, "k": list(k),
                     "lhs": got, "rhs": reference}
-                   for s, counter in counters
-                   if (got := counter(k)) != reference]
+                   for s, values in swept
+                   if (got := values[i]) != reference]
 
 
 @suite("shift-antisym")
@@ -237,6 +238,10 @@ def suite_prop_first(n_max=4, bound=1, trees=2, seed=11):
         seqs = [(0, basic_sequence(n))] + _seeded_sequences(n, trees, seed)
         for s, seq in seqs:
             counter = SequenceCounter(seq)
+            # the corner box [-bound, bound + 1]^n, swept once: the corner
+            # values and the pinned and filtered walks below read the
+            # tables it fills
+            counter.sweep(product(range(-bound, bound + 2), repeat=n))
             corners = {k: _corner_values(counter, k) for k in _cube(bound, n)}
             for size in range(1, n + 1):
                 for R in combinations(range(1, n + 1), size):

@@ -12,7 +12,10 @@ import subprocess
 import sys
 import time
 
+from gtseq.labelings import SequenceCounter
 from gtseq.monotone import check_alpha_property
+from gtseq.operators import product_formula
+from gtseq.trees import random_sequence
 from gtseq import verify
 
 
@@ -27,12 +30,31 @@ def report_line(label, reports):
     return bad
 
 
+def deep_cube_mismatches(n=5, bound=2, trees=5, seed=7):
+    """(seed, k) wherever a seeded order-n sequence's sweep of the cube
+    [-bound, bound]^n disagrees with its point calls or with the product
+    formula."""
+    grid = list(itertools.product(range(-bound, bound + 1), repeat=n))
+    bad = []
+    for s in range(seed, seed + trees):
+        seq = random_sequence(n, s)
+        pointwise = SequenceCounter(seq)
+        swept = SequenceCounter(seq).sweep(grid)
+        bad += [(s, k) for k, value in zip(grid, swept)
+                if not value == pointwise(k) == product_formula(k)]
+    print("%s: n=5 cube swept, point by point and by the product formula"
+          " (%d points, %d mismatches)" % ("FAIL" if bad else "PASS",
+                                           trees * len(grid), len(bad)))
+    return bad
+
+
 def test_tree_sequence_counts_match_product():
     started = time.time()
     rep = verify.suite_theorem_main(det_n_max=0)
     bad = report_line("tree sequence signed counts equal the product"
                       " formula", [rep])
     assert bad == []
+    assert deep_cube_mismatches() == []
     assert time.time() - started < 300
 
 

@@ -115,8 +115,9 @@ def test_sequence_streams_frozen(n, seed, k, digest):
     lambda: admissible_labelings(basic_tree(3), (0, 1)),
     lambda: admissible_labelings(basic_tree(3), (0, 1, 2, 3)),
     lambda: signed_count(basic_sequence(3), (0, 1)),
+    lambda: SequenceCounter(basic_sequence(3)).sweep([(0, 1), (1, 1)]),
 ), ids=("chainsShort", "chainsLong", "labelingsShort", "labelingsLong",
-        "count"))
+        "count", "sweep"))
 def test_wrong_length_k_rejected(call):
     with pytest.raises(ValueError, match="k must have length"):
         call()
@@ -180,6 +181,20 @@ def test_distinct_label_filter_is_free():
     seq = random_sequence(3, 4)
     for k in product(range(-1, 2), repeat=3):
         assert signed_count_filtered(seq, k, 3, [(1, 2)]) == signed_count(seq, k)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 1), (2, 9), (1, 2, 3)])
+def test_filter_rejects_what_is_not_two_distinct_edges(pair):
+    # (0, 1) used to read l[-1], (1, 1) to filter every chain out and
+    # (2, 9) to raise a bare IndexError
+    seq, k = basic_sequence(4), (0, 2, 4, 6)
+    with pytest.raises(ValueError, match=r"pair \(%s\)" % ", ".join(
+            map(str, pair))):
+        signed_count_filtered(seq, k, 4, [pair])
+    with pytest.raises(ValueError, match="pair"):
+        FilteredCounter(seq, 4, [(1, 3), pair])
+    assert signed_count_filtered(seq, k, 4, [(1, 3)]) == 729 == \
+        signed_count(seq, k)
 
 
 def test_restricted_counter_rejects_bad_level():
@@ -420,3 +435,127 @@ def test_gates_catch_a_flipped_pin_weight(monkeypatch):
         for suite in suites:
             report = suite(n_max=3, trees=1)
             assert report["violations"], (mutate.__name__, report["suite"])
+
+
+# --- whole-box sweeps ----------------------------------------------------
+
+
+def _sweep_sequences(n):
+    return [basic_sequence(n)] + [random_sequence(n, seed)
+                                  for seed in (3, 17, 40)]
+
+
+def _boxes(n, rng):
+    """Cubes with negative entries, the corner box of prop-first, a wide
+    box off the origin, and random boxes down to single-value coordinates
+    (which make ties, and levels below with no point at all)."""
+    yield [range(-2, 3)] * n if n < 5 else [range(-1, 2)] * n
+    yield [range(-1, 3)] * n if n < 5 else [range(-1, 2)] * (n - 1) + [
+        range(-1, 3)]
+    yield [range(3 * v - 9, 3 * v - 9 + (4 if n < 4 else 2))
+           for v in range(1, n + 1)]
+    for _ in range(4):
+        yield [range(lo, lo + rng.randint(1, 3))
+               for lo in (rng.randint(-6, 6) for _ in range(n))]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sweep_matches_point_calls(n):
+    rng = random.Random(n)
+    for seq in _sweep_sequences(n):
+        for box in _boxes(n, rng):
+            grid = list(product(*box))
+            swept = SequenceCounter(seq)
+            pointwise = SequenceCounter(seq)
+            want = [pointwise(k) for k in grid]
+            assert swept.sweep(grid) == want, (seq, box)
+            # every entry the memoized step reached is in the swept tables
+            for level in range(3, n + 1):
+                table = swept._memo[level]
+                assert all(table[key] == value for key, value
+                           in pointwise._memo[level].items()), (seq, box)
+            assert [swept(k) for k in grid] == want
+
+
+def test_sweep_matches_the_product_formula_with_ties_and_inversions():
+    # an inversion at every edge of basic_sequence(4) (k decreasing), ties
+    # (k_1 + 1 = k_2 + 2), and both at once over one box
+    grid = list(product(range(-3, 2), repeat=4))
+    for seq in _sweep_sequences(4):
+        assert SequenceCounter(seq).sweep(grid) == [product_formula(k)
+                                                    for k in grid]
+
+
+def test_sweep_keeps_the_memoized_step_off_the_box(monkeypatch):
+    seq = random_sequence(4, 11)
+    cube = list(product(range(-1, 2), repeat=4))
+    want = dict(zip(cube, (SequenceCounter(seq)(k) for k in cube)))
+    shuffled = cube[:]
+    random.Random(0).shuffle(shuffled)
+    # an unordered list, or one with repeats, still fills its box
+    for points in (shuffled, cube + cube[:7]):
+        assert SequenceCounter(seq).sweep(points) == [want[k]
+                                                      for k in points]
+
+    def refuse(self, box):
+        raise AssertionError("swept a list that does not fill its box")
+
+    monkeypatch.setattr(SequenceCounter, "_fill", refuse)
+    sparse = cube[:40] + cube[41:]
+    for points in (sparse, cube[::2], [cube[5]], [cube[5]] * 3, []):
+        assert SequenceCounter(seq).sweep(points) == [want[k]
+                                                      for k in points]
+    # below order 3 every point takes the closed forms
+    for n in (1, 2):
+        small = list(product(range(-2, 3), repeat=n))
+        counter = SequenceCounter(random_sequence(n, 5))
+        assert counter.sweep(small) == [product_formula(k) for k in small]
+
+
+def test_walks_sharing_a_swept_counter_match_fresh_ones():
+    n, bound = 4, 1
+    for seq in _sweep_sequences(n)[:3]:
+        grid = list(product(range(-bound, bound + 1), repeat=n))
+        swept = SequenceCounter(seq)
+        swept.sweep(list(product(range(-bound, bound + 2), repeat=n)))
+
+        def walks(plain):
+            return [RestrictedCounter(seq, n, (1, 3), plain=plain),
+                    RestrictedCounter(seq, 3, (2,), plain=plain),
+                    RestrictedCounter(seq, n, (1, 2), mode="edge",
+                                      plain=plain),
+                    FilteredCounter(seq, n, [(1, 3)], plain=plain),
+                    FilteredCounter(seq, 3, [(1, 2)], plain=plain)]
+
+        for fresh, shared in zip(walks(None), walks(swept)):
+            assert shared.sweep(grid) == [fresh(k) for k in grid]
+
+
+def _level_three_flipped(real):
+    """Corner terms with the corners of edge 1 swapped at level 3 only,
+    which negates every level-3 value and so every count above it."""
+    def terms(edges, box, below):
+        out = real(edges, box, below)
+        if len(edges) == 2:
+            out[0] = out[0][::-1]
+        return out
+    return terms
+
+
+def _every_edge_tied(real):
+    """Corner terms whose two corners coincide, as at a tie."""
+    def terms(edges, box, below):
+        return [(high, high) for high, _ in real(edges, box, below)]
+    return terms
+
+
+@pytest.mark.parametrize("mutate", [_level_three_flipped, _every_edge_tied])
+def test_gates_catch_a_broken_sweep(monkeypatch, mutate):
+    # theorem-main and independence read the tree counts from the sweep;
+    # their references (product formula, pattern count) stay untouched
+    monkeypatch.setattr(labelings, "_corner_terms",
+                        mutate(labelings._corner_terms))
+    for report in (verify.suite_theorem_main(n_max=3, bound=1, trees=1,
+                                             det_n_max=1),
+                   verify.suite_independence(n_max=3, bound=1, trees=1)):
+        assert report["violations"], (mutate.__name__, report["suite"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import pytest
 
 from gtseq import monotone
-from gtseq.intervals import interval
+from gtseq.intervals import interval, row_count
 from gtseq.monotone import (
     PAIR_PRODUCTS,
     alpha,
@@ -99,6 +99,30 @@ def test_alpha_matches_per_member_reference(k):
     monotone._alpha_memo.pop(k, None)
     assert alpha(n, k) == want
     assert monotone._ext_memos[1] is monotone._alpha_memo
+
+
+def test_pruned_row_generators_yield_only_inhabited_choices():
+    # variants 1 and 4 drop a choice as soon as one of its slots is empty
+    for rows in (monotone._rows_1, monotone._rows_4):
+        for m in (1, 2, 3, 4):
+            for v in product(range(-2, 3), repeat=m):
+                assert all(None not in slots for _, _, slots in rows(v)), v
+    # above (0, 0, 5) entry 1's free slot [1, 0] is empty, but a star on
+    # entry 2 leaves it the tight slot [1, -1], the inverted {0}
+    assert list(monotone._rows_1((0, 0, 5))) == [
+        ((2, (1,)), 1, [((0,), False), (range(1, 6), False)]),
+        ((2, (2,)), 1, [(range(0, 1), True), ((0,), False)]),
+        ((2, (1, 2)), 1, [((0,), False), ((0,), False)])]
+    # a cold staircase count at n = 8 builds 1,588 choices, not 3,272
+    built = []
+
+    def counted(v):
+        for choice in monotone._rows_1(v):
+            built.append(choice)
+            yield choice
+
+    assert row_count(counted, {}, 8, tuple(range(1, 9))) == 10850216
+    assert len(built) == 1588
 
 
 def test_alpha_staircase_values():
