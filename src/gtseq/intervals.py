@@ -27,12 +27,29 @@ the objects from such a generator, and ``row_count`` sums the memoized
 count of each box through ``table_sum``, so a check of the stream
 against the count tests the walk, not the rows; ``interval`` stays the
 reference the rows are held to.
+
+The level fill is the same recursion taken a box at a time, shared by the
+tree-sequence counts (``labelings.SequenceCounter.sweep``) and alpha
+(``monotone.alpha_function``).  Extended summation makes the signed sum
+over a slot a prefix-sum difference F(b) - F(a) whatever the order of a
+and b, so a level's values are signed sums of the padded prefix table of
+the level below (``prefix_table``) at a fixed set of corners, its stencil.
+A family gives two things: how a box propagates down one level, which
+``propagated_boxes`` follows from the top box to level 1 (giving up past
+``FILL_BUDGET`` cells), and each level's stencil as per-coordinate offset
+columns (``corner_column``) and signed terms that pick one column per
+coordinate.  ``fill_levels`` then fills the levels bottom-up from the
+all-ones level 1, and ``corner_sums`` evaluates a stencil over a whole box
+with the partial offsets shared by terms that agree on their leading
+columns.  A fill computes every cell of every propagated box, so a family
+fills only when the points it wants make up enough of the box.
 """
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import accumulate, chain, product, repeat
 from math import prod
+from operator import add, sub
 
 
 @dataclass(frozen=True)
@@ -155,6 +172,107 @@ def row_walk(rows, k):
                               sign_up)
 
     return up([k], (), (), 1)
+
+
+# --- level fills -----------------------------------------------------------
+
+# The most cells, summed over the propagated boxes of every level, that one
+# fill may build; a wider reach keeps the memoized step.
+FILL_BUDGET = 250_000
+
+
+def propagated_boxes(box, top, below):
+    """The boxes of levels 1..top (boxes[i - 1] is level i's) that the
+    level-``top`` ``box`` reaches, where ``below(level, box)`` is the box of
+    level - 1 that a level box reaches; None once their cells exceed
+    ``FILL_BUDGET``."""
+    boxes = [box]
+    for level in range(top, 1, -1):
+        boxes.append(below(level, boxes[-1]))
+    if sum(prod(map(len, b)) for b in boxes) > FILL_BUDGET:
+        return None
+    boxes.reverse()
+    return boxes
+
+
+def fill_levels(boxes, stencil):
+    """Fill levels 2..len(boxes) over ``boxes`` bottom-up from the all-ones
+    level 1, yielding (level, box, values) with the values row-major over
+    the box.  ``stencil(level, box, below)`` gives the level's (columns,
+    terms) for ``corner_sums``; each level is read through the padded
+    prefix table of the one below."""
+    # level 1 is all ones, so its padded prefix table counts
+    prefix = list(range(len(boxes[0][0]) + 1))
+    for level in range(2, len(boxes) + 1):
+        box, below = boxes[level - 1], boxes[level - 2]
+        columns, terms = stencil(level, box, below)
+        values = corner_sums(prefix, columns, terms, prod(map(len, box)))
+        yield level, box, values
+        if level < len(boxes):
+            prefix = prefix_table(values, list(map(len, box)))
+
+
+def prefix_table(values, widths):
+    """The prefix sums of a table given row-major over a box of these
+    widths, row-major over the box padded by one zero entry at the low end
+    of every coordinate: the entry at x sums the values at every y <= x."""
+    if len(widths) == 1:
+        return [0] + list(accumulate(values))
+    inner = prod(widths[1:])
+    total = [0] * prod(w + 1 for w in widths[1:])
+    table = total[:]
+    for j in range(widths[0]):
+        total = list(map(add, total, prefix_table(
+            values[j * inner:(j + 1) * inner], widths[1:])))
+        table += total
+    return table
+
+
+def corner_column(box, below, c, v, shift):
+    """Per point x of ``box``, row-major, the part of its corner's offset in
+    the padded prefix table of the box ``below`` that coordinate c (from 1)
+    adds, when that coordinate reads x_v + shift."""
+    widths = [len(r) + 1 for r in below]
+    stride = prod(widths[c:])
+    origin = below[c - 1].start - 1
+    entries = [(x + shift - origin) * stride for x in box[v - 1]]
+    sizes = list(map(len, box))
+    return (list(chain.from_iterable(repeat(x, prod(sizes[v:]))
+                                     for x in entries))
+            * prod(sizes[:v - 1]))
+
+
+def corner_sums(prefix, columns, terms, size):
+    """Per point of a box of ``size`` points, the prefix table summed at the
+    corners that ``terms`` name, each (sign, choices) with sign 1 or -1 and
+    distinct choices reading ``columns[c][choices[c]]`` in every coordinate
+    c.  Terms sharing their leading choices share the partial offsets of
+    those coordinates.  With one F(b) - F(a) per coordinate this is the
+    signed sum over the slot box, whatever the order of a and b: an
+    inversion needs no case of its own, and at a tie the two corners
+    coincide and cancel."""
+    trie = {}
+    for sign, choices in terms:
+        node = trie
+        for j in choices[:-1]:
+            node = node.setdefault(j, {})
+        node[choices[-1]] = add if sign > 0 else sub
+    get = prefix.__getitem__
+    last = len(columns) - 1
+    total = [0] * size
+
+    def walk(c, offsets, node):
+        nonlocal total
+        for j, child in node.items():
+            column = columns[c][j]
+            moved = column if offsets is None else map(add, offsets, column)
+            if c < last:
+                walk(c + 1, list(moved), child)
+            else:
+                total = list(map(child, total, map(get, moved)))
+
+    walk(0, None, trie)
+    return total
 
 
 def _symmetric_difference(a, b):

@@ -22,16 +22,17 @@ once.  When the points fill the box they span, that box is propagated down
 the sequence: edge e = (t, h) of T_i takes coordinate e of level i-1 over
 [min(L_t+t, L_h+h) - e, max(H_t+t, H_h+h) - e - 1], with [L_v, H_v] the
 level-i box in coordinate v (``_boxes_below``).  The levels are then filled
-bottom-up over those boxes, from the all-ones level 1.  Extended summation
-makes the signed sum over a slot a prefix-sum difference F(b) - F(a),
-whatever the order of a and b, so each level-i value is the signed sum of
-the level below's prefix table (``_prefix_table``) at 2^(i-1) corners, one
-difference per edge (``_corner_sums``): an inversion needs no case of its
-own, and at a tie the two corners coincide and cancel.  Every value of
-levels 3..n goes into the per-level memo, so later point calls, and every
-pinned or filtered walk handed the counter, read the filled tables; the
-prefix tables are dropped.  Any other point list (sparse, a single point,
-an order below 3), ``__call__``, and the pinned and filtered walks keep the
+bottom-up over those boxes by the level-fill kernel that alpha shares
+(``intervals.fill_levels``).  Extended summation makes the signed sum over
+a slot a prefix-sum difference F(b) - F(a), whatever the order of a and b,
+so each level-i value is the signed sum of the level below's prefix table
+at 2^(i-1) corners, one difference per edge (``_corner_terms``): an
+inversion needs no case of its own, and at a tie the two corners coincide
+and cancel.  Every value of levels 3..n goes into the per-level memo, so
+later point calls, and every pinned or filtered walk handed the counter,
+read the filled tables; the prefix tables are dropped.  Any other point
+list (sparse, a single point, an order below 3), a reach over the kernel's
+cell budget, ``__call__``, and the pinned and filtered walks keep the
 memoized step.
 
 The "weak" machinery pins selected edges to the labels of selected vertices
@@ -77,12 +78,13 @@ compute only the missing ones otherwise.
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, chain, combinations, product, repeat
+from functools import lru_cache, partial
+from itertools import combinations, product
 from math import prod
-from operator import add, getitem, sub
+from operator import getitem
 
-from .intervals import bottom_row, row_walk, slot, table_sum
+from .intervals import (bottom_row, corner_column, fill_levels,
+                        propagated_boxes, row_walk, slot, table_sum)
 
 
 @dataclass(frozen=True)
@@ -180,68 +182,21 @@ def _boxes_below(edges, box):
             for e, t, h in edges]
 
 
-def _prefix_table(values, widths):
-    """The prefix sums of a table given row-major over a box of these
-    widths, row-major over the box padded by one zero entry at the low end
-    of every coordinate: the entry at x sums the values at every y <= x."""
-    if len(widths) == 1:
-        return [0] + list(accumulate(values))
-    inner = prod(widths[1:])
-    total = [0] * prod(w + 1 for w in widths[1:])
-    table = total[:]
-    for j in range(widths[0]):
-        total = list(map(add, total, _prefix_table(
-            values[j * inner:(j + 1) * inner], widths[1:])))
-        table += total
-    return table
-
-
-def _column(box, v, entries):
-    """Per point of ``box``, row-major, the entry of ``entries`` that its
-    coordinate v selects."""
-    widths = list(map(len, box))
-    return (list(chain.from_iterable(repeat(x, prod(widths[v:]))
-                                     for x in entries))
-            * prod(widths[:v - 1]))
-
-
 def _corner_terms(edges, box, below):
     """Per edge e = (t, h) of the level-i tree, as columns over the level-i
     ``box``: the offsets of coordinate e's two corners in the padded prefix
     table of the level-(i-1) box ``below``, l_h + h - e - 1 (plus) and
     l_t + t - e - 1 (minus)."""
-    widths = [len(r) + 1 for r in below]
-    terms = []
-    for e, t, h in edges:
-        stride = prod(widths[e:])
-        origin = below[e - 1].start + e
-        terms.append(tuple(_column(box, v, [(x + v - origin) * stride
-                                            for x in box[v - 1]])
-                           for v in (h, t)))
-    return terms
+    return [tuple(corner_column(box, below, e, v, v - e - 1) for v in (h, t))
+            for e, t, h in edges]
 
 
-def _corner_sums(prefix, terms, size):
-    """Per point of a box of ``size`` points, the signed sum of the level
-    below over the point's slot box: the prefix table summed at the 2^(i-1)
-    corners that ``terms`` name, one F(b_e) - F(a_e) per edge.  That
-    difference is the signed sum over slot(a_e + 1, b_e) whatever the order
-    of a_e and b_e, so an inversion needs no case of its own, and at a tie
-    the two corners coincide and cancel."""
-    get = prefix.__getitem__
-    total = [0] * size
-
-    def expand(j, offsets, plus):
-        nonlocal total
-        if j == len(terms):
-            total = list(map(add if plus else sub, total, map(get, offsets)))
-            return
-        high, low = terms[j]
-        expand(j + 1, list(map(add, offsets, high)), plus)
-        expand(j + 1, list(map(add, offsets, low)), not plus)
-
-    expand(0, [0] * size, True)
-    return total
+@lru_cache(maxsize=None)
+def _edge_terms(edges):
+    """The terms of a product of one F(b_e) - F(a_e) per edge: a sign and,
+    per edge, the plus (0) or minus (1) corner."""
+    return tuple(((-1) ** sum(choices), choices)
+                 for choices in product((0, 1), repeat=edges))
 
 
 def admissible_labelings(tree, k):
@@ -320,36 +275,33 @@ class SequenceCounter:
         """The signed counts at ``points``, in order.
 
         When the points fill the box they span, every level is filled over
-        the box the top one reaches (``_fill``); any other list takes the
-        memoized step point by point."""
+        the box the top one reaches (``_fill``); any other list, and a reach
+        over the fill budget, takes the memoized step point by point."""
         points = [tuple(k) for k in points]
         box = _spanned_box(points, self._order) if self._order >= 3 else None
-        if box is None:
+        if box is None or not self._fill(box):
             return list(map(self, points))
-        self._fill(box)
         top = self._memo[self._order]
         return [self.tree_sign * top[k] for k in points]
 
     def _fill(self, box):
         """Fill the memo of every level from 3 up over the box that the
-        level-n ``box`` reaches, bottom-up from the all-ones level 1, each
-        level by prefix corners of the level below."""
-        boxes = [box]
-        for level in range(self._order, 1, -1):
-            boxes.append(_boxes_below(self._edges[level], boxes[-1]))
-        boxes.reverse()          # boxes[i - 1] is the box of level i
-        # level 1 is all ones, so its padded prefix table counts
-        prefix = list(range(len(boxes[0][0]) + 1))
-        for level in range(2, self._order + 1):
-            box, below = boxes[level - 1], boxes[level - 2]
-            values = _corner_sums(prefix,
-                                  _corner_terms(self._edges[level], box,
-                                                below),
-                                  prod(map(len, box)))
+        level-n ``box`` reaches (``intervals.fill_levels``), one
+        F(b_e) - F(a_e) per edge; False, filling nothing, when that reach
+        is over the fill budget."""
+        boxes = propagated_boxes(
+            box, self._order,
+            lambda level, box: _boxes_below(self._edges[level], box))
+        if boxes is None:
+            return False
+        for level, box, values in fill_levels(boxes, self._stencil):
             if level >= 3:
                 self._memo[level].update(zip(product(*box), values))
-            if level < self._order:
-                prefix = _prefix_table(values, list(map(len, box)))
+        return True
+
+    def _stencil(self, level, box, below):
+        edges = self._edges[level]
+        return _corner_terms(edges, box, below), _edge_terms(len(edges))
 
     def _signed(self, k):
         """The signed count at k, which every counter class's ``__call__``

@@ -11,6 +11,23 @@ generalized interval
 
 with the interval sign standing in for the extended summation convention.
 
+``alpha`` takes that recursion one point at a time, memoized in
+``_alpha_memo``.  ``alpha_function(n)``, the lattice function the operator
+routes and properties apply operators to, can also fill that memo a box at
+a time through the level-fill kernel of ``intervals``.  Each star choice
+is a product of one F(hi) - F(lo) per entry of the row above, F the prefix
+table of the rows one shorter: a pinned entry q reads (v_q, v_q - 1), a
+free one (v_{q+1}, v_q), a tight one (v_{q+1} - 1, v_q).  Summed over the
+star choices, equal corners cancel, leaving a stencil of 2, 6, 16, 44 and
+120 terms for rows of length 2..6 (``_alpha_stencil``), and entry q of
+the rows one shorter spans [min(L_q, L_{q+1}), max(H_q, H_{q+1})] of a box
+[L, H] of rows.  The sweep fills over the bounding box of the points not
+yet in the memo when there are at least FILL_MIN_POINTS of them, they make
+up at least half of that box, n <= FILL_MAX_N and the boxes below stay
+within the kernel's cell budget; otherwise, and for ``alpha`` itself (and
+so ``count alpha``), the memoized step runs.  The stencil grows about 2.7
+times per row length, which is why the fill stops at n = FILL_MAX_N.
+
 Four object-level extensions realize the same polynomial as signed
 enumerations.  Variant 1 uses the left pins above, so its count is alpha.
 Variant 2 allows left and right pins with an exclusion rule.  Variant 3
@@ -45,9 +62,11 @@ at fixed short points, and are cross-checked against direct enumeration.
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
+from math import prod
 from operator import add, getitem
 
-from .intervals import bottom_row, row_count, row_walk, slot
+from .intervals import (bottom_row, corner_column, fill_levels,
+                        propagated_boxes, row_count, row_walk, slot)
 from .operators import (apply_at, apply_operator, delta,
                         elementary_symmetric, identity, lattice_function,
                         shift, small_delta, v_operator)
@@ -59,6 +78,16 @@ ARROWS = (LEFT, RIGHT, BOTH)
 
 _alpha_memo = {}
 
+# The largest n whose alpha is filled over a box: the stencil grows about
+# 2.7 times per level, and on a dense box of 2^n points the fill's lead over
+# the memoized step fell from 5x at n = 5 to 1.4x at n = 7, and turned into
+# a loss at n = 8.
+FILL_MAX_N = 6
+# The fewest new points a fill is built for; below it the fill's fixed cost
+# per level outweighs the memoized step (the refined routes add one or a
+# few points per call).
+FILL_MIN_POINTS = 16
+
 
 def alpha(n, k):
     """Polynomial extension of the monotone triangle count, exact on Z^n."""
@@ -66,7 +95,92 @@ def alpha(n, k):
 
 
 def alpha_function(n):
-    return lattice_function(n, lambda k: alpha(n, k))
+    """alpha(n, .) as a lattice function whose sweep fills ``_alpha_memo``
+    over the box a list of points reaches (``_alpha_sweep``)."""
+    return lattice_function(n, lambda k: alpha(n, k),
+                            sweep=partial(_alpha_sweep, n))
+
+
+def _alpha_sweep(n, points):
+    """alpha(n, k) at each of ``points``, in order, after filling
+    ``_alpha_memo`` over the bounding box of the points not yet in it when
+    ``_alpha_boxes`` finds that worth it."""
+    boxes = _alpha_boxes(n, [k for k in points if k not in _alpha_memo])
+    if boxes is not None:
+        _fill_alpha(boxes)
+    return [alpha(n, k) for k in points]
+
+
+def _alpha_boxes(n, points):
+    """The boxes of rows of length 1..n that filling the bounding box of
+    ``points`` reaches, or None when the memoized step is the better route:
+    n outside 2..FILL_MAX_N, fewer than FILL_MIN_POINTS points, points
+    filling less than half their box, or a reach over
+    ``intervals.FILL_BUDGET``."""
+    distinct = set(points)
+    if len(distinct) < FILL_MIN_POINTS or not 2 <= n <= FILL_MAX_N:
+        return None
+    box = [range(min(column), max(column) + 1) for column in zip(*distinct)]
+    if 2 * len(distinct) < prod(map(len, box)):
+        return None
+    return propagated_boxes(box, n, _alpha_below)
+
+
+def _alpha_below(m, box):
+    """The box of rows of length m - 1 that the stencil of rows in ``box``
+    reads: entry q spans [min(L_q, L_{q+1}), max(H_q, H_{q+1})]."""
+    return [range(min(a.start, b.start), max(a.stop, b.stop))
+            for a, b in zip(box, box[1:])]
+
+
+def _fill_alpha(boxes):
+    """Store alpha over every box of ``boxes`` from rows of length 2 up."""
+    for _, box, values in fill_levels(boxes, _alpha_level):
+        _alpha_memo.update(zip(product(*box), values))
+
+
+@lru_cache(maxsize=None)
+def _alpha_stencil(m):
+    """alpha at a row v of length m as signed corners of the prefix table F
+    of the rows of length m - 1, as (coefficient, corner) pairs.
+
+    Each star choice of ``_rows_1`` sums over a box whose entry q reads
+    F(hi) - F(lo): a starred (pinned) entry (v_q, v_q - 1), an entry left of
+    a star (tight) (v_{q+1} - 1, v_q), any other (free) (v_{q+1}, v_q), with
+    v indexed from 1.  Expanding the products of all 2^(m-1) star choices
+    and cancelling equal corners leaves 2, 6, 16, 44 and 120 terms for
+    m = 2..6.  A corner gives, per entry q, the pair (coordinate of v,
+    shift) that it reads.
+    """
+    terms = {}
+    for stars in product((False, True), repeat=m - 1):
+        factors = []
+        for q in range(1, m):
+            if stars[q - 1]:
+                factors.append(((q, 0), (q, -1)))
+            elif q < m - 1 and stars[q]:
+                factors.append(((q + 1, -1), (q, 0)))
+            else:
+                factors.append(((q + 1, 0), (q, 0)))
+        for lows in product((0, 1), repeat=m - 1):
+            corner = tuple(map(getitem, factors, lows))
+            terms[corner] = terms.get(corner, 0) + (-1) ** sum(lows)
+    return tuple((coeff, corner) for corner, coeff in sorted(terms.items())
+                 if coeff)
+
+
+def _alpha_level(m, box, below):
+    """The columns and terms of ``_alpha_stencil(m)`` over ``box`` for
+    ``intervals.corner_sums``, one column per distinct corner of an
+    entry."""
+    stencil = _alpha_stencil(m)
+    corners = [sorted({corner[q] for _, corner in stencil})
+               for q in range(m - 1)]
+    columns = [[corner_column(box, below, q, v, shift) for v, shift in reads]
+               for q, reads in enumerate(corners, 1)]
+    terms = [(coeff, tuple(map(list.index, corners, corner)))
+             for coeff, corner in stencil]
+    return columns, terms
 
 
 def enumerate_monotone_triangles(k):

@@ -25,16 +25,20 @@ An expression is built once and then evaluated at any number of points.
 Construction normalizes the terms and freezes them: ``terms`` is a read-only
 shift -> coefficient map and ``stencil`` the same pairs as a tuple.
 ``apply_at`` evaluates one operator at a list of points: it numbers points
-and shifts as integers in the box they span, calls f once per distinct
-point reached, and sums each stencil term over all points as integer
-additions and table lookups, with no operator arithmetic and no
-per-point Python loop.  ``apply_operator`` is its one-point case.  Callers
-that sweep a grid build each operator once per arity and apply it to the
-whole grid.
+and shifts as integers in the box they span, asks f for the value at each
+distinct point reached, and sums each stencil term over all points as
+integer additions and table lookups, with no operator arithmetic and no
+per-point Python loop.  When f has a ``sweep`` method, every reached point
+goes to it in one list; otherwise f is called once per reached point.
+``apply_operator`` is its one-point case.  Callers that sweep a grid build
+each operator once per arity and apply it to the whole grid.
 
 ``LatticeFunction`` wraps an integer-valued function on Z^arity with a memo
 table, so the operators applied to one function over one grid compute each
-point once between them.
+point once between them.  Given a sweep function as well, its ``sweep``
+hands that function the points it has not memoized in one list, so a
+function computed a box at a time (alpha, ``monotone.alpha_function``)
+sees the whole reach of an operator at once.
 """
 
 import re
@@ -307,6 +311,9 @@ def v_inverse(arity, x, y, truncation=None):
     """
     if truncation is None:
         truncation = arity
+    if truncation < 0:
+        raise ValueError("Vinv truncation must be at least 0, got trunc=%d"
+                         % truncation)
     total = zero(arity)
     dx = small_delta(arity, x)
     dy = delta(arity, y)
@@ -320,12 +327,17 @@ def v_inverse(arity, x, y, truncation=None):
 
 
 class LatticeFunction:
-    """Memoizing wrapper around an integer-valued function on Z^arity."""
+    """Memoizing wrapper around an integer-valued function on Z^arity.
 
-    def __init__(self, arity, func):
+    ``sweep``, when given, computes the function at a list of points at
+    once; ``LatticeFunction.sweep`` hands it the points not yet memoized.
+    """
+
+    def __init__(self, arity, func, sweep=None):
         self.arity = arity
         self.func = func
         self.memo = {}
+        self._sweep = sweep
 
     def __call__(self, point):
         point = tuple(point)
@@ -337,14 +349,31 @@ class LatticeFunction:
             value = self.memo[point] = self.func(point)
         return value
 
+    def sweep(self, points):
+        """The values at ``points``, in order; the distinct ones not yet
+        memoized go to the sweep function in one list, when there is one."""
+        points = [tuple(p) for p in points]
+        if self._sweep is None:
+            return list(map(self, points))
+        for p in points:
+            if len(p) != self.arity:
+                raise ValueError("point %r does not match arity %d"
+                                 % (p, self.arity))
+        memo = self.memo
+        missing = [p for p in dict.fromkeys(points) if p not in memo]
+        if missing:
+            memo.update(zip(missing, self._sweep(missing)))
+        return list(map(memo.__getitem__, points))
 
-def lattice_function(arity, func):
-    return LatticeFunction(arity, func)
+
+def lattice_function(arity, func, sweep=None):
+    return LatticeFunction(arity, func, sweep)
 
 
 def apply_at(op, f, points):
-    """[(op f)(p) for p in points], evaluated exactly, f called once per
-    distinct point the stencil reaches.
+    """[(op f)(p) for p in points], evaluated exactly.  The distinct points
+    the stencil reaches go to ``f.sweep`` in one list when f has one, and
+    to f one at a time otherwise.
 
     Every point and every shift is numbered as one integer in the box they
     span (mixed radix, last coordinate fastest), so the code of p + s is
@@ -379,7 +408,9 @@ def apply_at(op, f, points):
     columns = [[code // stride % width + lo for code in codes]
                for lo, width, stride in zip(lows, widths, strides)]
     reached = zip(*columns) if arity else repeat((), len(codes))
-    values = dict(zip(codes, map(f, reached)))
+    sweep = getattr(f, "sweep", None)
+    values = dict(zip(codes, map(f, reached) if sweep is None
+                      else sweep(list(reached))))
     totals = [0] * len(points)
     for o, (_, coeff) in zip(offsets, op.stencil):
         totals = list(map(add, totals, map(mul, repeat(coeff), map(
@@ -411,7 +442,7 @@ _TOKEN = re.compile(r"""
     \s*(?:
         (?P<id>id)
       | (?P<op>[EDd])(?:\^(?P<pow>-?\d+))?\s*k(?P<var>\d+)
-      | (?P<vinv>Vinv)\(\s*k(?P<vx>\d+)\s*,\s*k(?P<vy>\d+)\s*(?:;\s*trunc=(?P<trunc>\d+)\s*)?\)
+      | (?P<vinv>Vinv)\(\s*k(?P<vx>\d+)\s*,\s*k(?P<vy>\d+)\s*(?:;\s*trunc=(?P<trunc>-?\d+)\s*)?\)
       | (?P<v>V)\(\s*k(?P<wx>\d+)\s*,\s*k(?P<wy>\d+)\s*\)
       | (?P<e>e)\(\s*(?P<er>\d+)\s*;
       | (?P<close>\))

@@ -154,12 +154,12 @@ def suite_shift_antisym(n_max=4, bound=2):
                  ("patterns", signed_pattern_count))
     for n in range(2, n_max + 1):
         for k in _cube(bound, n):
+            at_k = [(name, f, f(k)) for name, f in functions]
             for i, j in combinations(range(1, n + 1), 2):
                 kp = swap_shift(k, i, j)
                 yield [{"function": name, "n": n, "k": list(k), "i": i, "j": j,
                         "lhs": a, "rhs": -b}
-                       for name, f in functions
-                       if (a := f(k)) + (b := f(kp)) != 0]
+                       for name, f, a in at_k if a + (b := f(kp)) != 0]
 
 
 def _annihilated(n, bound, ops):

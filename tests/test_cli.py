@@ -201,6 +201,15 @@ def test_negative_counts_rejected(capsys, argv, message):
     assert message in err and "must be at least" in err
 
 
+def test_negative_vinv_truncation_names_the_truncation(capsys):
+    code, out, err = run(capsys, "apply", "--operator",
+                         "Vinv(k1,k2;trunc=-1)", "--at", "0,1")
+    assert code == 2
+    assert out == ""
+    assert "truncation" in err and "trunc=-1" in err
+    assert "empty operator expression" not in err
+
+
 def test_emit_limit_zero_is_empty(capsys):
     code, out, _ = run(capsys, "emit", "pattern", "--k", "0,2", "--limit",
                        "0")

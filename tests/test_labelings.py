@@ -512,6 +512,17 @@ def test_sweep_keeps_the_memoized_step_off_the_box(monkeypatch):
         assert counter.sweep(small) == [product_formula(k) for k in small]
 
 
+def test_sweep_refuses_a_reach_over_the_budget():
+    # two points 1000 apart per entry fill their box, but the boxes below
+    # hold about 10^9 cells; only the decision is run, not the count
+    seq = random_sequence(4, 11)
+    counter = SequenceCounter(seq)
+    assert not counter._fill([range(0, 2), range(1000, 1001),
+                              range(2000, 2001), range(3000, 3001)])
+    assert not any(counter._memo[1:])
+    assert counter._fill([range(0, 2), range(3, 4), range(6, 7), range(9, 10)])
+
+
 def test_walks_sharing_a_swept_counter_match_fresh_ones():
     n, bound = 4, 1
     for seq in _sweep_sequences(n)[:3]:

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import random
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from gtseq import monotone
-from gtseq.intervals import interval, row_count
+from gtseq import monotone, verify
+from gtseq.intervals import (FILL_BUDGET, interval, propagated_boxes,
+                             row_count)
 from gtseq.monotone import (
     PAIR_PRODUCTS,
     alpha,
@@ -29,7 +32,7 @@ from gtseq.monotone import (
     refined_asm,
     strict_row_patterns,
 )
-from gtseq.operators import (apply_operator, delta, identity,
+from gtseq.operators import (apply_at, apply_operator, delta, identity,
                              lattice_function, product_formula, shift,
                              small_delta)
 
@@ -354,3 +357,165 @@ def test_check_alpha_property_report():
     for prop in ("P9", "linearSystem"):
         with pytest.raises(ValueError):
             check_alpha_property(prop, 2, grid)
+
+
+# --- the alpha fill --------------------------------------------------------
+
+
+def test_alpha_stencil_sizes_frozen():
+    # 4^(m-1) products of the star choices cancel down to these
+    assert [len(monotone._alpha_stencil(m)) for m in range(2, 7)] == [
+        2, 6, 16, 44, 120]
+
+
+def _fill_boxes(n, rng):
+    """Boxes of bottom rows: ties (equal overlapping ranges), decreasing
+    rows (inversions everywhere), gaps of 3 or 4 between entries, boxes
+    far from the origin on either side, and random boxes."""
+    wide, gap, spread = (3, 4, 6) if n < 5 else (2, 3, 2)
+    yield [range(0, wide)] * n
+    yield [range(9 - 3 * q, 9 - 3 * q + wide) for q in range(n)]
+    yield [range(gap * q - 2, gap * q - 2 + wide) for q in range(n)]
+    yield [range(40 + 3 * q, 40 + 3 * q + 2) for q in range(n)]
+    yield [range(-37 - q, -37 - q + 2) for q in range(n)]
+    for _ in range(3):
+        yield [range(lo, lo + rng.randint(1, wide))
+               for lo in (rng.randint(-spread, spread) for _ in range(n))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_alpha_fill_matches_the_memoized_step(monkeypatch, n):
+    rng = random.Random(n)
+    reference = {}
+    for box in _fill_boxes(n, rng):
+        monkeypatch.setattr(monotone, "_alpha_memo", {})
+        monotone._fill_alpha(propagated_boxes(box, n, monotone._alpha_below))
+        filled = monotone._alpha_memo
+        if n == 1:
+            # rows of length 1 count 1 and are not stored
+            assert filled == {}
+            continue
+        top = list(product(*box))
+        below = [k for k in filled if len(k) < n]
+        # the whole box, and a sample of the rows below it that it reached
+        for k in top + rng.sample(below, min(len(below), 200)):
+            assert filled[k] == row_count(monotone._rows_1, reference,
+                                          len(k), k), (box, k)
+
+
+def test_alpha_sweep_matches_point_calls_through_apply_at(monkeypatch):
+    rng = random.Random(5)
+    fills = []
+    real_fill = monotone._fill_alpha
+    monkeypatch.setattr(monotone, "_fill_alpha",
+                        lambda boxes: fills.append(1) or real_fill(boxes))
+    reference = {}
+    for n in (2, 3, 4, 5):
+        monkeypatch.setattr(monotone, "_alpha_memo", {})
+        plain = lattice_function(n, lambda k: row_count(monotone._rows_1,
+                                                        reference, n, k))
+        for _ in range(4):
+            op = identity(n)
+            for _ in range(rng.randint(1, 4)):
+                c = rng.randrange(n)
+                op = op * rng.choice([delta(n, c), small_delta(n, c),
+                                      shift(n, c, rng.randint(-3, 3)),
+                                      identity(n) + delta(n, c)])
+            corner = [rng.randint(-4, 4) for _ in range(n)]
+            points = [tuple(x + rng.randint(0, 2) for x in corner)
+                      for _ in range(rng.randint(1, 30))]
+            assert (apply_at(op, monotone.alpha_function(n), points)
+                    == apply_at(op, plain, points)), (n, op, points)
+    assert fills
+
+
+def _refuse(boxes):
+    raise AssertionError("filled alpha where the memoized step was due")
+
+
+def test_alpha_sweep_keeps_the_memoized_step(monkeypatch):
+    monkeypatch.setattr(monotone, "_alpha_memo", {})
+    monkeypatch.setattr(monotone, "_fill_alpha", _refuse)
+    reference = {}
+
+    def want(n, points):
+        return [row_count(monotone._rows_1, reference, n, k) for k in points]
+
+    # a sparse reach: a difference 100000 wide, at one point and on a grid
+    far = shift(2, 0, 100000) - identity(2)
+    grid = list(product(range(4), repeat=2))
+    assert apply_at(far, monotone.alpha_function(2), [(0, 1)]) == [-100000]
+    assert apply_at(far, monotone.alpha_function(2), grid) == [-100000] * 16
+    # a checkerboard (62 of 125 points) and every second point of a cube
+    for points in ([k for k in product(range(5), repeat=3) if sum(k) % 2],
+                   list(product(range(0, 7, 2), repeat=3))):
+        assert monotone.alpha_function(3).sweep(points) == want(3, points)
+    # n = 7 and above
+    cube = [tuple(q + x for q, x in enumerate(k))
+            for k in product(range(2), repeat=7)]
+    assert monotone.alpha_function(7).sweep(cube) == want(7, cube)
+
+
+def test_alpha_sweep_fills_only_new_points(monkeypatch):
+    monkeypatch.setattr(monotone, "_alpha_memo", {})
+    box = list(product(range(3), repeat=4))
+    first = monotone.alpha_function(4).sweep(box)
+    assert len(monotone._alpha_memo) > len(box)
+    monkeypatch.setattr(monotone, "_fill_alpha", _refuse)
+    # a fresh lattice function, so only alpha's own memo knows the points
+    assert monotone.alpha_function(4).sweep(box[::-1]) == first[::-1]
+
+
+def test_alpha_fill_over_budget_is_refused():
+    # 16 points around (0, 1000, 2000, 3000, 4000) fill their box, but the
+    # boxes below it hold about 10^12 cells; the memoized step is not run
+    # here, as it would not finish either
+    unit = [k + (0,) for k in product(range(2), repeat=4)]
+
+    def spaced(gap):
+        return [tuple(x + gap * q for q, x in enumerate(k)) for k in unit]
+
+    assert monotone._alpha_boxes(5, spaced(2)) is not None
+    assert monotone._alpha_boxes(5, spaced(1000)) is None
+    boxes = [[range(min(c), max(c) + 1) for c in zip(*spaced(1000))]]
+    for m in range(5, 1, -1):
+        boxes.append(monotone._alpha_below(m, boxes[-1]))
+    assert sum(prod(map(len, b)) for b in boxes) > 10 ** 12 > FILL_BUDGET
+
+
+def _level_three_coefficient_flipped(real):
+    """The stencil with the sign of one term of rows of length 3 flipped."""
+    def stencil(m):
+        terms = real(m)
+        if m == 3:
+            (coeff, corner), *rest = terms
+            terms = ((-coeff, corner), *rest)
+        return terms
+    return stencil
+
+
+def _one_corner_moved(real):
+    """The stencil with one corner of rows of length 3 read one further."""
+    def stencil(m):
+        terms = real(m)
+        if m == 3:
+            (coeff, ((v, shift), *others)), *rest = terms
+            terms = ((coeff, ((v, shift + 1), *others)), *rest)
+        return terms
+    return stencil
+
+
+@pytest.mark.parametrize("mutate", [_level_three_coefficient_flipped,
+                                    _one_corner_moved])
+def test_gates_catch_a_broken_alpha_fill(monkeypatch, mutate):
+    # delta-n, e-rho and alpha-props read alpha through the fill; a fresh
+    # memo makes them fill it rather than read earlier values.  At n = 3
+    # the broken rows of length 3 are still of low degree, so delta-n needs
+    # n = 4 to see them.
+    monkeypatch.setattr(monotone, "_alpha_stencil",
+                        mutate(monotone._alpha_stencil))
+    for suite in (verify.suite_delta_n, verify.suite_e_rho,
+                  verify.suite_alpha_props):
+        monkeypatch.setattr(monotone, "_alpha_memo", {})
+        report = suite(n_max=4, bound=1)
+        assert report["violations"], (mutate.__name__, report["suite"])

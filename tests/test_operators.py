@@ -196,6 +196,30 @@ def test_sparse_wide_stencil():
     assert len(calls) == 10
 
 
+def test_lattice_function_sweeps_only_new_points():
+    def g(k):
+        return k[0] * 10 + k[1]
+
+    handed = []
+    f = lattice_function(2, g, sweep=lambda points: handed.append(points)
+                         or [g(k) for k in points])
+    assert f((0, 0)) == 0
+    assert f.sweep([(0, 0), (1, 2), [1, 2], (3, 0)]) == [0, 12, 12, 30]
+    assert handed == [[(1, 2), (3, 0)]]
+    assert f.sweep([(3, 0), (0, 0)]) == [30, 0]
+    assert len(handed) == 1
+    with pytest.raises(ValueError):
+        f.sweep([(1, 2, 3)])
+    # apply_at hands every point the stencil reaches to the sweep at once
+    handed.clear()
+    op = delta(2, 0) * delta(2, 1)
+    assert apply_at(op, f, [(5, 5), (6, 5)]) == [0, 0]
+    assert len(handed) == 1
+    assert sorted(handed[0]) == [(5, 5), (5, 6), (6, 5), (6, 6), (7, 5),
+                                 (7, 6)]
+    assert apply_at(op, lattice_function(2, g), [(5, 5)]) == [0]
+
+
 def test_apply_rejects_point_of_wrong_length():
     # a plain function does no length check of its own
     f = lambda k: sum(k)
@@ -259,3 +283,13 @@ def test_parse_operator_forms():
 def test_parse_operator_rejects(text):
     with pytest.raises(OperatorParseError):
         parse_operator(text, 2)
+
+
+def test_vinv_truncation_is_a_nonnegative_integer():
+    assert parse_operator("Vinv(k1,k2; trunc=0)", 2) == identity(2)
+    assert parse_operator("Vinv(k1,k2;trunc=2)", 2) == v_inverse(2, 0, 1, 2)
+    for text in ("Vinv(k1,k2;trunc=-1)", "Vinv(k2,k1; trunc=-7)"):
+        with pytest.raises(ValueError, match="truncation .*trunc=-"):
+            parse_operator(text, 2)
+    with pytest.raises(ValueError, match="truncation"):
+        v_inverse(2, 0, 1, -1)
