@@ -323,14 +323,14 @@ def cmd_convert(args):
 # --- apply -------------------------------------------------------------------
 
 def _product_function(n):
-    from .operators import lattice_function, product_formula
-    return lattice_function(n, product_formula)
+    from .operators import LatticeFunction, product_formula
+    return LatticeFunction(n, product_formula)
 
 
 def _patterns_function(n):
-    from .operators import lattice_function
+    from .operators import LatticeFunction
     from .patterns import signed_pattern_count
-    return lattice_function(n, signed_pattern_count)
+    return LatticeFunction(n, signed_pattern_count)
 
 
 def _alpha_function(n):

@@ -28,21 +28,21 @@ count of each box through ``table_sum``, so a check of the stream
 against the count tests the walk, not the rows; ``interval`` stays the
 reference the rows are held to.
 
-The level fill is the same recursion taken a box at a time, shared by the
-tree-sequence counts (``labelings.SequenceCounter.sweep``) and alpha
+The level fill is the same recursion taken a box at a time, and ``fill``
+is its one entry point, shared by the tree-sequence counts
+(``labelings.SequenceCounter.sweep``) and alpha
 (``monotone.alpha_function``).  Extended summation makes the signed sum
 over a slot a prefix-sum difference F(b) - F(a) whatever the order of a
 and b, so a level's values are signed sums of the padded prefix table of
 the level below (``prefix_table``) at a fixed set of corners, its stencil.
-A family gives two things: how a box propagates down one level, which
-``propagated_boxes`` follows from the top box to level 1 (giving up past
-``FILL_BUDGET`` cells), and each level's stencil as per-coordinate offset
-columns (``corner_column``) and signed terms that pick one column per
-coordinate.  ``fill_levels`` then fills the levels bottom-up from the
-all-ones level 1, and ``corner_sums`` evaluates a stencil over a whole box
-with the partial offsets shared by terms that agree on their leading
-columns.  A fill computes every cell of every propagated box, so a family
-fills only when the points it wants make up enough of the box.
+A family gives ``fill`` only two things: the box of the level below that a
+box reaches, and each level's signed corners.  ``fill`` owns the rest: the
+one rule for when a fill beats the memoized step (enough points, making up
+enough of their box, within ``FILL_BUDGET`` cells), the boxes of every
+level from the top box down, the stencil's per-coordinate offset columns
+(``corner_column``), and the levels filled bottom-up from the all-ones
+level 1, where ``corner_sums`` evaluates a stencil over a whole box with
+the partial offsets shared by terms that agree on their leading columns.
 """
 
 from dataclasses import dataclass
@@ -176,39 +176,60 @@ def row_walk(rows, k):
 
 # --- level fills -----------------------------------------------------------
 
-# The most cells, summed over the propagated boxes of every level, that one
+# The fewest points a fill is built for; below it the fill's fixed cost per
+# level outweighs the memoized step (the refined routes add one or a few
+# points per call).
+FILL_MIN_POINTS = 16
+# The most cells, summed over the reached boxes of every level, that one
 # fill may build; a wider reach keeps the memoized step.
 FILL_BUDGET = 250_000
 
 
-def propagated_boxes(box, top, below):
-    """The boxes of levels 1..top (boxes[i - 1] is level i's) that the
-    level-``top`` ``box`` reaches, where ``below(level, box)`` is the box of
-    level - 1 that a level box reaches; None once their cells exceed
-    ``FILL_BUDGET``."""
-    boxes = [box]
+def fill(points, top, below, corners):
+    """Fill levels 2..``top`` of a family over the boxes that the bounding
+    box of the level-``top`` ``points`` reaches, bottom-up from the all-ones
+    level 1, yielding (level, box, values) with the values row-major over
+    the box.
+
+    ``below(level, box)`` is the box of level - 1 that a level box reaches,
+    and ``corners(level)`` the level's stencil as (coeff, corner) pairs:
+    coeff is 1 or -1, and the corner gives one (v, shift) per coordinate c
+    of level - 1, reading c of its padded prefix table at x_v + shift.  The
+    fill yields nothing, leaving the points to the memoized step, unless
+    they are at least FILL_MIN_POINTS distinct vectors of length top making
+    up at least half of their bounding box, and the reached boxes hold at
+    most FILL_BUDGET cells; with top = 1 there is no level to fill.
+    """
+    distinct = set(points)
+    if (len(distinct) < FILL_MIN_POINTS
+            or any(len(k) != top for k in distinct)):
+        return
+    boxes = [[range(min(column), max(column) + 1)
+              for column in zip(*distinct)]]
+    if 2 * len(distinct) < prod(map(len, boxes[0])):
+        return
     for level in range(top, 1, -1):
         boxes.append(below(level, boxes[-1]))
-    if sum(prod(map(len, b)) for b in boxes) > FILL_BUDGET:
-        return None
+    if sum(prod(map(len, box)) for box in boxes) > FILL_BUDGET:
+        return
     boxes.reverse()
-    return boxes
-
-
-def fill_levels(boxes, stencil):
-    """Fill levels 2..len(boxes) over ``boxes`` bottom-up from the all-ones
-    level 1, yielding (level, box, values) with the values row-major over
-    the box.  ``stencil(level, box, below)`` gives the level's (columns,
-    terms) for ``corner_sums``; each level is read through the padded
-    prefix table of the one below."""
     # level 1 is all ones, so its padded prefix table counts
     prefix = list(range(len(boxes[0][0]) + 1))
-    for level in range(2, len(boxes) + 1):
-        box, below = boxes[level - 1], boxes[level - 2]
-        columns, terms = stencil(level, box, below)
+    for level in range(2, top + 1):
+        box, under = boxes[level - 1], boxes[level - 2]
+        stencil = corners(level)
+        # one column per distinct read of a coordinate, and per term the
+        # column it picks in each
+        reads = [sorted({corner[c] for _, corner in stencil})
+                 for c in range(level - 1)]
+        columns = [[corner_column(box, under, c, v, shift)
+                    for v, shift in column_reads]
+                   for c, column_reads in enumerate(reads, 1)]
+        terms = [(coeff, tuple(map(list.index, reads, corner)))
+                 for coeff, corner in stencil]
         values = corner_sums(prefix, columns, terms, prod(map(len, box)))
         yield level, box, values
-        if level < len(boxes):
+        if level < top:
             prefix = prefix_table(values, list(map(len, box)))
 
 

@@ -18,22 +18,22 @@ chains by ``intervals.row_walk``, one row choice per level; ``signed_count``
 evaluates the signed total without them, by a memoized recursion over levels.
 
 ``SequenceCounter.sweep`` fills the same memo tables for a whole grid at
-once.  When the points fill the box they span, that box is propagated down
-the sequence: edge e = (t, h) of T_i takes coordinate e of level i-1 over
+once, through the level fill that alpha shares (``intervals.fill``), which
+decides whether a fill beats the memoized step.  The counter hands it the
+points missing from its top table (so a swept grid is read, not filled
+again) and two things about its levels.  A box propagates down the
+sequence: edge e = (t, h) of T_i takes coordinate e of level i-1 over
 [min(L_t+t, L_h+h) - e, max(H_t+t, H_h+h) - e - 1], with [L_v, H_v] the
-level-i box in coordinate v (``_boxes_below``).  The levels are then filled
-bottom-up over those boxes by the level-fill kernel that alpha shares
-(``intervals.fill_levels``).  Extended summation makes the signed sum over
-a slot a prefix-sum difference F(b) - F(a), whatever the order of a and b,
-so each level-i value is the signed sum of the level below's prefix table
-at 2^(i-1) corners, one difference per edge (``_corner_terms``): an
-inversion needs no case of its own, and at a tie the two corners coincide
-and cancel.  Every value of levels 3..n goes into the per-level memo, so
-later point calls, and every pinned or filtered walk handed the counter,
-read the filled tables; the prefix tables are dropped.  Any other point
-list (sparse, a single point, an order below 3), a reach over the kernel's
-cell budget, ``__call__``, and the pinned and filtered walks keep the
-memoized step.
+level-i box in coordinate v (``_boxes_below``).  Extended summation makes
+the signed sum over a slot a prefix-sum difference F(b) - F(a), whatever
+the order of a and b, so each level-i value is the signed sum of the level
+below's prefix table at 2^(i-1) corners, one difference per edge
+(``_level_corners``): an inversion needs no case of its own, and at a tie
+the two corners coincide and cancel.  Every filled value goes into the
+per-level memo, so later point calls, and every pinned or filtered walk
+handed the counter, read the filled tables; the prefix tables are dropped.
+Points the fill leaves, ``__call__``, and the pinned and filtered walks
+keep the memoized step.
 
 The "weak" machinery pins selected edges to the labels of selected vertices
 (one pinned edge per chosen vertex, exclusions keeping the pin unique) and
@@ -79,12 +79,11 @@ compute only the missing ones otherwise.
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import product
 from math import prod
 from operator import getitem
 
-from .intervals import (bottom_row, corner_column, fill_levels,
-                        propagated_boxes, row_walk, slot, table_sum)
+from .intervals import bottom_row, fill, row_walk, slot, table_sum
 
 
 @dataclass(frozen=True)
@@ -160,19 +159,6 @@ def _range_sum(r):
     return (r.start + r.stop - 1) * len(r) // 2
 
 
-def _spanned_box(points, n):
-    """The box (one range per coordinate) that ``points`` span, when they
-    are n-vectors whose distinct values fill it with at least two points;
-    None otherwise."""
-    distinct = set(points)
-    if len(distinct) < 2 or any(len(k) != n for k in distinct):
-        return None
-    box = [range(min(column), max(column) + 1) for column in zip(*distinct)]
-    if len(distinct) != prod(map(len, box)):
-        return None
-    return box
-
-
 def _boxes_below(edges, box):
     """The box of level i-1 that the level-i ``box`` reaches: edge e = (t, h)
     of T_i takes coordinate e over [min(L_t+t, L_h+h) - e,
@@ -182,21 +168,14 @@ def _boxes_below(edges, box):
             for e, t, h in edges]
 
 
-def _corner_terms(edges, box, below):
-    """Per edge e = (t, h) of the level-i tree, as columns over the level-i
-    ``box``: the offsets of coordinate e's two corners in the padded prefix
-    table of the level-(i-1) box ``below``, l_h + h - e - 1 (plus) and
-    l_t + t - e - 1 (minus)."""
-    return [tuple(corner_column(box, below, e, v, v - e - 1) for v in (h, t))
-            for e, t, h in edges]
-
-
 @lru_cache(maxsize=None)
-def _edge_terms(edges):
-    """The terms of a product of one F(b_e) - F(a_e) per edge: a sign and,
-    per edge, the plus (0) or minus (1) corner."""
-    return tuple(((-1) ** sum(choices), choices)
-                 for choices in product((0, 1), repeat=edges))
+def _level_corners(edges):
+    """The signed corners of a level-i value in the prefix table of level
+    i-1, for ``intervals.fill``: the product of one F(b_e) - F(a_e) per edge
+    e = (t, h) of T_i, b_e = l_h + h - e - 1 and a_e = l_t + t - e - 1."""
+    reads = [((h, h - e - 1), (t, t - e - 1)) for e, t, h in edges]
+    return tuple(((-1) ** sum(lows), tuple(map(getitem, reads, lows)))
+                 for lows in product((0, 1), repeat=len(edges)))
 
 
 def admissible_labelings(tree, k):
@@ -215,9 +194,9 @@ class SequenceCounter:
     Memo tables are shared across evaluation points, which is what makes
     grid sweeps cheap: the level-i table is keyed by the level-i vector,
     filled one point at a time by ``__call__`` or one box at a time by
-    ``sweep``.
-    Level 2 is one edge, whose signed width needs no table, and a level-3
-    entry sums that width over a box in closed form.  ``_setups`` holds, per
+    ``sweep``.  Level 2 is one edge, whose signed width the memoized step
+    reads from no table (only ``sweep`` stores it), and a level-3 entry
+    sums that width over a box in closed form.  ``_setups`` holds, per
     level, the per-values setup of a pinned level (``_pin_options``), which
     every ``RestrictedCounter`` handed this counter shares.
     """
@@ -274,34 +253,19 @@ class SequenceCounter:
     def sweep(self, points):
         """The signed counts at ``points``, in order.
 
-        When the points fill the box they span, every level is filled over
-        the box the top one reaches (``_fill``); any other list, and a reach
-        over the fill budget, takes the memoized step point by point."""
+        The points missing from the top table go to ``intervals.fill``,
+        which fills every level over the box they reach when that beats the
+        memoized step; the points it leaves take the memoized step."""
         points = [tuple(k) for k in points]
-        box = _spanned_box(points, self._order) if self._order >= 3 else None
-        if box is None or not self._fill(box):
-            return list(map(self, points))
-        top = self._memo[self._order]
-        return [self.tree_sign * top[k] for k in points]
-
-    def _fill(self, box):
-        """Fill the memo of every level from 3 up over the box that the
-        level-n ``box`` reaches (``intervals.fill_levels``), one
-        F(b_e) - F(a_e) per edge; False, filling nothing, when that reach
-        is over the fill budget."""
-        boxes = propagated_boxes(
-            box, self._order,
-            lambda level, box: _boxes_below(self._edges[level], box))
-        if boxes is None:
-            return False
-        for level, box, values in fill_levels(boxes, self._stencil):
-            if level >= 3:
-                self._memo[level].update(zip(product(*box), values))
-        return True
-
-    def _stencil(self, level, box, below):
-        edges = self._edges[level]
-        return _corner_terms(edges, box, below), _edge_terms(len(edges))
+        edges, memo = self._edges, self._memo
+        top = memo[self._order]
+        for level, box, values in fill(
+                [k for k in points if k not in top], self._order,
+                lambda level, box: _boxes_below(edges[level], box),
+                lambda level: _level_corners(edges[level])):
+            memo[level].update(zip(product(*box), values))
+        sign = self.tree_sign
+        return [sign * top[k] if k in top else self(k) for k in points]
 
     def _signed(self, k):
         """The signed count at k, which every counter class's ``__call__``
@@ -690,21 +654,6 @@ class RestrictedCounter(_LevelWalk):
         # wrapper on either (bench/tracer.py wraps both) times restricted
         # counts only, not plain or filtered ones
         return self._signed(k)
-
-
-def restricted_signed_count(seq, k, m, R=(), mode="vertex", plain=None):
-    """Signed count with level m pinned on the vertex set (or edge set) R."""
-    return RestrictedCounter(seq, m, R, mode=mode, plain=plain)(k)
-
-
-def size_restricted_signed_count(seq, k, m, rho):
-    """Sum of vertex-restricted counts over all rho-subsets R of [m]."""
-    plain = SequenceCounter(seq)
-    if rho == 0:
-        return plain(k)
-    return sum(restricted_signed_count(seq, k, m, R, mode="vertex",
-                                       plain=plain)
-               for R in combinations(range(1, m + 1), rho))
 
 
 class FilteredCounter(_LevelWalk):

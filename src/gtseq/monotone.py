@@ -14,19 +14,20 @@ with the interval sign standing in for the extended summation convention.
 ``alpha`` takes that recursion one point at a time, memoized in
 ``_alpha_memo``.  ``alpha_function(n)``, the lattice function the operator
 routes and properties apply operators to, can also fill that memo a box at
-a time through the level-fill kernel of ``intervals``.  Each star choice
-is a product of one F(hi) - F(lo) per entry of the row above, F the prefix
-table of the rows one shorter: a pinned entry q reads (v_q, v_q - 1), a
-free one (v_{q+1}, v_q), a tight one (v_{q+1} - 1, v_q).  Summed over the
-star choices, equal corners cancel, leaving a stencil of 2, 6, 16, 44 and
-120 terms for rows of length 2..6 (``_alpha_stencil``), and entry q of
-the rows one shorter spans [min(L_q, L_{q+1}), max(H_q, H_{q+1})] of a box
-[L, H] of rows.  The sweep fills over the bounding box of the points not
-yet in the memo when there are at least FILL_MIN_POINTS of them, they make
-up at least half of that box, n <= FILL_MAX_N and the boxes below stay
-within the kernel's cell budget; otherwise, and for ``alpha`` itself (and
-so ``count alpha``), the memoized step runs.  The stencil grows about 2.7
-times per row length, which is why the fill stops at n = FILL_MAX_N.
+a time through the level fill that the tree-sequence counts share
+(``intervals.fill``), which decides whether a fill beats the memoized
+step.  It is handed the points not yet in the memo and two things about
+the rows.  Each star choice is a product of one F(hi) - F(lo) per entry of
+the row above, F the prefix table of the rows one shorter: a pinned entry
+q reads (v_q, v_q - 1), a free one (v_{q+1}, v_q), a tight one
+(v_{q+1} - 1, v_q).  Summed over the star choices, equal corners cancel,
+leaving a stencil of 2, 6, 16, 44 and 120 terms for rows of length 2..6
+(``_alpha_stencil``), and entry q of the rows one shorter spans
+[min(L_q, L_{q+1}), max(H_q, H_{q+1})] of a box [L, H] of rows
+(``_alpha_below``).  The stencil grows about 2.7 times per row length, so
+the fill stops at n = FILL_MAX_N; above it, for the points the fill
+leaves, and for ``alpha`` itself (and so ``count alpha``), the memoized
+step runs.
 
 Four object-level extensions realize the same polynomial as signed
 enumerations.  Variant 1 uses the left pins above, so its count is alpha.
@@ -62,14 +63,12 @@ at fixed short points, and are cross-checked against direct enumeration.
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
-from math import prod
 from operator import add, getitem
 
-from .intervals import (bottom_row, corner_column, fill_levels,
-                        propagated_boxes, row_count, row_walk, slot)
-from .operators import (apply_at, apply_operator, delta,
-                        elementary_symmetric, identity, lattice_function,
-                        shift, small_delta, v_operator)
+from .intervals import bottom_row, fill, row_count, row_walk, slot
+from .operators import (LatticeFunction, apply_at, apply_operator, delta,
+                        elementary_symmetric, identity, shift, small_delta,
+                        v_operator)
 from .operators import product_formula, falling_binomial
 from .patterns import swap_shift
 
@@ -83,10 +82,6 @@ _alpha_memo = {}
 # the memoized step fell from 5x at n = 5 to 1.4x at n = 7, and turned into
 # a loss at n = 8.
 FILL_MAX_N = 6
-# The fewest new points a fill is built for; below it the fill's fixed cost
-# per level outweighs the memoized step (the refined routes add one or a
-# few points per call).
-FILL_MIN_POINTS = 16
 
 
 def alpha(n, k):
@@ -97,33 +92,19 @@ def alpha(n, k):
 def alpha_function(n):
     """alpha(n, .) as a lattice function whose sweep fills ``_alpha_memo``
     over the box a list of points reaches (``_alpha_sweep``)."""
-    return lattice_function(n, lambda k: alpha(n, k),
-                            sweep=partial(_alpha_sweep, n))
+    return LatticeFunction(n, lambda k: alpha(n, k),
+                           sweep=partial(_alpha_sweep, n))
 
 
 def _alpha_sweep(n, points):
-    """alpha(n, k) at each of ``points``, in order, after filling
-    ``_alpha_memo`` over the bounding box of the points not yet in it when
-    ``_alpha_boxes`` finds that worth it."""
-    boxes = _alpha_boxes(n, [k for k in points if k not in _alpha_memo])
-    if boxes is not None:
-        _fill_alpha(boxes)
+    """alpha(n, k) at each of ``points``, in order, after ``intervals.fill``
+    has filled ``_alpha_memo`` over the box that the points not yet in it
+    reach, when n <= FILL_MAX_N and the fill beats the memoized step."""
+    if n <= FILL_MAX_N:
+        missing = [k for k in points if k not in _alpha_memo]
+        for _, box, values in fill(missing, n, _alpha_below, _alpha_stencil):
+            _alpha_memo.update(zip(product(*box), values))
     return [alpha(n, k) for k in points]
-
-
-def _alpha_boxes(n, points):
-    """The boxes of rows of length 1..n that filling the bounding box of
-    ``points`` reaches, or None when the memoized step is the better route:
-    n outside 2..FILL_MAX_N, fewer than FILL_MIN_POINTS points, points
-    filling less than half their box, or a reach over
-    ``intervals.FILL_BUDGET``."""
-    distinct = set(points)
-    if len(distinct) < FILL_MIN_POINTS or not 2 <= n <= FILL_MAX_N:
-        return None
-    box = [range(min(column), max(column) + 1) for column in zip(*distinct)]
-    if 2 * len(distinct) < prod(map(len, box)):
-        return None
-    return propagated_boxes(box, n, _alpha_below)
 
 
 def _alpha_below(m, box):
@@ -131,12 +112,6 @@ def _alpha_below(m, box):
     reads: entry q spans [min(L_q, L_{q+1}), max(H_q, H_{q+1})]."""
     return [range(min(a.start, b.start), max(a.stop, b.stop))
             for a, b in zip(box, box[1:])]
-
-
-def _fill_alpha(boxes):
-    """Store alpha over every box of ``boxes`` from rows of length 2 up."""
-    for _, box, values in fill_levels(boxes, _alpha_level):
-        _alpha_memo.update(zip(product(*box), values))
 
 
 @lru_cache(maxsize=None)
@@ -167,20 +142,6 @@ def _alpha_stencil(m):
             terms[corner] = terms.get(corner, 0) + (-1) ** sum(lows)
     return tuple((coeff, corner) for corner, coeff in sorted(terms.items())
                  if coeff)
-
-
-def _alpha_level(m, box, below):
-    """The columns and terms of ``_alpha_stencil(m)`` over ``box`` for
-    ``intervals.corner_sums``, one column per distinct corner of an
-    entry."""
-    stencil = _alpha_stencil(m)
-    corners = [sorted({corner[q] for _, corner in stencil})
-               for q in range(m - 1)]
-    columns = [[corner_column(box, below, q, v, shift) for v, shift in reads]
-               for q, reads in enumerate(corners, 1)]
-    terms = [(coeff, tuple(map(list.index, corners, corner)))
-             for coeff, corner in stencil]
-    return columns, terms
 
 
 def enumerate_monotone_triangles(k):
@@ -470,7 +431,7 @@ def alpha_via_operator(n, k, form="deltaDelta"):
     same expression.
     """
     return apply_operator(alpha_operator(n, form),
-                          lattice_function(n, product_formula),
+                          LatticeFunction(n, product_formula),
                           bottom_row(n, k))
 
 
@@ -482,12 +443,6 @@ class RefinedCounts:
     n: int
     vector: tuple
     matrix: tuple = None
-
-    def to_json(self):
-        data = {"n": self.n, "vector": list(self.vector)}
-        if self.matrix is not None:
-            data["matrix"] = [list(r) for r in self.matrix]
-        return data
 
 
 def _vector_point_first(n):

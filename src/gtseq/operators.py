@@ -23,7 +23,10 @@ operators are built on top:
 
 An expression is built once and then evaluated at any number of points.
 Construction normalizes the terms and freezes them: ``terms`` is a read-only
-shift -> coefficient map and ``stencil`` the same pairs as a tuple.
+shift -> coefficient map and ``stencil`` the same pairs as a tuple.  An
+operator too large to build raises ValueError at once: a product may
+multiply out at most ``MAX_PRODUCT_PAIRS`` term pairs, and a truncated
+inverse of V may not go past ``MAX_TRUNCATION``.
 ``apply_at`` evaluates one operator at a list of points: it numbers points
 and shifts as integers in the box they span, asks f for the value at each
 distinct point reached, and sums each stencil term over all points as
@@ -174,6 +177,16 @@ def extended_sum(f, a, b):
     return -sum(f(i) for i in range(b + 1, a))
 
 
+# Caps that make an oversized operator fail at once rather than run for
+# hours.  One product multiplies out at most MAX_PRODUCT_PAIRS term pairs:
+# the largest product the suites and the benchmark build, in
+# alpha_operator(6), multiplies 57,300, and a power's repeated squaring
+# stops at the first square over the cap.  Vinv's truncation t costs about
+# 4 t^3 / 3 pairs over all its products, so it is capped on its own.
+MAX_PRODUCT_PAIRS = 250_000
+MAX_TRUNCATION = 64
+
+
 class OperatorExpression:
     """A Z-linear combination of commuting coordinate shifts.
 
@@ -228,6 +241,12 @@ class OperatorExpression:
         if isinstance(other, int):
             return OperatorExpression(self.arity, {s: c * other for s, c in self.stencil})
         self._check(other)
+        pairs = len(self.stencil) * len(other.stencil)
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise ValueError("an operator product of %d by %d terms is over"
+                             " the cap of %d term pairs"
+                             % (len(self.stencil), len(other.stencil),
+                                MAX_PRODUCT_PAIRS))
         out = {}
         for s1, c1 in self.stencil:
             for s2, c2 in other.stencil:
@@ -246,8 +265,9 @@ class OperatorExpression:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def _check(self, other):
@@ -311,9 +331,9 @@ def v_inverse(arity, x, y, truncation=None):
     """
     if truncation is None:
         truncation = arity
-    if truncation < 0:
-        raise ValueError("Vinv truncation must be at least 0, got trunc=%d"
-                         % truncation)
+    if not 0 <= truncation <= MAX_TRUNCATION:
+        raise ValueError("Vinv truncation must be in 0..%d, got trunc=%d"
+                         % (MAX_TRUNCATION, truncation))
     total = zero(arity)
     dx = small_delta(arity, x)
     dy = delta(arity, y)
@@ -364,10 +384,6 @@ class LatticeFunction:
         if missing:
             memo.update(zip(missing, self._sweep(missing)))
         return list(map(memo.__getitem__, points))
-
-
-def lattice_function(arity, func, sweep=None):
-    return LatticeFunction(arity, func, sweep)
 
 
 def apply_at(op, f, points):

@@ -46,9 +46,9 @@ from .monotone import (alpha, alpha_function, alpha_operator,
                        enumerate_extension, extension_signed_count,
                        extension_three_relaxed, linear_system_residuals,
                        refined_asm)
-from .operators import (apply_at, binomial_determinants, delta,
-                        elementary_symmetric, lattice_function,
-                        product_formula, small_delta)
+from .operators import (LatticeFunction, apply_at, binomial_determinants,
+                        delta, elementary_symmetric, product_formula,
+                        small_delta)
 from .paths import count_nonintersecting, signed_families
 from .patterns import (shift_decomposition_counts, signed_pattern_count,
                        swap_shift)
@@ -167,7 +167,7 @@ def _annihilated(n, bound, ops):
     one call per operator and count; yields per point the records of the
     operators that do not kill a count there."""
     grid = list(_cube(bound, n))
-    functions = (("signedCount", lattice_function(n, signed_pattern_count)),
+    functions = (("signedCount", LatticeFunction(n, signed_pattern_count)),
                  ("alpha", alpha_function(n)))
     swept = [(fname, fields, apply_at(op, f, grid))
              for fname, f in functions for fields, op in ops]
@@ -337,7 +337,7 @@ def suite_extensions_agree(bound3=2, lo4=0, hi4=3):
                                             enumerate_extension(1, 3, k))))
         routes.append(({"check": "extensionThreeRelaxed"},
                        functools.partial(extension_three_relaxed, n)))
-        product_fn = lattice_function(n, product_formula)
+        product_fn = LatticeFunction(n, product_formula)
         routes += [({"check": "operator", "form": form},
                     dict(zip(grid, apply_at(alpha_operator(n, form),
                                             product_fn, grid))).__getitem__)

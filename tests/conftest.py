@@ -16,3 +16,25 @@ def cli_env():
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return env
+
+
+@pytest.fixture
+def fill_log(monkeypatch):
+    """The levels each call of ``intervals.fill`` from labelings or
+    monotone filled, one list per call: empty when the fill left the points
+    to the memoized step."""
+    from gtseq import labelings, monotone
+    log = []
+
+    def watch(real):
+        def fill(*args):
+            levels = []
+            log.append(levels)
+            for level, box, values in real(*args):
+                levels.append(level)
+                yield level, box, values
+        return fill
+
+    for module in (labelings, monotone):
+        monkeypatch.setattr(module, "fill", watch(module.fill))
+    return log

@@ -210,6 +210,22 @@ def test_negative_vinv_truncation_names_the_truncation(capsys):
     assert "empty operator expression" not in err
 
 
+@pytest.mark.parametrize("operator, message", (
+    ("D^100000 k1", "over the cap of 250000 term pairs"),
+    ("Vinv(k1,k2; trunc=100000)", "truncation must be in 0..64"),
+), ids=("power", "truncation"))
+def test_oversized_operator_exits_two_at_once(cli_env, tmp_path, operator,
+                                              message):
+    # both ran until killed before the operator caps; the timeout catches a
+    # return of that
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtseq", "apply", "--operator", operator,
+         "--function", "product", "--at", "0,1"],
+        capture_output=True, text=True, timeout=10, env=cli_env, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("gtseq: ") and message in proc.stderr
+
+
 def test_emit_limit_zero_is_empty(capsys):
     code, out, _ = run(capsys, "emit", "pattern", "--k", "0,2", "--limit",
                        "0")

@@ -5,9 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from gtseq import labelings, monotone, patterns
+from gtseq import intervals, labelings, monotone, patterns
 from gtseq.intervals import (
+    FILL_MIN_POINTS,
     containment_dichotomy,
+    fill,
     interval,
     left_anchored_identity,
     right_anchored_dichotomy,
@@ -16,6 +18,7 @@ from gtseq.intervals import (
     row_walk,
     slot,
 )
+from gtseq.operators import product_formula
 from gtseq.trees import basic_sequence, random_sequence
 
 
@@ -168,3 +171,79 @@ def test_row_generators_yield_named_slots(rows):
 def test_empty_bottom_row_rejected(call):
     with pytest.raises(ValueError, match="at least 1"):
         call()
+
+
+# --- the level fill on a toy family ----------------------------------------
+#
+# Gelfand-Tsetlin patterns: entry q of the row above a row x ranges over
+# [x_q, x_{q+1}], so a level value is the product over q of
+# F(x_{q+1}) - F(x_q - 1), and the signed count is the product formula.
+
+
+def _toy_below(level, box):
+    """Coordinate q of the box below covers the reads x_{q+1} and x_q - 1
+    of the rows in ``box``."""
+    return [range(min(b.start + 1, a.start), max(b.stop, a.stop - 1))
+            for a, b in zip(box, box[1:])]
+
+
+def _toy_corners(level):
+    reads = [((q + 1, 0), (q, -1)) for q in range(1, level)]
+    return [((-1) ** sum(lows), tuple(pair[low] for pair, low
+                                      in zip(reads, lows)))
+            for lows in product((0, 1), repeat=level - 1)]
+
+
+def _toy_fill(points, top=2):
+    """The top level's values by point, or None when nothing is filled."""
+    levels = list(fill(points, top, _toy_below, _toy_corners))
+    if not levels:
+        return None
+    assert [level for level, _, _ in levels] == list(range(2, top + 1))
+    _, box, values = levels[-1]
+    return dict(zip(product(*box), values))
+
+
+def test_fill_of_a_toy_family_gives_the_product_formula():
+    for top, points in ((2, list(product(range(4), repeat=2))),
+                        (3, list(product(range(-2, 2), repeat=3))),
+                        (4, list(product(range(-1, 2), repeat=4)))):
+        filled = _toy_fill(points, top)
+        assert all(filled[k] == product_formula(k) for k in points), top
+
+
+def test_fill_needs_enough_points():
+    assert FILL_MIN_POINTS == 16
+    square = list(product(range(4), repeat=2))
+    assert _toy_fill(square[:15]) is None
+    assert _toy_fill(square + square[:5]) is not None
+
+
+def test_fill_needs_half_of_the_box():
+    # 16 points with corners (0, 0) and (3, 7): half of a 4 x 8 box
+    half = [(x, y) for x in range(4) for y in range(8) if (x + y) % 2 == 0]
+    assert len(half) == 16
+    filled = _toy_fill(half)
+    assert all(filled[k] == product_formula(k) for k in half)
+    # 16 points with corners (0, 0) and (2, 10): just under half of 3 x 11
+    under = [(x, y) for x in range(3) for y in range(11)
+             if (x + y) % 2 == 0 and (x, y) != (1, 1)]
+    assert len(under) == 16 and 2 * len(under) == 3 * 11 - 1
+    assert _toy_fill(under) is None
+
+
+def test_fill_stays_within_the_budget(monkeypatch):
+    # a 4 x 4 box 1000 apart reaches 1004 cells below it, 1020 in all
+    far = [(x, 1000 + y) for x, y in product(range(4), repeat=2)]
+    monkeypatch.setattr(intervals, "FILL_BUDGET", 1019)
+    assert _toy_fill(far) is None
+    monkeypatch.setattr(intervals, "FILL_BUDGET", 1020)
+    filled = _toy_fill(far)
+    assert all(filled[k] == product_formula(k) for k in far)
+
+
+def test_fill_needs_a_level_above_the_ones():
+    line = [(x,) for x in range(20)]
+    assert _toy_fill(line, top=1) is None
+    # and points of the top level's length
+    assert _toy_fill(list(product(range(4), repeat=2)), top=3) is None

@@ -16,10 +16,8 @@ from gtseq.labelings import (
     edge_admissible_witnesses,
     enumerate_sequences,
     inversion_edges,
-    restricted_signed_count,
     signed_count,
     signed_count_filtered,
-    size_restricted_signed_count,
     weak_admissible_witnesses,
 )
 from gtseq.operators import product_formula
@@ -154,27 +152,31 @@ def test_restriction_implements_forward_difference():
     seq = basic_sequence(3)
     counter = SequenceCounter(seq)
     for r in (1, 2, 3):
+        pinned = RestrictedCounter(seq, 3, (r,), mode="vertex", plain=counter)
         for k in product(range(-1, 2), repeat=3):
             kp = list(k)
             kp[r - 1] += 1
             want = counter(tuple(kp)) - counter(k)
-            got = restricted_signed_count(seq, k, 3, (r,), mode="vertex")
-            assert got == want, (r, k)
+            assert pinned(k) == want, (r, k)
 
 
 def test_edge_mode_drops_one_level():
     seq = random_sequence(3, 5)
+    plain = SequenceCounter(seq)
+    by_edge = RestrictedCounter(seq, 3, (1,), mode="edge", plain=plain)
+    by_vertex = RestrictedCounter(seq, 2, (1,), mode="vertex", plain=plain)
     for k in product(range(-1, 2), repeat=3):
-        a = restricted_signed_count(seq, k, 3, (1,), mode="edge")
-        b = restricted_signed_count(seq, k, 2, (1,), mode="vertex")
-        assert a == b, k
+        assert by_edge(k) == by_vertex(k), k
 
 
 def test_subset_sums_vanish():
     seq = random_sequence(3, 8)
-    for k in product(range(-1, 2), repeat=3):
-        for rho in (1, 2, 3):
-            assert size_restricted_signed_count(seq, k, 3, rho) == 0
+    plain = SequenceCounter(seq)
+    for rho in (1, 2, 3):
+        pinnings = [RestrictedCounter(seq, 3, R, mode="vertex", plain=plain)
+                    for R in combinations(range(1, 4), rho)]
+        for k in product(range(-1, 2), repeat=3):
+            assert sum(pinned(k) for pinned in pinnings) == 0
 
 
 def test_distinct_label_filter_is_free():
@@ -486,41 +488,64 @@ def test_sweep_matches_the_product_formula_with_ties_and_inversions():
                                                     for k in grid]
 
 
-def test_sweep_keeps_the_memoized_step_off_the_box(monkeypatch):
+def test_sweep_keeps_the_memoized_step_off_the_box(fill_log):
     seq = random_sequence(4, 11)
     cube = list(product(range(-1, 2), repeat=4))
     want = dict(zip(cube, (SequenceCounter(seq)(k) for k in cube)))
     shuffled = cube[:]
     random.Random(0).shuffle(shuffled)
-    # an unordered list, or one with repeats, still fills its box
-    for points in (shuffled, cube + cube[:7]):
+    # an unordered list, one with repeats, and one missing a point of its
+    # box still fill that box
+    for points in (shuffled, cube + cube[:7], cube[:40] + cube[41:]):
+        fill_log.clear()
         assert SequenceCounter(seq).sweep(points) == [want[k]
                                                       for k in points]
-
-    def refuse(self, box):
-        raise AssertionError("swept a list that does not fill its box")
-
-    monkeypatch.setattr(SequenceCounter, "_fill", refuse)
-    sparse = cube[:40] + cube[41:]
-    for points in (sparse, cube[::2], [cube[5]], [cube[5]] * 3, []):
+        assert fill_log == [[2, 3, 4]]
+    # fewer than 16 points, or points under half of their box, do not
+    fill_log.clear()
+    for points in (cube[:15], cube[::4], [cube[5]], [cube[5]] * 3, []):
         assert SequenceCounter(seq).sweep(points) == [want[k]
                                                       for k in points]
-    # below order 3 every point takes the closed forms
+    assert not any(fill_log)
+    # order 1 has no level to fill, and order 2 fills its one level
     for n in (1, 2):
         small = list(product(range(-2, 3), repeat=n))
         counter = SequenceCounter(random_sequence(n, 5))
         assert counter.sweep(small) == [product_formula(k) for k in small]
 
 
-def test_sweep_refuses_a_reach_over_the_budget():
-    # two points 1000 apart per entry fill their box, but the boxes below
+def _refuse_the_memoized_step(self, level, values):
+    raise AssertionError("took the memoized step")
+
+
+def test_sweep_refuses_a_reach_over_the_budget(monkeypatch, fill_log):
+    # 16 points 1000 apart per entry make up their box, but the boxes below
     # hold about 10^9 cells; only the decision is run, not the count
-    seq = random_sequence(4, 11)
-    counter = SequenceCounter(seq)
-    assert not counter._fill([range(0, 2), range(1000, 1001),
-                              range(2000, 2001), range(3000, 3001)])
+    unit = list(product(range(2), repeat=4))
+
+    def spaced(gap):
+        return [tuple(x + gap * q for q, x in enumerate(k)) for k in unit]
+
+    counter = SequenceCounter(random_sequence(4, 11))
+    monkeypatch.setattr(SequenceCounter, "_raw", _refuse_the_memoized_step)
+    with pytest.raises(AssertionError, match="memoized step"):
+        counter.sweep(spaced(1000))
+    assert fill_log == [[]]
     assert not any(counter._memo[1:])
-    assert counter._fill([range(0, 2), range(3, 4), range(6, 7), range(9, 10)])
+    # 3 apart, the fill reaches every point, so no memoized step runs
+    counter.sweep(spaced(3))
+    assert fill_log[-1] == [2, 3, 4]
+
+
+def test_a_second_sweep_reads_the_swept_tables(fill_log):
+    counter = SequenceCounter(random_sequence(4, 11))
+    cube = list(product(range(-1, 2), repeat=4))
+    first = counter.sweep(cube)
+    assert fill_log == [[2, 3, 4]]
+    fill_log.clear()
+    assert counter.sweep(cube[::-1]) == first[::-1]
+    assert counter.sweep(cube[:40]) == first[:40]
+    assert not any(fill_log)
 
 
 def test_walks_sharing_a_swept_counter_match_fresh_ones():
@@ -543,29 +568,34 @@ def test_walks_sharing_a_swept_counter_match_fresh_ones():
 
 
 def _level_three_flipped(real):
-    """Corner terms with the corners of edge 1 swapped at level 3 only,
-    which negates every level-3 value and so every count above it."""
-    def terms(edges, box, below):
-        out = real(edges, box, below)
+    """Level corners with the two corners of edge 1 swapped at level 3
+    only, which negates every level-3 value and so every count above it."""
+    def corners(edges):
+        out = real(edges)
         if len(edges) == 2:
-            out[0] = out[0][::-1]
+            e, t, h = edges[0]
+            swap = {(h, h - e - 1): (t, t - e - 1),
+                    (t, t - e - 1): (h, h - e - 1)}
+            out = tuple((coeff, (swap[corner[0]],) + corner[1:])
+                        for coeff, corner in out)
         return out
-    return terms
+    return corners
 
 
 def _every_edge_tied(real):
-    """Corner terms whose two corners coincide, as at a tie."""
-    def terms(edges, box, below):
-        return [(high, high) for high, _ in real(edges, box, below)]
-    return terms
+    """Level corners as if every edge were tied: the two corners of each
+    edge coincide, so the terms cancel in pairs and none is left."""
+    def corners(edges):
+        return ()
+    return corners
 
 
 @pytest.mark.parametrize("mutate", [_level_three_flipped, _every_edge_tied])
 def test_gates_catch_a_broken_sweep(monkeypatch, mutate):
     # theorem-main and independence read the tree counts from the sweep;
     # their references (product formula, pattern count) stay untouched
-    monkeypatch.setattr(labelings, "_corner_terms",
-                        mutate(labelings._corner_terms))
+    monkeypatch.setattr(labelings, "_level_corners",
+                        mutate(labelings._level_corners))
     for report in (verify.suite_theorem_main(n_max=3, bound=1, trees=1,
                                              det_n_max=1),
                    verify.suite_independence(n_max=3, bound=1, trees=1)):

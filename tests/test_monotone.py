@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from gtseq import monotone, verify
-from gtseq.intervals import (FILL_BUDGET, interval, propagated_boxes,
-                             row_count)
+from gtseq import intervals, monotone, verify
+from gtseq.intervals import FILL_BUDGET, interval, row_count
 from gtseq.monotone import (
     PAIR_PRODUCTS,
     alpha,
@@ -32,9 +31,8 @@ from gtseq.monotone import (
     refined_asm,
     strict_row_patterns,
 )
-from gtseq.operators import (apply_at, apply_operator, delta, identity,
-                             lattice_function, product_formula, shift,
-                             small_delta)
+from gtseq.operators import (LatticeFunction, apply_at, apply_operator, delta,
+                             identity, product_formula, shift, small_delta)
 
 
 def brute_monotone_count(k):
@@ -289,7 +287,7 @@ def fresh_pair_product(n, form):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cached_pair_products_match_fresh_builds(n):
-    f = lattice_function(n, product_formula)
+    f = LatticeFunction(n, product_formula)
     built = {}
     for form in PAIR_PRODUCTS:
         built[form] = alpha_operator(n, form)
@@ -384,18 +382,22 @@ def _fill_boxes(n, rng):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_alpha_fill_matches_the_memoized_step(monkeypatch, n):
+def test_alpha_fill_matches_the_memoized_step(monkeypatch, fill_log, n):
+    # every box fills, down to the one-point ones, when one point suffices
+    monkeypatch.setattr(intervals, "FILL_MIN_POINTS", 1)
     rng = random.Random(n)
     reference = {}
     for box in _fill_boxes(n, rng):
         monkeypatch.setattr(monotone, "_alpha_memo", {})
-        monotone._fill_alpha(propagated_boxes(box, n, monotone._alpha_below))
+        fill_log.clear()
+        top = list(product(*box))
+        monotone._alpha_sweep(n, top)
         filled = monotone._alpha_memo
         if n == 1:
             # rows of length 1 count 1 and are not stored
             assert filled == {}
             continue
-        top = list(product(*box))
+        assert fill_log == [list(range(2, n + 1))], box
         below = [k for k in filled if len(k) < n]
         # the whole box, and a sample of the rows below it that it reached
         for k in top + rng.sample(below, min(len(below), 200)):
@@ -403,17 +405,14 @@ def test_alpha_fill_matches_the_memoized_step(monkeypatch, n):
                                           len(k), k), (box, k)
 
 
-def test_alpha_sweep_matches_point_calls_through_apply_at(monkeypatch):
+def test_alpha_sweep_matches_point_calls_through_apply_at(monkeypatch,
+                                                          fill_log):
     rng = random.Random(5)
-    fills = []
-    real_fill = monotone._fill_alpha
-    monkeypatch.setattr(monotone, "_fill_alpha",
-                        lambda boxes: fills.append(1) or real_fill(boxes))
     reference = {}
     for n in (2, 3, 4, 5):
         monkeypatch.setattr(monotone, "_alpha_memo", {})
-        plain = lattice_function(n, lambda k: row_count(monotone._rows_1,
-                                                        reference, n, k))
+        plain = LatticeFunction(n, lambda k: row_count(monotone._rows_1,
+                                                       reference, n, k))
         for _ in range(4):
             op = identity(n)
             for _ in range(rng.randint(1, 4)):
@@ -426,16 +425,11 @@ def test_alpha_sweep_matches_point_calls_through_apply_at(monkeypatch):
                       for _ in range(rng.randint(1, 30))]
             assert (apply_at(op, monotone.alpha_function(n), points)
                     == apply_at(op, plain, points)), (n, op, points)
-    assert fills
+    assert any(fill_log)
 
 
-def _refuse(boxes):
-    raise AssertionError("filled alpha where the memoized step was due")
-
-
-def test_alpha_sweep_keeps_the_memoized_step(monkeypatch):
+def test_alpha_sweep_keeps_the_memoized_step(monkeypatch, fill_log):
     monkeypatch.setattr(monotone, "_alpha_memo", {})
-    monkeypatch.setattr(monotone, "_fill_alpha", _refuse)
     reference = {}
 
     def want(n, points):
@@ -454,16 +448,19 @@ def test_alpha_sweep_keeps_the_memoized_step(monkeypatch):
     cube = [tuple(q + x for q, x in enumerate(k))
             for k in product(range(2), repeat=7)]
     assert monotone.alpha_function(7).sweep(cube) == want(7, cube)
+    assert not any(fill_log)
 
 
-def test_alpha_sweep_fills_only_new_points(monkeypatch):
+def test_alpha_sweep_fills_only_new_points(monkeypatch, fill_log):
     monkeypatch.setattr(monotone, "_alpha_memo", {})
     box = list(product(range(3), repeat=4))
     first = monotone.alpha_function(4).sweep(box)
     assert len(monotone._alpha_memo) > len(box)
-    monkeypatch.setattr(monotone, "_fill_alpha", _refuse)
+    assert fill_log == [[2, 3, 4]]
+    fill_log.clear()
     # a fresh lattice function, so only alpha's own memo knows the points
     assert monotone.alpha_function(4).sweep(box[::-1]) == first[::-1]
+    assert not any(fill_log)
 
 
 def test_alpha_fill_over_budget_is_refused():
@@ -475,8 +472,12 @@ def test_alpha_fill_over_budget_is_refused():
     def spaced(gap):
         return [tuple(x + gap * q for q, x in enumerate(k)) for k in unit]
 
-    assert monotone._alpha_boxes(5, spaced(2)) is not None
-    assert monotone._alpha_boxes(5, spaced(1000)) is None
+    def filled(points):
+        return list(monotone.fill(points, 5, monotone._alpha_below,
+                                  monotone._alpha_stencil))
+
+    assert filled(spaced(2)) != []
+    assert filled(spaced(1000)) == []
     boxes = [[range(min(c), max(c) + 1) for c in zip(*spaced(1000))]]
     for m in range(5, 1, -1):
         boxes.append(monotone._alpha_below(m, boxes[-1]))

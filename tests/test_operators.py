@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 import pytest
 
 from gtseq.operators import (
+    MAX_PRODUCT_PAIRS,
+    MAX_TRUNCATION,
+    LatticeFunction,
     OperatorExpression,
     OperatorParseError,
     apply_at,
@@ -20,7 +23,6 @@ from gtseq.operators import (
     falling_binomial,
     identity,
     integer_determinant,
-    lattice_function,
     parse_operator,
     product_formula,
     shift,
@@ -171,7 +173,7 @@ def test_stencil_matches_naive_sum(pairs, points):
                  for sh, coeff in pairs) for point in points]
     assert isinstance(op.stencil, tuple)
     assert dict(op.stencil) == op.terms
-    assert apply_at(op, lattice_function(3, g), points) == naive
+    assert apply_at(op, LatticeFunction(3, g), points) == naive
     assert apply_operator(op, g, points[0]) == naive[0]
 
     calls = []
@@ -201,8 +203,8 @@ def test_lattice_function_sweeps_only_new_points():
         return k[0] * 10 + k[1]
 
     handed = []
-    f = lattice_function(2, g, sweep=lambda points: handed.append(points)
-                         or [g(k) for k in points])
+    f = LatticeFunction(2, g, sweep=lambda points: handed.append(points)
+                        or [g(k) for k in points])
     assert f((0, 0)) == 0
     assert f.sweep([(0, 0), (1, 2), [1, 2], (3, 0)]) == [0, 12, 12, 30]
     assert handed == [[(1, 2), (3, 0)]]
@@ -217,7 +219,7 @@ def test_lattice_function_sweeps_only_new_points():
     assert len(handed) == 1
     assert sorted(handed[0]) == [(5, 5), (5, 6), (6, 5), (6, 6), (7, 5),
                                  (7, 6)]
-    assert apply_at(op, lattice_function(2, g), [(5, 5)]) == [0]
+    assert apply_at(op, LatticeFunction(2, g), [(5, 5)]) == [0]
 
 
 def test_apply_rejects_point_of_wrong_length():
@@ -238,7 +240,7 @@ def test_operator_terms_are_frozen():
 
 
 def test_apply_operator_difference():
-    f = lattice_function(1, lambda k: k[0] ** 3)
+    f = LatticeFunction(1, lambda k: k[0] ** 3)
     assert apply_operator(delta(1, 0), f, (2,)) == 27 - 8
     assert apply_operator(delta(1, 0) ** 4, f, (0,)) == 0
     assert apply_operator(small_delta(1, 0), f, (3,)) == 27 - 8
@@ -259,7 +261,7 @@ def test_truncated_inverse_of_v(k):
     # mixed differences vanish beyond the truncation order
     k = tuple(k)
     n = len(k)
-    f = lattice_function(n, product_formula)
+    f = LatticeFunction(n, product_formula)
     v = v_operator(n, 0, n - 1)
     vinv = v_inverse(n, 0, n - 1)
     assert apply_operator(vinv * v, f, k) == product_formula(k)
@@ -293,3 +295,25 @@ def test_vinv_truncation_is_a_nonnegative_integer():
             parse_operator(text, 2)
     with pytest.raises(ValueError, match="truncation"):
         v_inverse(2, 0, 1, -1)
+
+
+def test_oversized_operators_fail_fast():
+    # each would otherwise run until killed: D^100000 squares its way to
+    # 100001 terms, and Vinv's truncation t costs about 4 t^3 / 3 pairs
+    with pytest.raises(ValueError, match="cap of %d term pairs"
+                       % MAX_PRODUCT_PAIRS):
+        parse_operator("D^100000 k1", 2)
+    with pytest.raises(ValueError, match="truncation must be in 0..%d"
+                       % MAX_TRUNCATION):
+        parse_operator("Vinv(k1,k2; trunc=100000)", 2)
+    with pytest.raises(ValueError, match="truncation"):
+        v_inverse(2, 0, 1, MAX_TRUNCATION + 1)
+    # a product over the cap is refused before it is multiplied out
+    wide = OperatorExpression(1, {(s,): 1 for s in range(501)})
+    assert 501 * 501 > MAX_PRODUCT_PAIRS
+    with pytest.raises(ValueError, match="501 by 501 terms"):
+        wide * wide
+    # powers, E shifts and truncations within the caps still build
+    assert parse_operator("D^256 k1", 1) == delta(1, 0) ** 256
+    assert parse_operator("E^100000 k1", 1) == shift(1, 0, 100000)
+    assert len(v_inverse(2, 0, 1, 8).stencil) == 81
