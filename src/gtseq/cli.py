@@ -3,8 +3,8 @@
 Subcommands:
 
   count    product | det | gtseq | patterns | alpha | paths, at one point
-  verify   one named suite or "all"; prints a JSON report, exit 1 on
-           violations
+  verify   one named suite or "all", its checks spread over --workers
+           processes; prints a JSON report, exit 1 on violations
   emit     tree (json or dot), pattern, ssyt, paths (json or svg)
   convert  pattern-to-ssyt, ssyt-to-pattern, pattern-to-treeseq,
            treeseq-to-pattern, reading JSON from a file or standard input
@@ -21,11 +21,14 @@ loads only what its subcommand executes; ``verify`` loads them all.
 Output depends on the arguments alone: no environment variable or file is
 consulted, all numbers are exact integers and reports are printed with
 sorted keys, so identical flags and seeds give identical output except for
-the wallTime field.  A bad argument exits 2 with a message on stderr.
+the wallTime field, and for the worker count that ``verify all`` echoes,
+whose default is the number of CPUs the process may run on.  A bad
+argument exits 2 with a message on stderr.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -154,11 +157,12 @@ def cmd_verify(args):
                          % (args.suite, ", ".join(("all", *SUITES))))
     flags = {flag: getattr(args, flag) for flag in VERIFY_FLAGS
              if getattr(args, flag) is not None}
+    workers = args.workers or len(os.sched_getaffinity(0))
     if args.suite == "all":
         if flags:
             raise UsageError("verify all runs at the fixed default bounds;"
                              " only --workers applies")
-        report = run_all(workers=args.workers)
+        report = run_all(workers=workers)
     else:
         accepted = inspect.signature(SUITES[args.suite]).parameters
         kwargs = {}
@@ -173,9 +177,7 @@ def cmd_verify(args):
                     raise UsageError("--grid must be symmetric around 0 for"
                                      " this suite")
             kwargs[names[0]] = value
-        if args.workers is not None:
-            raise UsageError("--workers only applies to verify all")
-        report = run_suite(args.suite, **kwargs)
+        report = run_suite(args.suite, workers=workers, **kwargs)
 
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0 if not report["violations"] else 1
@@ -382,7 +384,10 @@ def build_parser():
     p.add_argument("--trees", type=at_least(1),
                    help="random sequences per order")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=at_least(1), help="verify all only")
+    p.add_argument("--workers", type=at_least(1),
+                   help="processes to run the checks on (default: the CPUs"
+                        " this process may use); the report is the same at"
+                        " any count")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("emit", help="print an artifact")

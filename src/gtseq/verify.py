@@ -1,26 +1,47 @@
 """Verification suites: sweep identities over bounded grids, report violations.
 
-A suite is a generator function registered with ``@suite(name)``.  Every
-parameter of its body has a default, and the body yields once per checked
-point: that point's violation records, a list or tuple that is empty when
-the point passes.  A record is a JSON-ready dict naming the offending
-input and both sides of the failed comparison; a body builds it only on
-the failing branch, so a passing point costs one resume.  A call that
-checks several points at once yields once per point it covers, through
-``_spread``.
+A suite is a body registered with ``@suite(name)``.  Every parameter of the
+body has a default.  A body checks its points through one or more units:
+generators that yield once per checked point, that point's violation
+records, a list or tuple that is empty when the point passes.  A record is
+a JSON-ready dict naming the offending input and both sides of the failed
+comparison; a unit builds it only on the failing branch, so a passing point
+costs one resume.  A call that checks several points at once yields once
+per point it covers, through ``_spread``.  A plain body is itself the
+suite's one unit.  A body registered with ``split=True`` instead yields its
+units as ``(size, points)`` pairs, where ``points`` is a unit not yet
+started and ``size`` estimates its work; the units of one body share no
+state that one of them changes, so they can run in any order and in any
+process.  The suites split this way are theorem-main (its determinant half
+and its tree half, each per order n), independence and shift-antisym (per
+n: the references at one n serve every sequence), and prop-first,
+prop-second and rho-zero (per n and tree sequence).
 
 The decorator returns the suite function, which ``SUITES[name]``, the
 module-level ``suite_*`` name and ``run_suite(name)`` all reach, and which
 keeps the body's signature.  Called with any of the body's parameters, it
-binds the defaults, runs the body and returns the report: the suite name,
+binds the defaults, runs the units and returns the report: the suite name,
 the parameters under camelCase names (``n_max`` becomes ``nMax``), the
-number of points checked, the violations in the order yielded, and the
-wall time.  A suite passes when its violation list is empty; parameters
-at which the body yields no point raise ValueError.  To add a
-suite, write one such generator under ``@suite``: the command line maps
-its flags onto the signature's parameters.  ``run_all`` chains every suite
-at its default parameters, which is the full check behind the command
-line's ``verify all``.
+number of points checked, the violations in the order the units yield them,
+and the wall time.  A suite passes when its violation list is empty;
+parameters at which the body checks no point raise ValueError.  To add a
+suite, write one such body under ``@suite``: the command line maps its flags
+onto the signature's parameters.  ``run_all`` runs every suite at its
+default parameters, which is the full check behind the command line's
+``verify all``.
+
+One runner (``_run``) serves both a suite function and ``run_all``.  With
+one worker, or one unit in all, it runs the units in order in the calling
+process and imports no pool module.  Otherwise it forks a pool of
+``min(workers, units)`` processes and submits the largest units first (a
+plain body's unit counts as larger than any split one, so the suites that
+cannot be split start first).  It puts each unit's points and violations
+back in body order, so a report is the same at any worker count, apart
+from its times.  The suite functions take the worker count as the keyword
+``workers``, which is not a suite parameter and stays out of the report;
+it defaults to 1, so a library call forks nothing.  In ``run_all``, whose
+units all share one pool, a suite report's wall time is the time its units
+ran, summed.
 
 Default parameters are chosen so the whole chain finishes in minutes on one
 core while still covering every identity the library claims: the signed
@@ -34,6 +55,7 @@ identities, and the four-part decomposition.
 
 import functools
 import inspect
+import math
 import time
 from itertools import combinations, product
 
@@ -64,7 +86,13 @@ def _seeded_sequences(n, trees, seed):
             for t in range(trees)]
 
 
+def _sequences(n, trees, seed):
+    """The basic sequence of order n, as seed 0, then the seeded ones."""
+    return [(0, basic_sequence(n))] + _seeded_sequences(n, trees, seed)
+
+
 SUITES = {}
+_PLANS = {}     # suite name -> (name, bound arguments, units) of a call
 
 
 def _camel(name):
@@ -72,35 +100,98 @@ def _camel(name):
     return head + "".join(part.capitalize() for part in rest)
 
 
-def suite(name):
-    """Register a generator body as the suite ``name`` (see the module
-    docstring) and return the suite function that runs it."""
+def suite(name, split=False):
+    """Register a body as the suite ``name`` (see the module docstring) and
+    return the suite function that runs it."""
     def register(body):
         signature = inspect.signature(body)
 
-        @functools.wraps(body)
-        def run(*args, **kwargs):
+        def plan(*args, **kwargs):
             params = signature.bind(*args, **kwargs)
             params.apply_defaults()
+            arguments = params.arguments
+            units = (list(body(**arguments)) if split
+                     else [(math.inf, body(**arguments))])
+            return name, arguments, units
+
+        @functools.wraps(body)
+        def run(*args, workers=1, **kwargs):
             started = time.perf_counter()
-            points = 0
-            violations = []
-            for points, records in enumerate(body(**params.arguments), 1):
-                if records:
-                    violations += records
-            if not points:
-                raise ValueError("suite %s checks no point at %s" % (
-                    name, ", ".join("%s=%r" % item
-                                    for item in params.arguments.items())))
-            return {"suite": name,
-                    "parameters": {_camel(key): value
-                                   for key, value in params.arguments.items()},
-                    "pointsChecked": points, "violations": violations,
-                    "wallTime": round(time.perf_counter() - started, 3)}
+            (report,) = _run([plan(*args, **kwargs)], workers)
+            report["wallTime"] = round(time.perf_counter() - started, 3)
+            return report
 
         SUITES[name] = run
+        _PLANS[name] = plan
         return run
     return register
+
+
+def _check(points):
+    """(points checked, violations, seconds) of one unit, run here."""
+    started = time.perf_counter()
+    count = 0
+    violations = []
+    for count, records in enumerate(points, 1):
+        if records:
+            violations += records
+    return count, violations, time.perf_counter() - started
+
+
+_pool_units = ()    # in a pool worker: the units of the run that forked it
+
+
+def _adopt(units):
+    global _pool_units
+    _pool_units = units
+
+
+def _check_unit(i):
+    return _check(_pool_units[i][1])
+
+
+def _check_all(units, workers):
+    """``_check`` of each unit, in order: here when one process suffices,
+    else on a fork pool of at most ``workers`` processes that takes the
+    largest units first."""
+    processes = min(workers, len(units))
+    if processes < 2:
+        return [_check(points) for _, points in units]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    # Forked workers inherit the units through the initializer's arguments,
+    # which fork does not pickle, and the module state of this process, so
+    # memos and patched names carry over.  gtseq starts no thread of its
+    # own, which keeps the fork safe.
+    with ProcessPoolExecutor(processes, mp_context=get_context("fork"),
+                             initializer=_adopt,
+                             initargs=(units,)) as pool:
+        order = sorted(range(len(units)), key=lambda i: -units[i][0])
+        futures = {i: pool.submit(_check_unit, i) for i in order}
+        return [futures[i].result() for i in range(len(units))]
+
+
+def _run(plans, workers):
+    """The reports of the planned suite calls ``[(name, bound arguments,
+    units)]``, all their units run through one ``_check_all``; each report's
+    wall time is its units' time, summed."""
+    results = iter(_check_all(
+        [unit for _, _, units in plans for unit in units], workers))
+    reports = []
+    for name, arguments, units in plans:
+        mine = [next(results) for _ in units]
+        points = sum(count for count, _, _ in mine)
+        if not points:
+            raise ValueError("suite %s checks no point at %s" % (
+                name, ", ".join("%s=%r" % item for item in arguments.items())))
+        reports.append({
+            "suite": name,
+            "parameters": {_camel(key): value
+                           for key, value in arguments.items()},
+            "pointsChecked": points,
+            "violations": [v for _, violations, _ in mine for v in violations],
+            "wallTime": round(sum(seconds for _, _, seconds in mine), 3)})
+    return reports
 
 
 def _spread(count, records):
@@ -110,56 +201,73 @@ def _spread(count, records):
         yield () if i else records
 
 
-@suite("theorem-main")
+def _determinants(n, bound):
+    dets = binomial_determinants([range(-bound, bound + 1)] * n)
+    for k, lhs in zip(_cube(bound, n), dets):
+        rhs = product_formula(k)
+        yield () if lhs == rhs else [{"check": "determinant", "n": n,
+                                      "k": list(k), "lhs": lhs, "rhs": rhs}]
+
+
+def _tree_sequences(n, bound, trees, seed):
+    grid = list(_cube(bound, n))
+    wanted = list(map(product_formula, grid))
+    for s, seq in _seeded_sequences(n, trees, seed):
+        swept = SequenceCounter(seq).sweep(grid)
+        for k, lhs, rhs in zip(grid, swept, wanted):
+            yield () if lhs == rhs else [{"check": "treeSequence", "n": n,
+                                          "seed": s, "k": list(k),
+                                          "lhs": lhs, "rhs": rhs}]
+
+
+@suite("theorem-main", split=True)
 def suite_theorem_main(n_max=4, bound=2, trees=5, seed=7,
                        det_n_max=5, det_bound=3):
     """Signed chain count == product formula == binomial determinant."""
     for n in range(1, det_n_max + 1):
-        dets = binomial_determinants([range(-det_bound, det_bound + 1)] * n)
-        for k, lhs in zip(_cube(det_bound, n), dets):
-            rhs = product_formula(k)
-            yield () if lhs == rhs else [{"check": "determinant", "n": n,
-                                          "k": list(k),
-                                          "lhs": lhs, "rhs": rhs}]
+        yield (2 * det_bound + 1) ** n, _determinants(n, det_bound)
     for n in range(1, n_max + 1):
-        grid = list(_cube(bound, n))
-        wanted = list(map(product_formula, grid))
-        for s, seq in _seeded_sequences(n, trees, seed):
-            swept = SequenceCounter(seq).sweep(grid)
-            for k, lhs, rhs in zip(grid, swept, wanted):
-                yield () if lhs == rhs else [{"check": "treeSequence", "n": n,
-                                              "seed": s, "k": list(k),
-                                              "lhs": lhs, "rhs": rhs}]
+        yield (trees * (2 * bound + 1) ** n,
+               _tree_sequences(n, bound, trees, seed))
 
 
-@suite("independence")
+def _independence(n, bound, trees, seed):
+    grid = list(_cube(bound, n))
+    swept = [(s, SequenceCounter(seq).sweep(grid))
+             for s, seq in _seeded_sequences(n, trees, seed)]
+    for i, k in enumerate(grid):
+        reference = signed_pattern_count(k)
+        yield [{"n": n, "seed": s, "k": list(k),
+                "lhs": got, "rhs": reference}
+               for s, values in swept
+               if (got := values[i]) != reference]
+
+
+@suite("independence", split=True)
 def suite_independence(n_max=4, bound=2, trees=5, seed=7):
     """Every tree sequence yields the same count as the path-tree stack."""
     for n in range(1, n_max + 1):
-        grid = list(_cube(bound, n))
-        swept = [(s, SequenceCounter(seq).sweep(grid))
-                 for s, seq in _seeded_sequences(n, trees, seed)]
-        for i, k in enumerate(grid):
-            reference = signed_pattern_count(k)
-            yield [{"n": n, "seed": s, "k": list(k),
-                    "lhs": got, "rhs": reference}
-                   for s, values in swept
-                   if (got := values[i]) != reference]
+        yield (trees * (2 * bound + 1) ** n,
+               _independence(n, bound, trees, seed))
 
 
-@suite("shift-antisym")
-def suite_shift_antisym(n_max=4, bound=2):
-    """f(k) = -f(k') under (k_i,k_j) -> (k_j+j-i, k_i+i-j), both counts."""
+def _shift_antisym(n, bound):
     functions = (("product", product_formula),
                  ("patterns", signed_pattern_count))
+    for k in _cube(bound, n):
+        at_k = [(name, f, f(k)) for name, f in functions]
+        for i, j in combinations(range(1, n + 1), 2):
+            kp = swap_shift(k, i, j)
+            yield [{"function": name, "n": n, "k": list(k), "i": i, "j": j,
+                    "lhs": a, "rhs": -b}
+                   for name, f, a in at_k if a + (b := f(kp)) != 0]
+
+
+@suite("shift-antisym", split=True)
+def suite_shift_antisym(n_max=4, bound=2):
+    """f(k) = -f(k') under (k_i,k_j) -> (k_j+j-i, k_i+i-j), both counts."""
     for n in range(2, n_max + 1):
-        for k in _cube(bound, n):
-            at_k = [(name, f, f(k)) for name, f in functions]
-            for i, j in combinations(range(1, n + 1), 2):
-                kp = swap_shift(k, i, j)
-                yield [{"function": name, "n": n, "k": list(k), "i": i, "j": j,
-                        "lhs": a, "rhs": -b}
-                       for name, f, a in at_k if a + (b := f(kp)) != 0]
+        yield n * (n - 1) // 2 * (2 * bound + 1) ** n, _shift_antisym(n, bound)
 
 
 def _annihilated(n, bound, ops):
@@ -228,85 +336,92 @@ def _difference_in(corners, masks):
             - sum(map(corners.__getitem__, minus)))
 
 
-@suite("prop-first")
+def _prop_first(n, bound, s, seq):
+    counter = SequenceCounter(seq)
+    # the corner box [-bound, bound + 1]^n, swept once: the corner values and
+    # the pinned and filtered walks below read the tables it fills
+    counter.sweep(product(range(-bound, bound + 2), repeat=n))
+    corners = {k: _corner_values(counter, k) for k in _cube(bound, n)}
+    for size in range(1, n + 1):
+        for R in combinations(range(1, n + 1), size):
+            pinned = RestrictedCounter(seq, n, R, mode="vertex",
+                                       plain=counter)
+            masks = _difference_masks(R)
+            for k in _cube(bound, n):
+                want = _difference_in(corners[k], masks)
+                got = pinned(k)
+                yield () if got == want else [
+                    {"check": "difference", "n": n, "seed": s,
+                     "R": list(R), "k": list(k), "lhs": got, "rhs": want}]
+    for level in range(3, n + 1):
+        for pair in combinations(range(1, level), 2):
+            filtered = FilteredCounter(seq, level, [pair], plain=counter)
+            for k in _cube(bound, n):
+                got = filtered(k)
+                want = counter(k)
+                yield () if got == want else [
+                    {"check": "distinctFilter", "n": n, "seed": s,
+                     "level": level, "pair": list(pair),
+                     "k": list(k), "lhs": got, "rhs": want}]
+
+
+@suite("prop-first", split=True)
 def suite_prop_first(n_max=4, bound=1, trees=2, seed=11):
     """Top-level vertex pinning computes iterated forward differences.
 
     Also sweeps the distinct-label filter, which must not change the count.
     """
     for n in range(2, n_max + 1):
-        seqs = [(0, basic_sequence(n))] + _seeded_sequences(n, trees, seed)
-        for s, seq in seqs:
-            counter = SequenceCounter(seq)
-            # the corner box [-bound, bound + 1]^n, swept once: the corner
-            # values and the pinned and filtered walks below read the
-            # tables it fills
-            counter.sweep(product(range(-bound, bound + 2), repeat=n))
-            corners = {k: _corner_values(counter, k) for k in _cube(bound, n)}
-            for size in range(1, n + 1):
-                for R in combinations(range(1, n + 1), size):
-                    pinned = RestrictedCounter(seq, n, R, mode="vertex",
-                                               plain=counter)
-                    masks = _difference_masks(R)
-                    for k in _cube(bound, n):
-                        want = _difference_in(corners[k], masks)
-                        got = pinned(k)
-                        yield () if got == want else [
-                            {"check": "difference", "n": n, "seed": s,
-                             "R": list(R), "k": list(k),
-                             "lhs": got, "rhs": want}]
-            for level in range(3, n + 1):
-                for pair in combinations(range(1, level), 2):
-                    filtered = FilteredCounter(seq, level, [pair],
-                                               plain=counter)
-                    for k in _cube(bound, n):
-                        got = filtered(k)
-                        want = counter(k)
-                        yield () if got == want else [
-                            {"check": "distinctFilter", "n": n, "seed": s,
-                             "level": level, "pair": list(pair),
-                             "k": list(k), "lhs": got, "rhs": want}]
+        for s, seq in _sequences(n, trees, seed):
+            yield (2 ** n * (2 * bound + 1) ** n,
+                   _prop_first(n, bound, s, seq))
 
 
-@suite("prop-second")
+def _prop_second(n, bound, s, seq):
+    plain = SequenceCounter(seq)
+    for m in range(3, n + 1):
+        for size in range(1, m):
+            for R in combinations(range(1, m), size):
+                by_edge = RestrictedCounter(seq, m, R, mode="edge",
+                                            plain=plain)
+                by_vertex = RestrictedCounter(seq, m - 1, R, mode="vertex",
+                                              plain=plain)
+                for k in _cube(bound, n):
+                    a, b = by_edge(k), by_vertex(k)
+                    yield () if a == b else [
+                        {"n": n, "seed": s, "m": m, "R": list(R),
+                         "k": list(k), "lhs": a, "rhs": b}]
+
+
+@suite("prop-second", split=True)
 def suite_prop_second(n_max=4, bound=1, trees=2, seed=11):
     """Edge pinning at a level equals vertex pinning one level down."""
     for n in range(3, n_max + 1):
-        seqs = [(0, basic_sequence(n))] + _seeded_sequences(n, trees, seed)
-        for s, seq in seqs:
-            plain = SequenceCounter(seq)
-            for m in range(3, n + 1):
-                for size in range(1, m):
-                    for R in combinations(range(1, m), size):
-                        by_edge = RestrictedCounter(seq, m, R, mode="edge",
-                                                    plain=plain)
-                        by_vertex = RestrictedCounter(seq, m - 1, R,
-                                                      mode="vertex",
-                                                      plain=plain)
-                        for k in _cube(bound, n):
-                            a, b = by_edge(k), by_vertex(k)
-                            yield () if a == b else [
-                                {"n": n, "seed": s, "m": m, "R": list(R),
-                                 "k": list(k), "lhs": a, "rhs": b}]
+        for s, seq in _sequences(n, trees, seed):
+            yield (2 ** n * (2 * bound + 1) ** n,
+                   _prop_second(n, bound, s, seq))
 
 
-@suite("rho-zero")
+def _rho_zero(n, bound, s, seq):
+    plain = SequenceCounter(seq)
+    for m in range(2, n + 1):
+        for rho in range(1, m + 1):
+            counters = [RestrictedCounter(seq, m, R, mode="vertex",
+                                          plain=plain)
+                        for R in combinations(range(1, m + 1), rho)]
+            for k in _cube(bound, n):
+                value = sum(c(k) for c in counters)
+                yield () if value == 0 else [
+                    {"n": n, "seed": s, "m": m, "rho": rho,
+                     "k": list(k), "value": value}]
+
+
+@suite("rho-zero", split=True)
 def suite_rho_zero(n_max=4, bound=1, trees=1, seed=11):
     """Summing vertex pinnings over all subsets of one size gives zero."""
     for n in range(2, n_max + 1):
-        seqs = [(0, basic_sequence(n))] + _seeded_sequences(n, trees, seed)
-        for s, seq in seqs:
-            plain = SequenceCounter(seq)
-            for m in range(2, n + 1):
-                for rho in range(1, m + 1):
-                    counters = [RestrictedCounter(seq, m, R, mode="vertex",
-                                                  plain=plain)
-                                for R in combinations(range(1, m + 1), rho)]
-                    for k in _cube(bound, n):
-                        value = sum(c(k) for c in counters)
-                        yield () if value == 0 else [
-                            {"n": n, "seed": s, "m": m, "rho": rho,
-                             "k": list(k), "value": value}]
+        for s, seq in _sequences(n, trees, seed):
+            yield n * (2 * bound + 1) ** n, _rho_zero(n, bound, s, seq)
 
 
 @suite("extensions-agree")
@@ -464,26 +579,22 @@ def suite_decomposition(n=3, bound=2):
                              for key in left if left[key] != -right[key]]
 
 
-def run_suite(name, **params):
+def run_suite(name, workers=1, **params):
     try:
         fn = SUITES[name]
     except KeyError:
         raise ValueError("unknown suite %r" % name)
-    return fn(**params)
+    return fn(workers=workers, **params)
 
 
-def run_all(workers=None):
-    """Run every suite; aggregate into one report (suite name "all")."""
+def run_all(workers=1):
+    """Run every suite at its defaults, all units through one pool;
+    aggregate into one report (suite name "all")."""
     started = time.perf_counter()
     names = list(SUITES)
-    if workers and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_suite, names))
-    else:
-        reports = [run_suite(name) for name in names]
+    reports = _run([_PLANS[name]() for name in names], workers)
     return {"suite": "all",
-            "parameters": {"suites": names, "workers": workers or 1},
+            "parameters": {"suites": names, "workers": workers},
             "pointsChecked": sum(r["pointsChecked"] for r in reports),
             "violations": [{"suite": r["suite"], **v}
                            for r in reports for v in r["violations"]],

@@ -124,10 +124,14 @@ def test_verify_asymmetric_grid_rejected(capsys):
     assert "symmetric" in err
 
 
-def test_verify_workers_only_for_all(capsys):
-    code, _, err = run(capsys, "verify", "intervals", "--workers", "2")
-    assert code == 2
-    assert "workers" in err
+def test_verify_workers_apply_to_every_suite(capsys):
+    reports = []
+    for workers in ("2", "1"):
+        code, out, _ = run(capsys, "verify", "intervals", "--workers", workers)
+        assert code == 0
+        reports.append(json.loads(out))
+        reports[-1].pop("wallTime")
+    assert reports[0] == reports[1]
 
 
 def test_verify_determinism(capsys):
@@ -141,7 +145,7 @@ def test_verify_determinism(capsys):
 
 
 def test_verify_exit_one_on_violation(capsys, monkeypatch):
-    def broken():
+    def broken(workers=1):
         return {"suite": "broken", "parameters": {}, "pointsChecked": 1,
                 "violations": [{"k": [0], "lhs": 1, "rhs": 2}],
                 "wallTime": 0.0}
@@ -264,7 +268,8 @@ def test_unknown_suite_lists_the_suites(capsys):
 
 
 # The gtseq modules a fresh process holds after one command: each command
-# imports only the modules it runs, and verify imports every one.
+# imports only the modules it runs, and verify imports every one.  A pool
+# module shows among them when loaded, which no serial command does.
 EVERY_MODULE = {"cli", "intervals", "labelings", "monotone", "operators",
                 "paths", "patterns", "trees", "verify"}
 PATTERN_MODULES = {"cli", "patterns", "intervals"}
@@ -282,13 +287,16 @@ LOADED_BY = (
     (("apply", "--operator", "D k1", "--function", "alpha", "--at", "1,2"),
      ALPHA_MODULES),
     (("verify", "paths", "--n", "2"), EVERY_MODULE),
+    (("verify", "intervals", "--workers", "1"), EVERY_MODULE),
 )
 
 PROBE = ("import sys\n"
          "from gtseq.cli import main\n"
          "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+         "pool = {'concurrent.futures', 'multiprocessing'}\n"
          "print(code, *sorted(name[len('gtseq.'):] for name in sys.modules\n"
-         "                    if name.startswith('gtseq.')))\n")
+         "                    if name.startswith('gtseq.')),\n"
+         "      *pool & set(sys.modules))\n")
 
 
 @pytest.mark.parametrize("argv, modules", LOADED_BY,

@@ -1,6 +1,9 @@
+import concurrent.futures
 import hashlib
 import inspect
 import json
+import multiprocessing
+from concurrent.futures import Future
 from itertools import combinations, product
 
 import pytest
@@ -128,9 +131,51 @@ def test_run_all_report_frozen(run_all_report):
 
 @pytest.mark.parametrize("name", sorted(FROZEN_DEEP))
 def test_deep_suite_reports_frozen(name):
-    report = verify.run_suite(name, n_max=4, seed=FROZEN_DEEP_SEED)
-    assert report["violations"] == []
-    assert _report_digest(report) == FROZEN_DEEP[name]
+    # in one process and on a pool of two, which is gone when the call returns
+    for workers in (1, 2):
+        report = verify.run_suite(name, workers=workers, n_max=4,
+                                  seed=FROZEN_DEEP_SEED)
+        assert report["violations"] == []
+        assert _report_digest(report) == FROZEN_DEEP[name], workers
+    assert not multiprocessing.active_children()
+
+
+def test_pool_is_no_larger_than_its_units(monkeypatch):
+    pools, tasks = [], []
+
+    class InlinePool:
+        """A stand-in for ProcessPoolExecutor that starts no process: it
+        runs the initializer, then each task as it is submitted, here."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, i):
+            tasks.append(i)
+            future = Future()
+            future.set_result(fn(i))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    # the inline initializer hands the units to this process
+    monkeypatch.setattr(verify, "_pool_units", ())
+    report = verify.run_all(workers=100_000)
+    units = [unit for name in verify.SUITES
+             for unit in verify._PLANS[name]()[2]]
+    assert pools == [len(units)]
+    assert sorted(tasks) == list(range(len(units)))
+    sizes = [verify._pool_units[i][0] for i in tasks]
+    assert sizes == sorted(sizes, reverse=True)
+    # taken largest first, the results still land in body order
+    report["parameters"]["workers"] = 1
+    assert _report_digest(report) == FROZEN_RUN_ALL
 
 
 def _recursive_difference(f, k, coords):
@@ -287,6 +332,8 @@ FROZEN_BROKEN = {
 def test_broken_suite_reports_frozen(monkeypatch, name):
     attr, break_, params = BROKEN_SUITES[name]
     monkeypatch.setattr(verify, attr, break_(getattr(verify, attr)))
-    report = verify.run_suite(name, **params)
-    assert report["violations"]
-    assert _report_digest(report) == FROZEN_BROKEN[name]
+    # forked workers inherit the broken name
+    for workers in (1, 2):
+        report = verify.run_suite(name, workers=workers, **params)
+        assert report["violations"]
+        assert _report_digest(report) == FROZEN_BROKEN[name], workers
