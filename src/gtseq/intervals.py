@@ -31,25 +31,30 @@ reference the rows are held to.
 The level fill is the same recursion taken a box at a time, and ``fill``
 is its one entry point, shared by the tree-sequence counts
 (``labelings.SequenceCounter.sweep``) and alpha
-(``monotone.alpha_function``).  Extended summation makes the signed sum
-over a slot a prefix-sum difference F(b) - F(a) whatever the order of a
-and b, so a level's values are signed sums of the padded prefix table of
-the level below (``prefix_table``) at a fixed set of corners, its stencil.
-A family gives ``fill`` only two things: the box of the level below that a
-box reaches, and each level's signed corners.  ``fill`` owns the rest: the
-one rule for when a fill beats the memoized step (enough points, making up
-enough of their box, within ``FILL_BUDGET`` cells), the boxes of every
-level from the top box down, the stencil's per-coordinate offset columns
+(``monotone.alpha_function``).  A family gives ``fill`` only its slots:
+per level, its row choices, each one slot form ((a, s), (b, t)) per
+coordinate of the level below, meaning slot(x_a + s, x_b + t) at a level
+point x.  Everything else is derived here, once.  Extended summation makes
+the signed sum over a slot F(x_b + t) - F(x_a + s - 1), with F the padded
+prefix table of the level below (``prefix_table``), whatever the order of
+the two ends, so a level's values are signed sums of F at a fixed set of
+corners, its stencil (``_stencil``: the differences multiplied out over
+the coordinates and summed over the choices, equal corners cancelling).
+The members of each slot at every point of a box give the box of the level
+below that it reaches (``_reach``).  ``fill`` owns the rest: the one rule
+for when a fill beats the memoized step (enough points, making up enough
+of their box, within ``FILL_BUDGET`` cells), the boxes of every level from
+the top box down, the stencil's per-coordinate offset columns
 (``corner_column``), and the levels filled bottom-up from the all-ones
 level 1, where ``corner_sums`` evaluates a stencil over a whole box with
 the partial offsets shared by terms that agree on their leading columns.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, chain, product, repeat
 from math import prod
-from operator import add, sub
+from operator import add, getitem, sub
 
 
 @dataclass(frozen=True)
@@ -185,20 +190,22 @@ FILL_MIN_POINTS = 16
 FILL_BUDGET = 250_000
 
 
-def fill(points, top, below, corners):
+def fill(points, top, slots):
     """Fill levels 2..``top`` of a family over the boxes that the bounding
     box of the level-``top`` ``points`` reaches, bottom-up from the all-ones
     level 1, yielding (level, box, values) with the values row-major over
     the box.
 
-    ``below(level, box)`` is the box of level - 1 that a level box reaches,
-    and ``corners(level)`` the level's stencil as (coeff, corner) pairs:
-    coeff is 1 or -1, and the corner gives one (v, shift) per coordinate c
-    of level - 1, reading c of its padded prefix table at x_v + shift.  The
-    fill yields nothing, leaving the points to the memoized step, unless
-    they are at least FILL_MIN_POINTS distinct vectors of length top making
-    up at least half of their bounding box, and the reached boxes hold at
-    most FILL_BUDGET cells; with top = 1 there is no level to fill.
+    ``slots(level)`` gives the level's row choices as a tuple of choices,
+    each one slot form ((a, s), (b, t)) per coordinate c of level - 1: at a
+    level point x, coordinate c of the level below ranges over
+    slot(x_a + s, x_b + t).  From these forms the fill derives the box of
+    the level below that a box reaches (``_reach``) and the level's stencil
+    (``_stencil``).  It yields nothing, leaving the points to the memoized
+    step, unless they are at least FILL_MIN_POINTS distinct vectors of
+    length top making up at least half of their bounding box, and the
+    reached boxes hold at most FILL_BUDGET cells; with top = 1 there is no
+    level to fill.
     """
     distinct = set(points)
     if (len(distinct) < FILL_MIN_POINTS
@@ -208,8 +215,9 @@ def fill(points, top, below, corners):
               for column in zip(*distinct)]]
     if 2 * len(distinct) < prod(map(len, boxes[0])):
         return
+    choices = {level: slots(level) for level in range(2, top + 1)}
     for level in range(top, 1, -1):
-        boxes.append(below(level, boxes[-1]))
+        boxes.append(_reach(choices[level], boxes[-1]))
     if sum(prod(map(len, box)) for box in boxes) > FILL_BUDGET:
         return
     boxes.reverse()
@@ -217,7 +225,7 @@ def fill(points, top, below, corners):
     prefix = list(range(len(boxes[0][0]) + 1))
     for level in range(2, top + 1):
         box, under = boxes[level - 1], boxes[level - 2]
-        stencil = corners(level)
+        stencil = _stencil(choices[level])
         # one column per distinct read of a coordinate, and per term the
         # column it picks in each
         reads = [sorted({corner[c] for _, corner in stencil})
@@ -231,6 +239,42 @@ def fill(points, top, below, corners):
         yield level, box, values
         if level < top:
             prefix = prefix_table(values, list(map(len, box)))
+
+
+def _reach(choices, box):
+    """The box of the level below that a level ``box`` reaches: coordinate
+    c spans the members of its slot at every point of the box, in every
+    choice.  The members of slot(x_a + s, x_b + t) lie between
+    min(x_a + s, x_b + t + 1) and max(x_a + s, x_b + t + 1) - 1."""
+    return [range(min(min(box[a - 1].start + s, box[b - 1].start + t + 1)
+                      for (a, s), (b, t) in forms),
+                  max(max(box[a - 1].stop - 1 + s, box[b - 1].stop + t)
+                      for (a, s), (b, t) in forms))
+            for forms in zip(*choices)]
+
+
+@lru_cache(maxsize=None)
+def _stencil(choices):
+    """A level's value as signed corners of the padded prefix table F of
+    the level below, as (coeff, corner) pairs, a corner giving one (v, shift)
+    per coordinate that reads F at x_v + shift.
+
+    Extended summation makes the signed sum over slot(x_a + s, x_b + t) the
+    difference F(x_b + t) - F(x_a + s - 1) whatever the order of the two
+    ends; a choice is the product of one difference per coordinate, and the
+    choices are summed, equal corners cancelling.  ``corner_sums`` takes
+    coefficients 1 and -1 only."""
+    terms = {}
+    for choice in choices:
+        ends = [((b, t), (a, s - 1)) for (a, s), (b, t) in choice]
+        for lows in product((0, 1), repeat=len(ends)):
+            corner = tuple(map(getitem, ends, lows))
+            terms[corner] = terms.get(corner, 0) + (-1) ** sum(lows)
+    if any(abs(coeff) > 1 for coeff in terms.values()):
+        raise ValueError("a stencil corner has a coefficient other than "
+                         "1, 0 or -1")
+    return tuple((coeff, corner) for corner, coeff in sorted(terms.items())
+                 if coeff)
 
 
 def prefix_table(values, widths):

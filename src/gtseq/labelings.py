@@ -21,19 +21,14 @@ evaluates the signed total without them, by a memoized recursion over levels.
 once, through the level fill that alpha shares (``intervals.fill``), which
 decides whether a fill beats the memoized step.  The counter hands it the
 points missing from its top table (so a swept grid is read, not filled
-again) and two things about its levels.  A box propagates down the
-sequence: edge e = (t, h) of T_i takes coordinate e of level i-1 over
-[min(L_t+t, L_h+h) - e, max(H_t+t, H_h+h) - e - 1], with [L_v, H_v] the
-level-i box in coordinate v (``_boxes_below``).  Extended summation makes
-the signed sum over a slot a prefix-sum difference F(b) - F(a), whatever
-the order of a and b, so each level-i value is the signed sum of the level
-below's prefix table at 2^(i-1) corners, one difference per edge
-(``_level_corners``): an inversion needs no case of its own, and at a tie
-the two corners coincide and cancel.  Every filled value goes into the
-per-level memo, so later point calls, and every pinned or filtered walk
-handed the counter, read the filled tables; the prefix tables are dropped.
-Points the fill leaves, ``__call__``, and the pinned and filtered walks
-keep the memoized step.
+again) and each level's one row choice (``_level_slots``): edge e = (t, h)
+of T_i takes coordinate e of level i-1 over slot(l_t + t - e,
+l_h + h - e - 1), the slot of ``_edge_slots``.  The fill derives from these
+the box each level reaches and the level's 2^(i-1) prefix-table corners.
+Every filled value goes into the per-level memo, so later point calls, and
+every pinned or filtered walk handed the counter, read the filled tables;
+the prefix tables are dropped.  Points the fill leaves, ``__call__``, and
+the pinned and filtered walks keep the memoized step.
 
 The "weak" machinery pins selected edges to the labels of selected vertices
 (one pinned edge per chosen vertex, exclusions keeping the pin unique) and
@@ -78,7 +73,7 @@ compute only the missing ones otherwise.
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 from math import prod
 from operator import getitem
@@ -159,23 +154,10 @@ def _range_sum(r):
     return (r.start + r.stop - 1) * len(r) // 2
 
 
-def _boxes_below(edges, box):
-    """The box of level i-1 that the level-i ``box`` reaches: edge e = (t, h)
-    of T_i takes coordinate e over [min(L_t+t, L_h+h) - e,
-    max(H_t+t, H_h+h) - e - 1], with [L_v, H_v] the box's coordinate v."""
-    return [range(min(box[t - 1].start + t, box[h - 1].start + h) - e,
-                  max(box[t - 1].stop + t, box[h - 1].stop + h) - e - 1)
-            for e, t, h in edges]
-
-
-@lru_cache(maxsize=None)
-def _level_corners(edges):
-    """The signed corners of a level-i value in the prefix table of level
-    i-1, for ``intervals.fill``: the product of one F(b_e) - F(a_e) per edge
-    e = (t, h) of T_i, b_e = l_h + h - e - 1 and a_e = l_t + t - e - 1."""
-    reads = [((h, h - e - 1), (t, t - e - 1)) for e, t, h in edges]
-    return tuple(((-1) ** sum(lows), tuple(map(getitem, reads, lows)))
-                 for lows in product((0, 1), repeat=len(edges)))
+def _level_slots(edges):
+    """The level's one row choice for ``intervals.fill``: edge e = (t, h)
+    ranges over slot(l_t + t - e, l_h + h - e - 1), as ``_edge_slots``."""
+    return (tuple(((t, t - e), (h, h - e - 1)) for e, t, h in edges),)
 
 
 def admissible_labelings(tree, k):
@@ -261,8 +243,7 @@ class SequenceCounter:
         top = memo[self._order]
         for level, box, values in fill(
                 [k for k in points if k not in top], self._order,
-                lambda level, box: _boxes_below(edges[level], box),
-                lambda level: _level_corners(edges[level])):
+                lambda level: _level_slots(edges[level])):
             memo[level].update(zip(product(*box), values))
         sign = self.tree_sign
         return [sign * top[k] if k in top else self(k) for k in points]

@@ -16,18 +16,16 @@ with the interval sign standing in for the extended summation convention.
 routes and properties apply operators to, can also fill that memo a box at
 a time through the level fill that the tree-sequence counts share
 (``intervals.fill``), which decides whether a fill beats the memoized
-step.  It is handed the points not yet in the memo and two things about
-the rows.  Each star choice is a product of one F(hi) - F(lo) per entry of
-the row above, F the prefix table of the rows one shorter: a pinned entry
-q reads (v_q, v_q - 1), a free one (v_{q+1}, v_q), a tight one
-(v_{q+1} - 1, v_q).  Summed over the star choices, equal corners cancel,
-leaving a stencil of 2, 6, 16, 44 and 120 terms for rows of length 2..6
-(``_alpha_stencil``), and entry q of the rows one shorter spans
-[min(L_q, L_{q+1}), max(H_q, H_{q+1})] of a box [L, H] of rows
-(``_alpha_below``).  The stencil grows about 2.7 times per row length, so
-the fill stops at n = FILL_MAX_N; above it, for the points the fill
-leaves, and for ``alpha`` itself (and so ``count alpha``), the memoized
-step runs.
+step.  It is handed the points not yet in the memo and, per row length,
+the 2^(m-1) star choices of ``_rows_1`` as slot forms (``_alpha_slots``):
+a starred entry q of the row above is pinned, slot(v_q, v_q); left of a
+star it is tight, slot(v_q + 1, v_{q+1} - 1); otherwise it is free,
+slot(v_q + 1, v_{q+1}).  The fill derives the box each row length reaches
+and the stencil, whose equal corners cancel down to 2, 6, 16, 44 and 120
+terms for rows of length 2..6.  The stencil grows about 2.7 times per row
+length, so the fill stops at n = FILL_MAX_N; above it, for the points the
+fill leaves, and for ``alpha`` itself (and so ``count alpha``), the
+memoized step runs.
 
 Four object-level extensions realize the same polynomial as signed
 enumerations.  Variant 1 uses the left pins above, so its count is alpha.
@@ -102,46 +100,22 @@ def _alpha_sweep(n, points):
     reach, when n <= FILL_MAX_N and the fill beats the memoized step."""
     if n <= FILL_MAX_N:
         missing = [k for k in points if k not in _alpha_memo]
-        for _, box, values in fill(missing, n, _alpha_below, _alpha_stencil):
+        for _, box, values in fill(missing, n, _alpha_slots):
             _alpha_memo.update(zip(product(*box), values))
     return [alpha(n, k) for k in points]
 
 
-def _alpha_below(m, box):
-    """The box of rows of length m - 1 that the stencil of rows in ``box``
-    reads: entry q spans [min(L_q, L_{q+1}), max(H_q, H_{q+1})]."""
-    return [range(min(a.start, b.start), max(a.stop, b.stop))
-            for a, b in zip(box, box[1:])]
-
-
-@lru_cache(maxsize=None)
-def _alpha_stencil(m):
-    """alpha at a row v of length m as signed corners of the prefix table F
-    of the rows of length m - 1, as (coefficient, corner) pairs.
-
-    Each star choice of ``_rows_1`` sums over a box whose entry q reads
-    F(hi) - F(lo): a starred (pinned) entry (v_q, v_q - 1), an entry left of
-    a star (tight) (v_{q+1} - 1, v_q), any other (free) (v_{q+1}, v_q), with
-    v indexed from 1.  Expanding the products of all 2^(m-1) star choices
-    and cancelling equal corners leaves 2, 6, 16, 44 and 120 terms for
-    m = 2..6.  A corner gives, per entry q, the pair (coordinate of v,
-    shift) that it reads.
-    """
-    terms = {}
-    for stars in product((False, True), repeat=m - 1):
-        factors = []
-        for q in range(1, m):
-            if stars[q - 1]:
-                factors.append(((q, 0), (q, -1)))
-            elif q < m - 1 and stars[q]:
-                factors.append(((q + 1, -1), (q, 0)))
-            else:
-                factors.append(((q + 1, 0), (q, 0)))
-        for lows in product((0, 1), repeat=m - 1):
-            corner = tuple(map(getitem, factors, lows))
-            terms[corner] = terms.get(corner, 0) + (-1) ** sum(lows)
-    return tuple((coeff, corner) for corner, coeff in sorted(terms.items())
-                 if coeff)
+def _alpha_slots(m):
+    """The star choices of ``_rows_1`` above a row of length m, for
+    ``intervals.fill``: entry q of the row above is pinned to v_q when
+    starred, ranges over [v_q + 1, v_{q+1} - 1] (tight) when entry q + 1
+    is starred, and over [v_q + 1, v_{q+1}] (free) otherwise."""
+    return tuple(
+        tuple(((q, 0), (q, 0)) if stars[q - 1]
+              else ((q, 1), (q + 1, -1)) if q < m - 1 and stars[q]
+              else ((q, 1), (q + 1, 0))
+              for q in range(1, m))
+        for stars in product((False, True), repeat=m - 1))
 
 
 def enumerate_monotone_triangles(k):
@@ -542,31 +516,27 @@ def linear_system_residuals(n, vector=None):
     return out
 
 
-def doubly_refined_identity_residuals(n, imax=None, jmax=None):
+def doubly_refined_identity_residuals(n):
     """Residuals of the two-index difference identity on the extended matrix.
 
     The statement compares the step from (i, j) to (i+1, j+1) with a double
     binomial sum over the transposed-and-shifted entries; entries beyond n
     vanish but are still computed through the operator route.  The identity
     only makes sense for i, j <= 2n-3 (the binomial expansion of the shift
-    needs a nonnegative exponent), which caps the default index range.
+    needs a nonnegative exponent), which caps the index range.
     """
-    if imax is None:
-        imax = 2 * n - 3
-    if jmax is None:
-        jmax = 2 * n - 3
     top = 2 * n - 2
     table = {}
-    for i in range(1, max(top, imax + 1) + 1):
-        for j in range(1, max(top, jmax + 1) + 1):
+    for i in range(1, top + 1):
+        for j in range(1, top + 1):
             table[(i, j)] = doubly_refined_entry(n, i, j)
 
     def A(i, j):
         return table.get((i, j), 0)
 
     out = []
-    for i in range(1, imax + 1):
-        for j in range(1, jmax + 1):
+    for i in range(1, top):
+        for j in range(1, top):
             lhs = A(i + 1, j + 1) - A(i, j)
             rhs = 0
             for p in range(0, 2 * n - 2 - i):

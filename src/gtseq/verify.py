@@ -31,11 +31,12 @@ default parameters, which is the full check behind the command line's
 ``verify all``.
 
 One runner (``_run``) serves both a suite function and ``run_all``.  With
-one worker, or one unit in all, it runs the units in order in the calling
-process and imports no pool module.  Otherwise it forks a pool of
-``min(workers, units)`` processes and submits the largest units first (a
-plain body's unit counts as larger than any split one, so the suites that
-cannot be split start first).  It puts each unit's points and violations
+one worker, one unit in all, or one unit larger than all the others
+together, it runs the units in order in the calling process and imports no
+pool module.  Otherwise it forks a pool of ``min(workers, units)``
+processes and submits the largest units first (a plain body's unit counts
+as larger than any split one, so the suites that cannot be split start
+first, and never outweigh the rest of ``run_all``).  It puts each unit's points and violations
 back in body order, so a report is the same at any worker count, apart
 from its times.  The suite functions take the worker count as the keyword
 ``workers``, which is not a suite parameter and stays out of the report;
@@ -151,11 +152,15 @@ def _check_unit(i):
 
 
 def _check_all(units, workers):
-    """``_check`` of each unit, in order: here when one process suffices,
-    else on a fork pool of at most ``workers`` processes that takes the
-    largest units first."""
+    """``_check`` of each unit, in order: here when one process suffices
+    or the largest unit's size exceeds the others' combined, else on a fork
+    pool of at most ``workers`` processes that takes the largest units
+    first."""
     processes = min(workers, len(units))
-    if processes < 2:
+    sizes = sorted(size for size, _ in units)
+    # a unit larger than all the others together would keep the pool
+    # waiting on it, so the pool's fixed cost buys nothing
+    if processes < 2 or sizes[-1] > sum(sizes[:-1]):
         return [_check(points) for _, points in units]
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context

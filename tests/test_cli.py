@@ -288,6 +288,8 @@ LOADED_BY = (
      ALPHA_MODULES),
     (("verify", "paths", "--n", "2"), EVERY_MODULE),
     (("verify", "intervals", "--workers", "1"), EVERY_MODULE),
+    # its n = 3 unit outweighs the rest, so two workers open no pool
+    (("verify", "independence", "--n", "3", "--workers", "2"), EVERY_MODULE),
 )
 
 PROBE = ("import sys\n"

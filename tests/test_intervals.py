@@ -1,5 +1,7 @@
+from collections import Counter
 from functools import partial
 from itertools import product
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -180,23 +182,15 @@ def test_empty_bottom_row_rejected(call):
 # F(x_{q+1}) - F(x_q - 1), and the signed count is the product formula.
 
 
-def _toy_below(level, box):
-    """Coordinate q of the box below covers the reads x_{q+1} and x_q - 1
-    of the rows in ``box``."""
-    return [range(min(b.start + 1, a.start), max(b.stop, a.stop - 1))
-            for a, b in zip(box, box[1:])]
-
-
-def _toy_corners(level):
-    reads = [((q + 1, 0), (q, -1)) for q in range(1, level)]
-    return [((-1) ** sum(lows), tuple(pair[low] for pair, low
-                                      in zip(reads, lows)))
-            for lows in product((0, 1), repeat=level - 1)]
+def _toy_slots(level):
+    """The one row choice: entry q of the row above ranges over
+    slot(x_q, x_{q+1})."""
+    return (tuple(((q, 0), (q + 1, 0)) for q in range(1, level)),)
 
 
 def _toy_fill(points, top=2):
     """The top level's values by point, or None when nothing is filled."""
-    levels = list(fill(points, top, _toy_below, _toy_corners))
+    levels = list(fill(points, top, _toy_slots))
     if not levels:
         return None
     assert [level for level, _, _ in levels] == list(range(2, top + 1))
@@ -247,3 +241,88 @@ def test_fill_needs_a_level_above_the_ones():
     assert _toy_fill(line, top=1) is None
     # and points of the top level's length
     assert _toy_fill(list(product(range(4), repeat=2)), top=3) is None
+
+
+def test_fill_refuses_a_corner_counted_twice():
+    # corner_sums adds or subtracts each corner once, so a family whose
+    # choices sum a corner twice must not be filled with a wrong value
+    twice = _toy_slots(2) * 2
+    with pytest.raises(ValueError, match="coefficient"):
+        list(fill(list(product(range(4), repeat=2)), 2, lambda level: twice))
+
+
+# --- the families' slot forms ----------------------------------------------
+
+
+def _at(choice, x):
+    """A choice of slot forms evaluated at the point x."""
+    return [slot(x[a - 1] + s, x[b - 1] + t) for (a, s), (b, t) in choice]
+
+
+def _family_levels(rng):
+    """(level, choices) for the toy family, the levels of random tree
+    sequences of order 2..6, and alpha above rows of length 2..6."""
+    for level in range(2, 7):
+        yield level, _toy_slots(level)
+        yield level, monotone._alpha_slots(level)
+        seq = random_sequence(level, rng.randrange(10 ** 6))
+        for i in range(2, level + 1):
+            yield i, labelings._level_slots(
+                labelings._edge_triples(seq.tree(i)))
+
+
+def test_tree_slot_forms_give_the_edge_slots():
+    rng = random.Random(3)
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        seq = random_sequence(n, rng.randrange(10 ** 6))
+        for i in range(2, n + 1):
+            tree = seq.tree(i)
+            (choice,) = labelings._level_slots(labelings._edge_triples(tree))
+            for _ in range(5):
+                x = tuple(rng.randint(-4, 4) for _ in range(i))
+                assert _at(choice, x) == labelings._edge_slots(tree, x)
+
+
+def test_alpha_slot_forms_give_the_star_choices():
+    def multiset(choices):
+        return Counter(tuple((tuple(members), inverted)
+                             for members, inverted in slots)
+                       for slots in choices)
+
+    rng = random.Random(4)
+    for m in range(2, 7):
+        choices = monotone._alpha_slots(m)
+        assert len(choices) == 2 ** (m - 1)
+        for _ in range(40):
+            v = tuple(rng.randint(-3, 3) for _ in range(m))
+            derived = [slots for slots in (_at(c, v) for c in choices)
+                       if None not in slots]
+            assert multiset(derived) == multiset(
+                slots for _, _, slots in monotone._rows_1(v)), v
+
+
+def test_reach_covers_every_read_and_no_more():
+    # a level reads its padded prefix table F at x_b + t and x_a + s - 1
+    # per slot form, so coordinate c of the reach r must hold every such
+    # read in [r.start - 1, r.stop - 1], and some point of the box reads
+    # each end; cancelling equal corners only drops reads
+    rng = random.Random(5)
+    for level, choices in _family_levels(rng):
+        stencil = intervals._stencil(choices)
+        for _ in range(4):
+            box = [range(lo, lo + rng.randint(1, 3))
+                   for lo in (rng.randint(-4, 4) for _ in range(level))]
+            reach = intervals._reach(choices, box)
+            reads = [set() for _ in reach]
+            kept = [set() for _ in reach]
+            for x in product(*box):
+                for choice in choices:
+                    for c, ((a, s), (b, t)) in enumerate(choice):
+                        reads[c] |= {x[b - 1] + t, x[a - 1] + s - 1}
+                for _, corner in stencil:
+                    for c, (v, shift) in enumerate(corner):
+                        kept[c].add(x[v - 1] + shift)
+            assert [(min(r), max(r)) for r in reads] == [
+                (r.start - 1, r.stop - 1) for r in reach], (choices, box)
+            assert all(map(set.issubset, kept, reads))

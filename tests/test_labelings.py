@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from gtseq import labelings, verify
+from gtseq import intervals, labelings, verify
 from gtseq.labelings import (
     FilteredCounter,
     RestrictedCounter,
@@ -567,35 +567,44 @@ def test_walks_sharing_a_swept_counter_match_fresh_ones():
             assert shared.sweep(grid) == [fresh(k) for k in grid]
 
 
+def test_level_stencil_keeps_every_corner():
+    # one choice of i - 1 edge slots, whose 2^(i-1) corners never coincide
+    rng = random.Random(6)
+    for i in range(2, 8):
+        seq = random_sequence(i, rng.randrange(10 ** 6))
+        slots = labelings._level_slots(labelings._edge_triples(seq.tree(i)))
+        assert len(intervals._stencil(slots)) == 2 ** (i - 1)
+
+
 def _level_three_flipped(real):
-    """Level corners with the two corners of edge 1 swapped at level 3
-    only, which negates every level-3 value and so every count above it."""
-    def corners(edges):
-        out = real(edges)
+    """Level slots with the two ends of edge 1 swapped at level 3 only:
+    slot(x_b + t + 1, x_a + s - 1) in place of slot(x_a + s, x_b + t)
+    negates the edge's sum, and with it every level-3 value and every count
+    above it."""
+    def slots(edges):
+        (choice,) = real(edges)
         if len(edges) == 2:
-            e, t, h = edges[0]
-            swap = {(h, h - e - 1): (t, t - e - 1),
-                    (t, t - e - 1): (h, h - e - 1)}
-            out = tuple((coeff, (swap[corner[0]],) + corner[1:])
-                        for coeff, corner in out)
-        return out
-    return corners
+            ((a, s), (b, t)), other = choice
+            choice = (((b, t + 1), (a, s - 1)), other)
+        return (choice,)
+    return slots
 
 
 def _every_edge_tied(real):
-    """Level corners as if every edge were tied: the two corners of each
-    edge coincide, so the terms cancel in pairs and none is left."""
-    def corners(edges):
-        return ()
-    return corners
+    """Level slots as if every edge were tied, slot(x_t + t - e,
+    x_t + t - e - 1): each edge's two corners coincide, so the terms cancel
+    in pairs and none is left."""
+    def slots(edges):
+        return (tuple(((t, t - e), (t, t - e - 1)) for e, t, h in edges),)
+    return slots
 
 
 @pytest.mark.parametrize("mutate", [_level_three_flipped, _every_edge_tied])
 def test_gates_catch_a_broken_sweep(monkeypatch, mutate):
     # theorem-main and independence read the tree counts from the sweep;
     # their references (product formula, pattern count) stay untouched
-    monkeypatch.setattr(labelings, "_level_corners",
-                        mutate(labelings._level_corners))
+    monkeypatch.setattr(labelings, "_level_slots",
+                        mutate(labelings._level_slots))
     for report in (verify.suite_theorem_main(n_max=3, bound=1, trees=1,
                                              det_n_max=1),
                    verify.suite_independence(n_max=3, bound=1, trees=1)):

@@ -362,8 +362,8 @@ def test_check_alpha_property_report():
 
 def test_alpha_stencil_sizes_frozen():
     # 4^(m-1) products of the star choices cancel down to these
-    assert [len(monotone._alpha_stencil(m)) for m in range(2, 7)] == [
-        2, 6, 16, 44, 120]
+    assert [len(intervals._stencil(monotone._alpha_slots(m)))
+            for m in range(2, 7)] == [2, 6, 16, 44, 120]
 
 
 def _fill_boxes(n, rng):
@@ -473,48 +473,51 @@ def test_alpha_fill_over_budget_is_refused():
         return [tuple(x + gap * q for q, x in enumerate(k)) for k in unit]
 
     def filled(points):
-        return list(monotone.fill(points, 5, monotone._alpha_below,
-                                  monotone._alpha_stencil))
+        return list(monotone.fill(points, 5, monotone._alpha_slots))
 
     assert filled(spaced(2)) != []
     assert filled(spaced(1000)) == []
     boxes = [[range(min(c), max(c) + 1) for c in zip(*spaced(1000))]]
     for m in range(5, 1, -1):
-        boxes.append(monotone._alpha_below(m, boxes[-1]))
+        boxes.append(intervals._reach(monotone._alpha_slots(m), boxes[-1]))
     assert sum(prod(map(len, b)) for b in boxes) > 10 ** 12 > FILL_BUDGET
 
 
-def _level_three_coefficient_flipped(real):
-    """The stencil with the sign of one term of rows of length 3 flipped."""
-    def stencil(m):
-        terms = real(m)
-        if m == 3:
+def _level_three_coefficient_flipped(monkeypatch):
+    """The stencil of rows of length 3 with the sign of one term flipped."""
+    real = intervals._stencil
+
+    def stencil(choices):
+        terms = real(choices)
+        if choices == monotone._alpha_slots(3):
             (coeff, corner), *rest = terms
             terms = ((-coeff, corner), *rest)
         return terms
-    return stencil
+    monkeypatch.setattr(intervals, "_stencil", stencil)
 
 
-def _one_corner_moved(real):
-    """The stencil with one corner of rows of length 3 read one further."""
-    def stencil(m):
-        terms = real(m)
+def _one_slot_limit_moved(monkeypatch):
+    """The star choices above rows of length 3 with the upper limit of one
+    slot of one choice raised by 1."""
+    real = monotone._alpha_slots
+
+    def slots(m):
+        choices = real(m)
         if m == 3:
-            (coeff, ((v, shift), *others)), *rest = terms
-            terms = ((coeff, ((v, shift + 1), *others)), *rest)
-        return terms
-    return stencil
+            ((a, s), (b, t)), *others = choices[0]
+            choices = ((((a, s), (b, t + 1)), *others),) + choices[1:]
+        return choices
+    monkeypatch.setattr(monotone, "_alpha_slots", slots)
 
 
 @pytest.mark.parametrize("mutate", [_level_three_coefficient_flipped,
-                                    _one_corner_moved])
+                                    _one_slot_limit_moved])
 def test_gates_catch_a_broken_alpha_fill(monkeypatch, mutate):
     # delta-n, e-rho and alpha-props read alpha through the fill; a fresh
     # memo makes them fill it rather than read earlier values.  At n = 3
     # the broken rows of length 3 are still of low degree, so delta-n needs
     # n = 4 to see them.
-    monkeypatch.setattr(monotone, "_alpha_stencil",
-                        mutate(monotone._alpha_stencil))
+    mutate(monkeypatch)
     for suite in (verify.suite_delta_n, verify.suite_e_rho,
                   verify.suite_alpha_props):
         monkeypatch.setattr(monotone, "_alpha_memo", {})

@@ -140,12 +140,14 @@ def test_deep_suite_reports_frozen(name):
     assert not multiprocessing.active_children()
 
 
-def test_pool_is_no_larger_than_its_units(monkeypatch):
+def _inline_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by a stand-in that starts no process;
+    return the worker count of each pool opened and the unit index of each
+    task submitted."""
     pools, tasks = [], []
 
     class InlinePool:
-        """A stand-in for ProcessPoolExecutor that starts no process: it
-        runs the initializer, then each task as it is submitted, here."""
+        """Runs the initializer, then each task as it is submitted, here."""
 
         def __init__(self, max_workers, mp_context, initializer, initargs):
             pools.append(max_workers)
@@ -164,6 +166,11 @@ def test_pool_is_no_larger_than_its_units(monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return pools, tasks
+
+
+def test_pool_is_no_larger_than_its_units(monkeypatch):
+    pools, tasks = _inline_pool(monkeypatch)
     # the inline initializer hands the units to this process
     monkeypatch.setattr(verify, "_pool_units", ())
     report = verify.run_all(workers=100_000)
@@ -176,6 +183,24 @@ def test_pool_is_no_larger_than_its_units(monkeypatch):
     # taken largest first, the results still land in body order
     report["parameters"]["workers"] = 1
     assert _report_digest(report) == FROZEN_RUN_ALL
+
+
+def test_one_dominant_unit_runs_without_a_pool(monkeypatch):
+    pools, tasks = _inline_pool(monkeypatch)
+    # independence at n_max = 4: the n = 4 unit (5 * 5^4 = 3,125) outweighs
+    # the three below it (775), so two workers would mostly wait on it
+    sizes = [size for size, _ in verify._PLANS["independence"](n_max=4)[2]]
+    assert max(sizes) > sum(sizes) - max(sizes)
+    report = verify.suite_independence(n_max=4, workers=2)
+    assert pools == [] and tasks == []
+    assert report["violations"] == []
+    # at n = 3 the determinant and tree units weigh 5, 25 and 125 each, so
+    # theorem-main keeps its pool; its initializer hands the units here
+    monkeypatch.setattr(verify, "_pool_units", ())
+    report = verify.suite_theorem_main(n_max=3, trees=1, det_n_max=3,
+                                       det_bound=2, workers=2)
+    assert pools == [2] and sorted(tasks) == list(range(6))
+    assert report["violations"] == []
 
 
 def _recursive_difference(f, k, coords):
