@@ -20,15 +20,11 @@ evaluates the signed total without them, by a memoized recursion over levels.
 ``SequenceCounter.sweep`` fills the same memo tables for a whole grid at
 once, through the level fill that alpha shares (``intervals.fill``), which
 decides whether a fill beats the memoized step.  The counter hands it the
-points missing from its top table (so a swept grid is read, not filled
-again) and each level's one row choice (``_level_slots``): edge e = (t, h)
-of T_i takes coordinate e of level i-1 over slot(l_t + t - e,
-l_h + h - e - 1), the slot of ``_edge_slots``.  The fill derives from these
-the box each level reaches and the level's 2^(i-1) prefix-table corners.
-Every filled value goes into the per-level memo, so later point calls, and
-every pinned or filtered walk handed the counter, read the filled tables;
-the prefix tables are dropped.  Points the fill leaves, ``__call__``, and
-the pinned and filtered walks keep the memoized step.
+points missing from its top table and each level's one row choice
+(``_level_slots``): edge e = (t, h) of T_i takes coordinate e of level i-1
+over slot(l_t + t - e, l_h + h - e - 1), the slot of ``_edge_slots``.
+Every filled value goes into the per-level memo, which later point calls
+and every family walk handed the counter read.
 
 The "weak" machinery pins selected edges to the labels of selected vertices
 (one pinned edge per chosen vertex, exclusions keeping the pin unique) and
@@ -43,32 +39,26 @@ the edge has an empty value list unless it is pinned, in which case the
 assignment or the dominating choice names the maximum.  ``_pin_terms``
 yields each valid pin assignment once, with one value list per edge, its
 dominating choices and the signed weight summed over them; the two witness
-functions expand these terms into records.  It is the reference route: the
-tests check the counter's pinned level against it.
+functions expand these terms into records, the reference route that the
+tests hold the counters' pinned level to.  ``PinnedFamily`` computes the
+same weights and value lists without records, split by what they depend on:
 
-``RestrictedCounter`` computes the same weights and value lists without
-records, splitting the work by what it depends on:
-
-* the plan (``_compile_plan``), compiled once per counter, reduces each pin
+* the plan (``_compile_plan``), compiled once per pinning, reduces each pin
   assignment to one state code per edge: free with the marks of its two
   ends, or pinned by its tail or head with the mark of the other end.  An
   assignment pinning an edge from both ends has weight 0 and is left out;
 * the per-values setup (``_pin_options``: per edge and state, the value
   slot and whether it adds a minimum pin or a tie inversion, plus the
-  inversion parity of the labels) is built once per level and values and
-  stored in the plain counter's ``_setups``, so every pinning of one tree
-  sequence, in either mode, reuses it;
-* per (values, assignment) only the signed weight and the slot box remain,
-  both read from the setup through the state codes.
+  inversion parity of the labels) is built once per level and values in
+  the plain counter's ``_setups``, which every pinning of the sequence reads;
+* per (values, assignment) only the signed weight and the slot box remain.
 
-Counters with a pinned or filtered level m (``RestrictedCounter``,
-``FilteredCounter``) are ``SequenceCounter`` walks with one memoized level
-step: they differ only at level m, which is their ``_transition``, and
-below m, where every box is summed by a plain ``SequenceCounter`` they are
-handed, so every pinning of one tree sequence can share one plain memo.
-Without one they make a fresh counter.  Box sums over a memo table
-(``intervals.table_sum``) run at C speed when every entry is present and
-compute only the missing ones otherwise.
+One walk per pinned level (``_LevelWalk``) evaluates all the pinnings
+(``PinnedFamily``) or distinct-label filters (``FilteredFamily``) of one
+level m together, memoizing a tuple of their values: above m they share
+the plain step, and below m the plain counter they are handed, which every
+family of the tree sequence can share.  ``RestrictedCounter`` and
+``FilteredCounter`` are the one-member families.
 """
 
 from collections import namedtuple
@@ -76,7 +66,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from math import prod
-from operator import getitem
+from operator import getitem, neg
 
 from .intervals import bottom_row, fill, row_walk, slot, table_sum
 
@@ -108,11 +98,8 @@ def _edge_slots(tree, k):
 
 
 def inversion_edges(tree, k):
-    """Edge names whose tail label exceeds the head label.
-
-    Returns None when some edge has equal endpoint labels (no admissible
-    labeling exists at all in that case).
-    """
+    """Edge names whose tail label exceeds the head label, or None when
+    some edge has equal end labels (then no labeling is admissible)."""
     slots = _edge_slots(tree, k)
     if None in slots:
         return None
@@ -173,14 +160,12 @@ def admissible_labelings(tree, k):
 class SequenceCounter:
     """Signed enumeration of labeling chains over one tree sequence.
 
-    Memo tables are shared across evaluation points, which is what makes
-    grid sweeps cheap: the level-i table is keyed by the level-i vector,
-    filled one point at a time by ``__call__`` or one box at a time by
-    ``sweep``.  Level 2 is one edge, whose signed width the memoized step
-    reads from no table (only ``sweep`` stores it), and a level-3 entry
-    sums that width over a box in closed form.  ``_setups`` holds, per
-    level, the per-values setup of a pinned level (``_pin_options``), which
-    every ``RestrictedCounter`` handed this counter shares.
+    The level-i memo table, keyed by the level-i vector, is shared across
+    evaluation points and filled one point at a time by ``__call__`` or one
+    box at a time by ``sweep``.  Level 2 is one edge, whose signed width the
+    memoized step reads from no table, and a level-3 entry sums it over a
+    box in closed form.  ``_setups`` holds, per level, the per-values setups
+    of a pinned level (``_pin_options``) for every family handed the counter.
     """
 
     def __init__(self, seq):
@@ -230,7 +215,13 @@ class SequenceCounter:
         return setup
 
     def __call__(self, k):
-        return self._signed(k)
+        k = tuple(k)
+        total = self._memo[self._order].get(k)
+        if total is None:
+            if len(k) != self._order:
+                raise ValueError("k must have length %d" % self._order)
+            total = self._raw(self._order, k)
+        return self.tree_sign * total
 
     def sweep(self, points):
         """The signed counts at ``points``, in order.
@@ -247,17 +238,6 @@ class SequenceCounter:
             memo[level].update(zip(product(*box), values))
         sign = self.tree_sign
         return [sign * top[k] if k in top else self(k) for k in points]
-
-    def _signed(self, k):
-        """The signed count at k, which every counter class's ``__call__``
-        returns."""
-        k = tuple(k)
-        total = self._memo[self._order].get(k)
-        if total is None:
-            if len(k) != self._order:
-                raise ValueError("k must have length %d" % self._order)
-            total = self._raw(self._order, k)
-        return self.tree_sign * total
 
 
 def signed_count(seq, k):
@@ -542,131 +522,151 @@ def edge_admissible_witnesses(tree, k, edge_set):
         1)
 
 
-class _LevelWalk(SequenceCounter):
-    """A ``SequenceCounter`` whose level m is ``self._transition``.
+class _LevelWalk:
+    """One walk for a family of members that differ only at level m, with
+    one tuple of member values per memo entry from level m up.
 
-    Two steps differ from the plain walk: ``_raw`` at level m memoizes the
-    transition, and ``_box`` below m sums the plain counter ``plain`` (a
-    fresh one when None), which every walk over the same tree sequence may
-    share.  Above m the plain level step runs on this walk's own memo.  The
-    tree sequence data (edges, per-values pin setups, sign, order) come from
-    ``plain``; ``SequenceCounter.__init__`` is not called, so a wrapper on
-    it (bench/tracer.py counts memo entries that way) sees plain counters
-    only.
+    Level m is ``_transition``, every member's value at once.  Above m all
+    members take the same plain step, taken once on the tuples column-wise,
+    so each entry is still its own member's count.  Below m the transition
+    reads ``plain`` (a fresh ``SequenceCounter`` when None).  The walk's own
+    memos are not ``SequenceCounter`` memos, which bench/tracer.py counts.
     """
 
-    def __init__(self, seq, m, plain=None):
+    def __init__(self, seq, m, plain, members):
         if not 2 <= m <= seq.order:
             raise ValueError("restriction level out of range")
         if plain is None:
             plain = SequenceCounter(seq)
         elif plain.seq != seq:
             raise ValueError("plain counter is for another tree sequence")
-        self.m = m
-        self._plain = plain
-        self.seq, self.tree_sign, self._order = (plain.seq, plain.tree_sign,
-                                                 plain._order)
-        self._edges, self._setups = plain._edges, plain._setups
-        self._memo = [None] + [dict() for _ in range(plain._order)]
+        self.m, self._plain, self._edges = m, plain, plain._edges
+        self.seq, self.tree_sign, self._order = seq, plain.tree_sign, seq.order
+        self._memo = {level: {} for level in range(m, seq.order + 1)}
+        self._zeros = (0,) * members
 
     def _raw(self, level, values):
-        if level != self.m:
-            return SequenceCounter._raw(self, level, values)
         memo = self._memo[level]
-        total = memo.get(values)
-        if total is None:
-            total = memo[values] = self._transition(values)
-        return total
+        entry = memo.get(values)
+        if entry is None:
+            if level == self.m:
+                entry = self._transition(values)
+            else:
+                ranges, odd = _ranges_and_parity(self._edges[level], values)
+                entry = (self._zeros if ranges is None
+                         else self._box(level - 1, ranges))
+                if odd:
+                    entry = tuple(map(neg, entry))
+            memo[values] = entry
+        return entry
 
     def _box(self, level, ranges):
-        if level < self.m:
-            return self._plain._box(level, ranges)
-        return table_sum(self._memo[level], self._raw, level, ranges)
+        """Member-wise sums of the level-``level`` tuples over
+        product(*ranges), computing only the missing ones."""
+        memo = self._memo[level]
+        try:
+            entries = list(map(memo.__getitem__, product(*ranges)))
+        except KeyError:
+            entries = [self._raw(level, l) for l in product(*ranges)]
+        return tuple(map(sum, zip(*entries)))
 
-    def sweep(self, points):
-        # the inherited box fill would treat level m as a plain level; the
-        # walk keeps its memoized step, which reads whatever tables a swept
-        # plain counter filled below m
-        return list(map(self, points))
+    def __call__(self, k):
+        """The members' signed counts at k, in member order."""
+        entry = self._raw(self._order, bottom_row(self._order, k))
+        return entry if self.tree_sign > 0 else tuple(map(neg, entry))
 
 
-class RestrictedCounter(_LevelWalk):
-    """Signed enumeration with one level replaced by a pinned variant.
-
-    mode "vertex": level m uses weak R-admissibility (R a set of vertices of
-    T_m); mode "edge": level m uses the edge-pinned variant (R a set of edge
-    names of T_m).  Levels other than m are ordinary; those below m are
-    read from ``plain`` (see ``_LevelWalk``).  The pin assignments are
-    compiled once into ``_plan``; the per-values setup of level m comes
-    from ``plain``, shared with every other pinning of the sequence.
-    """
+class PinnedFamily(_LevelWalk):
+    """Signed enumerations with level m pinned by each R of ``sets``: in
+    mode "vertex" weak R-admissibility (R a set of vertices of T_m), in mode
+    "edge" the edge-pinned variant (R a set of edge names of T_m).  Each
+    member runs its own compiled plan on the level's one shared setup."""
 
     ASSIGNMENTS = {"vertex": _vertex_assignments, "edge": _edge_assignments}
 
-    def __init__(self, seq, m, R, mode="vertex", plain=None):
+    def __init__(self, seq, m, sets, mode="vertex", plain=None):
         if mode not in self.ASSIGNMENTS:
             raise ValueError("unknown mode %r" % (mode,))
-        super().__init__(seq, m, plain)
-        self.R = _pin_set(R, mode, m)
+        super().__init__(seq, m, plain, len(sets))
+        self.sets = [_pin_set(R, mode, m) for R in sets]
         self.mode = mode
         edges = self._edges[m]
-        self._plan = _compile_plan(edges, self.ASSIGNMENTS[mode](
-            edges, _incidence(m, edges), self.R))
+        self._plans = [_compile_plan(edges, self.ASSIGNMENTS[mode](
+            edges, _incidence(m, edges), R)) for R in self.sets]
 
     def _transition(self, values):
-        """Sum over the plan of the signed weight times the level m-1 count
-        summed over the slot box."""
-        odd, options, bits = self._pin_setup(self.m, values)
-        box = self._box
-        below = self.m - 1
-        total = 0
-        for states in self._plan:
-            slots = list(map(getitem, options, states))
-            if None in slots:
-                continue
-            if (odd + sum(map(getitem, bits, states))) & 1:
-                total -= box(below, slots)
-            else:
-                total += box(below, slots)
-        return total
+        """Per member, the sum over its plan of the signed weight times the
+        level m-1 count summed over the slot box."""
+        odd, options, bits = self._plain._pin_setup(self.m, values)
+        box, below = self._plain._box, self.m - 1
+        totals = []
+        for plan in self._plans:
+            total = 0
+            for states in plan:
+                slots = list(map(getitem, options, states))
+                if None in slots:
+                    continue
+                if (odd + sum(map(getitem, bits, states))) & 1:
+                    total -= box(below, slots)
+                else:
+                    total += box(below, slots)
+            totals.append(total)
+        return tuple(totals)
+
+
+class RestrictedCounter(PinnedFamily):
+    """Signed enumeration with level m pinned by R, the one-member family."""
+
+    def __init__(self, seq, m, R, mode="vertex", plain=None):
+        super().__init__(seq, m, [R], mode, plain)
 
     def __call__(self, k):
-        # not inherited, and not through SequenceCounter.__call__, so a
-        # wrapper on either (bench/tracer.py wraps both) times restricted
-        # counts only, not plain or filtered ones
-        return self._signed(k)
+        # its own, and not SequenceCounter.__call__, so that a wrapper on
+        # either (bench/tracer.py wraps both) times restricted counts only
+        return PinnedFamily.__call__(self, k)[0]
 
 
-class FilteredCounter(_LevelWalk):
-    """Signed enumeration keeping only chains whose level-m labeling gives
-    the listed edge pairs of T_m distinct shifted labels.  One counter
-    serves a whole grid, sharing its memo above m across the points."""
+class FilteredFamily(_LevelWalk):
+    """Signed enumerations keeping, per member, only the chains whose
+    level-m labeling gives each edge pair of T_m in ``pair_lists[i]``
+    distinct shifted labels."""
 
-    def __init__(self, seq, m, distinct_pairs, plain=None):
-        super().__init__(seq, m, plain)
-        self.pairs = [tuple(p) for p in distinct_pairs]
-        for pair in self.pairs:
-            if (len(pair) != 2 or pair[0] == pair[1]
-                    or not all(1 <= e < m for e in pair)):
+    def __init__(self, seq, m, pair_lists, plain=None):
+        super().__init__(seq, m, plain, len(pair_lists))
+        self.pair_lists = [[tuple(p) for p in pairs] for pairs in pair_lists]
+        for pair in (p for pairs in self.pair_lists for p in pairs):
+            if len(pair) != 2 or not 1 <= min(pair) < max(pair) < m:
                 raise ValueError("pair %r is not two distinct edge names of"
                                  " a %d-tree" % (pair, m))
 
     def _transition(self, values):
+        """Each level m-1 labeling's count, added to every member whose
+        pairs it keeps apart."""
         ranges, odd = _ranges_and_parity(self._edges[self.m], values)
         if ranges is None:
-            return 0
-        pairs = self.pairs
-        below = self._plain._raw
-        level = self.m - 1
-        total = 0
+            return self._zeros
+        below, level = self._plain._raw, self.m - 1
+        members = list(enumerate(self.pair_lists))
+        totals = list(self._zeros)
         for l in product(*ranges):
-            if all(l[a - 1] + a != l[b - 1] + b for a, b in pairs):
-                total += below(level, l)
-        return -total if odd else total
+            count = below(level, l)
+            if count:
+                for i, pairs in members:
+                    if all(l[a - 1] + a != l[b - 1] + b for a, b in pairs):
+                        totals[i] += count
+        return tuple(map(neg, totals) if odd else totals)
+
+
+class FilteredCounter(FilteredFamily):
+    """The one-member ``FilteredFamily``: only chains whose level-m labeling
+    gives the listed edge pairs of T_m distinct shifted labels."""
+
+    def __init__(self, seq, m, distinct_pairs, plain=None):
+        super().__init__(seq, m, [distinct_pairs], plain)
 
     def __call__(self, k):
         # its own, like RestrictedCounter.__call__
-        return self._signed(k)
+        return FilteredFamily.__call__(self, k)[0]
 
 
 def signed_count_filtered(seq, k, level, distinct_pairs, plain=None):

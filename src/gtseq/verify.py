@@ -15,7 +15,11 @@ state that one of them changes, so they can run in any order and in any
 process.  The suites split this way are theorem-main (its determinant half
 and its tree half, each per order n), independence and shift-antisym (per
 n: the references at one n serve every sequence), and prop-first,
-prop-second and rho-zero (per n and tree sequence).
+prop-second and rho-zero (per n and tree sequence).  Those three evaluate
+every pinning, or every distinct-label filter, of one level of a tree
+sequence in one walk (``labelings.PinnedFamily``, ``FilteredFamily``), then
+yield per pinning, then per point; prop-first's reference differences come
+from one subset transform of the swept corner values (``_differences``).
 
 The decorator returns the suite function, which ``SUITES[name]``, the
 module-level ``suite_*`` name and ``run_suite(name)`` all reach, and which
@@ -59,10 +63,11 @@ import inspect
 import math
 import time
 from itertools import combinations, product
+from operator import sub
 
 from .intervals import (containment_dichotomy, left_anchored_identity,
                         right_anchored_dichotomy, right_anchored_identity)
-from .labelings import FilteredCounter, RestrictedCounter, SequenceCounter
+from .labelings import FilteredFamily, PinnedFamily, SequenceCounter
 from .monotone import (alpha, alpha_function, alpha_operator,
                        check_alpha_property, doubly_refined_asm,
                        doubly_refined_identity_residuals,
@@ -314,56 +319,64 @@ def suite_e_rho(n_max=4, bound=2):
         yield from _annihilated(n, bound, ops)
 
 
-def _corner_values(counter, k):
-    """counter(k + 1_S) for every subset S of the coordinates, listed by the
-    bitmask of S: one counter call per corner of the unit cube at k."""
-    return [counter(tuple(x + (mask >> i & 1) for i, x in enumerate(k)))
-            for mask in range(1 << len(k))]
+def _differences(values):
+    """The forward differences at k in every coordinate set R, listed by
+    the bitmask of R, given the values f(k + 1_S) listed by the bitmask of
+    S: one subset (Moebius) transform, in place, turns the entry of each R
+    into the sum over the subsets S of R of (-1)^(|R| - |S|) f(k + 1_S)."""
+    size = len(values)
+    half = 1
+    while half < size:
+        # the masks holding bit ``half`` take their partner without it
+        for low in range(0, size, 2 * half):
+            high = low + half
+            values[high:high + half] = map(sub, values[high:high + half],
+                                           values[low:high])
+        half *= 2
+    return values
 
 
-def _difference_masks(coords):
-    """The bitmasks of the subsets S of ``coords``, split by the sign
-    (-1)^(|coords| - |S|) into (plus, minus)."""
-    plus, minus = [], []
-    for size in range(len(coords) + 1):
-        for S in combinations(coords, size):
-            mask = sum(1 << (c - 1) for c in S)
-            (minus if (len(coords) - size) % 2 else plus).append(mask)
-    return plus, minus
-
-
-def _difference_in(corners, masks):
-    """The forward difference at k in the coordinates R that ``masks``
-    was built from, given the ``_corner_values`` at k: the sum over the
-    subsets S of R of (-1)^(|R| - |S|) counter(k + 1_S)."""
-    plus, minus = masks
-    return (sum(map(corners.__getitem__, plus))
-            - sum(map(corners.__getitem__, minus)))
+def _subsets(m):
+    """The non-empty subsets of 1..m, by size, then lexicographically."""
+    return [R for size in range(1, m + 1)
+            for R in combinations(range(1, m + 1), size)]
 
 
 def _prop_first(n, bound, s, seq):
     counter = SequenceCounter(seq)
-    # the corner box [-bound, bound + 1]^n, swept once: the corner values and
-    # the pinned and filtered walks below read the tables it fills
-    counter.sweep(product(range(-bound, bound + 2), repeat=n))
-    corners = {k: _corner_values(counter, k) for k in _cube(bound, n)}
-    for size in range(1, n + 1):
-        for R in combinations(range(1, n + 1), size):
-            pinned = RestrictedCounter(seq, n, R, mode="vertex",
-                                       plain=counter)
-            masks = _difference_masks(R)
-            for k in _cube(bound, n):
-                want = _difference_in(corners[k], masks)
-                got = pinned(k)
-                yield () if got == want else [
-                    {"check": "difference", "n": n, "seed": s,
-                     "R": list(R), "k": list(k), "lhs": got, "rhs": want}]
+    # the corner box [-bound, bound + 1]^n, swept once: the corner values
+    # are read from its row-major values, and the pinned and filtered
+    # families below read the tables it fills
+    swept = counter.sweep(product(range(-bound, bound + 2), repeat=n))
+    # bit i of a mask steps coordinate i + 1, (2 bound + 2)^(n - 1 - i)
+    # entries of the box
+    strides = [(2 * bound + 2) ** (n - 1 - i) for i in range(n)]
+    offsets = [sum(stride for i, stride in enumerate(strides) if mask >> i & 1)
+               for mask in range(1 << n)]
+    sets = _subsets(n)
+    pinned = PinnedFamily(seq, n, sets, mode="vertex", plain=counter)
+    rows = []
+    for k in _cube(bound, n):
+        at = sum((x + bound) * stride for x, stride in zip(k, strides))
+        rows.append((k, _differences([swept[at + offset]
+                                      for offset in offsets]), pinned(k)))
+    for i, R in enumerate(sets):
+        mask = sum(1 << (c - 1) for c in R)
+        for k, differences, values in rows:
+            got, want = values[i], differences[mask]
+            yield () if got == want else [
+                {"check": "difference", "n": n, "seed": s,
+                 "R": list(R), "k": list(k), "lhs": got, "rhs": want}]
     for level in range(3, n + 1):
-        for pair in combinations(range(1, level), 2):
-            filtered = FilteredCounter(seq, level, [pair], plain=counter)
-            for k in _cube(bound, n):
-                got = filtered(k)
-                want = counter(k)
+        pairs = list(combinations(range(1, level), 2))
+        filtered = FilteredFamily(seq, level, [[pair] for pair in pairs],
+                                  plain=counter)
+        # the empty difference is the count itself
+        columns = [(k, differences[0], filtered(k))
+                   for k, differences, _ in rows]
+        for i, pair in enumerate(pairs):
+            for k, want, values in columns:
+                got = values[i]
                 yield () if got == want else [
                     {"check": "distinctFilter", "n": n, "seed": s,
                      "level": level, "pair": list(pair),
@@ -384,18 +397,18 @@ def suite_prop_first(n_max=4, bound=1, trees=2, seed=11):
 
 def _prop_second(n, bound, s, seq):
     plain = SequenceCounter(seq)
+    cube = list(_cube(bound, n))
     for m in range(3, n + 1):
-        for size in range(1, m):
-            for R in combinations(range(1, m), size):
-                by_edge = RestrictedCounter(seq, m, R, mode="edge",
-                                            plain=plain)
-                by_vertex = RestrictedCounter(seq, m - 1, R, mode="vertex",
-                                              plain=plain)
-                for k in _cube(bound, n):
-                    a, b = by_edge(k), by_vertex(k)
-                    yield () if a == b else [
-                        {"n": n, "seed": s, "m": m, "R": list(R),
-                         "k": list(k), "lhs": a, "rhs": b}]
+        sets = _subsets(m - 1)
+        by_edge = PinnedFamily(seq, m, sets, mode="edge", plain=plain)
+        by_vertex = PinnedFamily(seq, m - 1, sets, mode="vertex", plain=plain)
+        rows = [(k, by_edge(k), by_vertex(k)) for k in cube]
+        for i, R in enumerate(sets):
+            for k, edge_values, vertex_values in rows:
+                a, b = edge_values[i], vertex_values[i]
+                yield () if a == b else [
+                    {"n": n, "seed": s, "m": m, "R": list(R),
+                     "k": list(k), "lhs": a, "rhs": b}]
 
 
 @suite("prop-second", split=True)
@@ -409,13 +422,16 @@ def suite_prop_second(n_max=4, bound=1, trees=2, seed=11):
 
 def _rho_zero(n, bound, s, seq):
     plain = SequenceCounter(seq)
+    cube = list(_cube(bound, n))
     for m in range(2, n + 1):
+        # the subsets come by size, so each rho sums one slice of them
+        family = PinnedFamily(seq, m, _subsets(m), mode="vertex", plain=plain)
+        rows = [(k, family(k)) for k in cube]
+        stop = 0
         for rho in range(1, m + 1):
-            counters = [RestrictedCounter(seq, m, R, mode="vertex",
-                                          plain=plain)
-                        for R in combinations(range(1, m + 1), rho)]
-            for k in _cube(bound, n):
-                value = sum(c(k) for c in counters)
+            start, stop = stop, stop + math.comb(m, rho)
+            for k, values in rows:
+                value = sum(values[start:stop])
                 yield () if value == 0 else [
                     {"n": n, "seed": s, "m": m, "rho": rho,
                      "k": list(k), "value": value}]

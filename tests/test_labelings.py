@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ import pytest
 from gtseq import intervals, labelings, verify
 from gtseq.labelings import (
     FilteredCounter,
+    FilteredFamily,
+    PinnedFamily,
     RestrictedCounter,
     SequenceCounter,
     admissible_labelings,
@@ -316,8 +319,10 @@ def _label_sensitive_transition(counter, k):
         assert level == counter.m - 1
         return sum(map(_label_sensitive, product(*slots)))
 
-    counter._box = box
-    return counter._transition(k)
+    counter._plain = SimpleNamespace(_pin_setup=counter._plain._pin_setup,
+                                     _box=box)
+    (total,) = counter._transition(k)
+    return total
 
 
 @given(st.integers(2, 5), st.integers(0, 10 ** 5),
@@ -437,6 +442,60 @@ def test_gates_catch_a_flipped_pin_weight(monkeypatch):
         for suite in suites:
             report = suite(n_max=3, trees=1)
             assert report["violations"], (mutate.__name__, report["suite"])
+
+
+# --- families ------------------------------------------------------------
+
+
+def _all_subsets(top):
+    return [R for size in range(top + 1)
+            for R in combinations(range(1, top + 1), size)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_family_members_match_their_one_member_counters(n):
+    # k in -2..1 ties edges (k_i + i = k_j + j) and inverts them; the four
+    # sequences at each n carry both tree signs
+    grid = list(product(range(-2, 2), repeat=n))
+    for seq in [basic_sequence(n)] + [random_sequence(n, seed)
+                                      for seed in (3, 17, 40)]:
+        shared, own = SequenceCounter(seq), SequenceCounter(seq)
+        for m in range(2, n + 1):
+            pairs = list(combinations(range(1, m), 2))
+            walks = [(PinnedFamily(seq, m, _all_subsets(top), mode=mode,
+                                   plain=shared),
+                      [RestrictedCounter(seq, m, R, mode=mode, plain=own)
+                       for R in _all_subsets(top)])
+                     for mode, top in (("vertex", m), ("edge", m - 1))]
+            # one pair each, none, and all of them at once
+            pair_lists = [[pair] for pair in pairs] + [[], pairs]
+            walks.append((FilteredFamily(seq, m, pair_lists, plain=shared),
+                          [FilteredCounter(seq, m, pair_list, plain=own)
+                           for pair_list in pair_lists]))
+            for family, counters in walks:
+                for k in grid:
+                    assert family(k) == tuple(c(k) for c in counters), (
+                        seq, m, type(family).__name__, k)
+
+
+def test_gates_catch_swapped_member_plans(monkeypatch):
+    # every member of a family runs its own plan in the one walk: a vertex
+    # family whose first two members swap plans must fail prop-first
+    # (against the differences) and prop-second (against the edge family)
+    # at those two members only
+    real = PinnedFamily.__init__
+
+    def swapped(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        if self.mode == "vertex" and len(self._plans) > 1:
+            self._plans[0], self._plans[1] = self._plans[1], self._plans[0]
+
+    monkeypatch.setattr(PinnedFamily, "__init__", swapped)
+    for suite in (verify.suite_prop_first, verify.suite_prop_second):
+        report = suite(n_max=3, trees=1)
+        assert report["violations"], report["suite"]
+        assert {tuple(v["R"]) for v in report["violations"]
+                if "R" in v} == {(1,), (2,)}, report["suite"]
 
 
 # --- whole-box sweeps ----------------------------------------------------
@@ -564,7 +623,7 @@ def test_walks_sharing_a_swept_counter_match_fresh_ones():
                     FilteredCounter(seq, 3, [(1, 2)], plain=plain)]
 
         for fresh, shared in zip(walks(None), walks(swept)):
-            assert shared.sweep(grid) == [fresh(k) for k in grid]
+            assert [shared(k) for k in grid] == [fresh(k) for k in grid]
 
 
 def test_level_stencil_keeps_every_corner():

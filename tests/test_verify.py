@@ -215,12 +215,15 @@ def _recursive_difference(f, k, coords):
 def test_difference_matches_recursive_definition():
     for n in (1, 2, 3, 4):
         for k in product(range(-2, 2), repeat=n):
-            corners = verify._corner_values(product_formula, k)
+            # product_formula(k + 1_S), listed by the bitmask of S
+            corners = [product_formula(tuple(x + (mask >> i & 1)
+                                             for i, x in enumerate(k)))
+                       for mask in range(1 << n)]
+            differences = verify._differences(corners)
             for size in range(n + 1):
                 for R in combinations(range(1, n + 1), size):
-                    got = verify._difference_in(
-                        corners, verify._difference_masks(R))
-                    assert got == _recursive_difference(
+                    mask = sum(1 << (c - 1) for c in R)
+                    assert differences[mask] == _recursive_difference(
                         product_formula, k, R), (k, R)
 
 
@@ -230,14 +233,16 @@ def _off_at_zero_sum(f):
     return lambda *args: f(*args) + (sum(args[-1]) == 0)
 
 
-def _counter_off_at_zero_sum(real, mode=None):
-    """A counter class whose instances (of one pinning mode, or of every
-    mode) count one too many wherever the entries of k sum to 0."""
+def _family_off_at_zero_sum(real, mode=None):
+    """A pinned family class whose instances (of one pinning mode, or of
+    every mode) count one too many for every member wherever the entries of
+    k sum to 0."""
     def make(*args, **kwargs):
-        counter = real(*args, **kwargs)
+        family = real(*args, **kwargs)
         if mode is None or kwargs.get("mode") == mode:
-            return _off_at_zero_sum(counter)
-        return counter
+            return lambda k: tuple(value + (sum(k) == 0)
+                                   for value in family(k))
+        return family
     return make
 
 
@@ -293,12 +298,12 @@ BROKEN_SUITES = {
                 dict(n_max=2, bound=1)),
     "e-rho": ("signed_pattern_count", _off_at_zero_sum,
               dict(n_max=2, bound=1)),
-    "prop-first": ("RestrictedCounter", _counter_off_at_zero_sum,
+    "prop-first": ("PinnedFamily", _family_off_at_zero_sum,
                    dict(n_max=3, bound=1, trees=1)),
-    "prop-second": ("RestrictedCounter",
-                    lambda real: _counter_off_at_zero_sum(real, "edge"),
+    "prop-second": ("PinnedFamily",
+                    lambda real: _family_off_at_zero_sum(real, "edge"),
                     dict(n_max=3, bound=1, trees=1)),
-    "rho-zero": ("RestrictedCounter", _counter_off_at_zero_sum,
+    "rho-zero": ("PinnedFamily", _family_off_at_zero_sum,
                  dict(n_max=3, bound=1, trees=1)),
     "extensions-agree": ("alpha", _off_at_zero_sum,
                          dict(bound3=1, lo4=0, hi4=0)),
