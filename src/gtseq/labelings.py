@@ -8,8 +8,18 @@ l_e + e) is admissible for (T, k) when every edge e = (p, q) satisfies
 
 which is impossible if the endpoint labels coincide.  An edge whose tail
 carries the larger label is an inversion.  So the values of edge e = (t, h)
-form the generalized interval ``intervals.slot(k_t + t - e, k_h + h - e - 1)``:
-empty at a tie and inverted exactly at an inversion (``_edge_slots``).
+form the generalized interval ``intervals.slot(k_t + t - e, k_h + h - e - 1)``,
+empty at a tie and inverted exactly at an inversion.  ``_level_slots``
+states this rule once, as the slot form ((t, t - e), (h, h - e - 1)) per
+edge: a level's one row choice, in the shape ``intervals.fill`` reads.
+Every route that computes reads these forms.  ``_edge_slots`` evaluates
+them at a level point for ``inversion_edges``, ``admissible_labelings``,
+the chain stream and the memoized step; the level-2 closed forms read the
+one edge's shifts; the fill derives its stencils from them; and
+``_pin_options`` builds a pinned level's setup from them.  The reference
+routes (``_pin_terms`` and the two witness functions) read the tree
+instead, so the tests hold the counters to an independent reading of each
+level.
 
 A tree-sequence labeling chain (T_1..T_n, l_1..l_n) fixes l_n = k and asks
 l_{i-1} to be admissible for (T_i, l_i); its sign is (-1)^{#inversions}
@@ -20,11 +30,9 @@ evaluates the signed total without them, by a memoized recursion over levels.
 ``SequenceCounter.sweep`` fills the same memo tables for a whole grid at
 once, through the level fill that alpha shares (``intervals.fill``), which
 decides whether a fill beats the memoized step.  The counter hands it the
-points missing from its top table and each level's one row choice
-(``_level_slots``): edge e = (t, h) of T_i takes coordinate e of level i-1
-over slot(l_t + t - e, l_h + h - e - 1), the slot of ``_edge_slots``.
-Every filled value goes into the per-level memo, which later point calls
-and every family walk handed the counter read.
+points missing from its top table and each level's slot forms.  Every
+filled value goes into the per-level memo, which later point calls and
+every family walk handed the counter read.
 
 The "weak" machinery pins selected edges to the labels of selected vertices
 (one pinned edge per chosen vertex, exclusions keeping the pin unique) and
@@ -49,8 +57,9 @@ same weights and value lists without records, split by what they depend on:
   assignment pinning an edge from both ends has weight 0 and is left out;
 * the per-values setup (``_pin_options``: per edge and state, the value
   slot and whether it adds a minimum pin or a tie inversion, plus the
-  inversion parity of the labels) is built once per level and values in
-  the plain counter's ``_setups``, which every pinning of the sequence reads;
+  inversion parity of the labels) is built from the level's slot forms once
+  per values, when the family walk first reaches them, and every member
+  of the family reads it;
 * per (values, assignment) only the signed weight and the slot box remain.
 
 One walk per pinned level (``_LevelWalk``) evaluates all the pinnings
@@ -89,27 +98,39 @@ class GTTreeSequence:
                 "sign": self.sign}
 
 
-def _edge_slots(tree, k):
-    """Per edge e = (t, h), in name order, the slot of its unshifted values,
-    slot(k_t + t - e, k_h + h - e - 1): None when the end labels tie, and
-    inverted when the tail label is the larger."""
-    return [slot(k[t - 1] + t - e, k[h - 1] + h - e - 1)
-            for e, t, h in _edge_triples(tree)]
+def _edge_triples(tree):
+    """(name, tail, head) for every edge, in name order."""
+    return tuple((name,) + tree.edge(name) for name in tree.edge_names())
+
+
+def _level_slots(edges):
+    """The edge rule, stated once: the level's one row choice, edge
+    e = (t, h) taking coordinate e of the level below over the slot form
+    ((t, t - e), (h, h - e - 1)), slot(l_t + t - e, l_h + h - e - 1)."""
+    return (tuple(((t, t - e), (h, h - e - 1)) for e, t, h in edges),)
+
+
+def _sequence_slots(seq):
+    """Each level's slot forms of a tree sequence, level i at index i."""
+    return [None] + [_level_slots(_edge_triples(tree)) for tree in seq.trees]
+
+
+def _edge_slots(forms, values):
+    """Per edge, in name order, the slot of its unshifted values at the level
+    point ``values``, from the level's slot forms: None when the end labels
+    tie, and inverted when the tail label is the larger."""
+    return [slot(values[a - 1] + s, values[b - 1] + t)
+            for (a, s), (b, t) in forms[0]]
 
 
 def inversion_edges(tree, k):
     """Edge names whose tail label exceeds the head label, or None when
     some edge has equal end labels (then no labeling is admissible)."""
-    slots = _edge_slots(tree, k)
+    slots = _edge_slots(_level_slots(_edge_triples(tree)), k)
     if None in slots:
         return None
     return frozenset(e for e, (_, inverted) in enumerate(slots, 1)
                      if inverted)
-
-
-def _edge_triples(tree):
-    """(name, tail, head) for every edge, in name order."""
-    return tuple((name,) + tree.edge(name) for name in tree.edge_names())
 
 
 def _incidence(n, edges):
@@ -118,33 +139,17 @@ def _incidence(n, edges):
                    for v in range(1, n + 1)]
 
 
-def _ranges_and_parity(edges, values):
+def _ranges_and_parity(forms, values):
     """Per-edge unshifted admissible values and whether the number of
-    inversions is odd, in one pass; (None, False) if an edge is blocked."""
+    inversions is odd; (None, False) if an edge is blocked."""
     ranges = []
     odd = False
-    for name, t, h in edges:
-        a = values[t - 1] + t
-        b = values[h - 1] + h
-        if a < b:
-            ranges.append(range(a - name, b - name))
-        elif a > b:
-            ranges.append(range(b - name, a - name))
-            odd = not odd
-        else:
+    for iv in _edge_slots(forms, values):
+        if iv is None:
             return None, False
+        ranges.append(iv[0])
+        odd ^= iv[1]
     return ranges, odd
-
-
-def _range_sum(r):
-    """Sum of a step-1 range."""
-    return (r.start + r.stop - 1) * len(r) // 2
-
-
-def _level_slots(edges):
-    """The level's one row choice for ``intervals.fill``: edge e = (t, h)
-    ranges over slot(l_t + t - e, l_h + h - e - 1), as ``_edge_slots``."""
-    return (tuple(((t, t - e), (h, h - e - 1)) for e, t, h in edges),)
 
 
 def admissible_labelings(tree, k):
@@ -153,19 +158,19 @@ def admissible_labelings(tree, k):
     inv = inversion_edges(tree, k)
     if inv is None:
         return []
-    members = [members for members, _ in _edge_slots(tree, k)]
-    return [AdmissibleLabeling(l, inv) for l in product(*members)]
+    ranges, _ = _ranges_and_parity(_level_slots(_edge_triples(tree)), k)
+    return [AdmissibleLabeling(l, inv) for l in product(*ranges)]
 
 
 class SequenceCounter:
     """Signed enumeration of labeling chains over one tree sequence.
 
-    The level-i memo table, keyed by the level-i vector, is shared across
-    evaluation points and filled one point at a time by ``__call__`` or one
-    box at a time by ``sweep``.  Level 2 is one edge, whose signed width the
-    memoized step reads from no table, and a level-3 entry sums it over a
-    box in closed form.  ``_setups`` holds, per level, the per-values setups
-    of a pinned level (``_pin_options``) for every family handed the counter.
+    The counter builds each level's slot forms (``_level_slots``) once, and
+    every step it takes reads them.  The level-i memo table, keyed by the
+    level-i vector, is shared across evaluation points and filled one point
+    at a time by ``__call__`` or one box at a time by ``sweep``.  Level 2 is
+    one edge, whose signed width the memoized step reads from its slot form
+    and no table, and a level-3 entry sums it over a box in closed form.
     """
 
     def __init__(self, seq):
@@ -174,20 +179,20 @@ class SequenceCounter:
         self.seq = seq
         self.tree_sign = seq.sign()
         self._order = seq.order
-        self._edges = [None] + [_edge_triples(tree) for tree in seq.trees]
+        self._forms = _sequence_slots(seq)
         self._memo = [None] + [dict() for _ in range(seq.order)]
-        self._setups = [None] + [dict() for _ in range(seq.order)]
 
     def _raw(self, level, values):
         if level == 2:
-            ((_, t, h),) = self._edges[2]
-            return values[h - 1] + h - values[t - 1] - t
+            # the signed width of the edge's slot(x_a + s, x_b + t)
+            ((((a, s), (b, t)),),) = self._forms[2]
+            return values[b - 1] + t - values[a - 1] - s + 1
         if level == 1:
             return 1
         memo = self._memo[level]
         total = memo.get(values)
         if total is None:
-            ranges, odd = _ranges_and_parity(self._edges[level], values)
+            ranges, odd = _ranges_and_parity(self._forms[level], values)
             total = 0 if ranges is None else self._box(level - 1, ranges)
             if odd:
                 total = -total
@@ -200,19 +205,11 @@ class SequenceCounter:
             return table_sum(self._memo[level], self._raw, level, ranges)
         if level == 1:
             return prod(map(len, ranges))
-        # level 2: sum of l_h + h - l_t - t over the box, in closed form
-        ((_, t, h),) = self._edges[2]
-        rt, rh = ranges[t - 1], ranges[h - 1]
-        wt, wh = len(rt), len(rh)
-        return _range_sum(rh) * wt - _range_sum(rt) * wh + (h - t) * wt * wh
-
-    def _pin_setup(self, level, values):
-        """The shared per-values setup of pinned level ``level``."""
-        setups = self._setups[level]
-        setup = setups.get(values)
-        if setup is None:
-            setup = setups[values] = _pin_options(self._edges[level], values)
-        return setup
+        # level 2: the widths x_b + t - x_a - s + 1 summed in closed form
+        ((((a, s), (b, t)),),) = self._forms[2]
+        ra, rb = ranges[a - 1], ranges[b - 1]
+        return (len(ra) * len(rb) * (rb.start + rb.stop - ra.start - ra.stop
+                                     + 2 * (t - s + 1)) // 2)
 
     def __call__(self, k):
         k = tuple(k)
@@ -230,11 +227,10 @@ class SequenceCounter:
         which fills every level over the box they reach when that beats the
         memoized step; the points it leaves take the memoized step."""
         points = [tuple(k) for k in points]
-        edges, memo = self._edges, self._memo
+        memo = self._memo
         top = memo[self._order]
-        for level, box, values in fill(
-                [k for k in points if k not in top], self._order,
-                lambda level: _level_slots(edges[level])):
+        for level, box, values in fill([k for k in points if k not in top],
+                                       self._order, self._forms.__getitem__):
             memo[level].update(zip(product(*box), values))
         sign = self.tree_sign
         return [sign * top[k] if k in top else self(k) for k in points]
@@ -245,10 +241,10 @@ def signed_count(seq, k):
     return SequenceCounter(seq)(k)
 
 
-def _chain_rows(seq, values):
+def _chain_rows(forms, values):
     """The one choice of the level below ``values``: edge e of the tree at
     level len(values) ranges over its slot of admissible values."""
-    yield None, 1, _edge_slots(seq.tree(len(values)), values)
+    yield None, 1, _edge_slots(forms[len(values)], values)
 
 
 def enumerate_sequences(seq, k):
@@ -262,7 +258,8 @@ def enumerate_sequences(seq, k):
     return sorted((GTTreeSequence(levels, tuple([(i + 1, e) for i, e in inv]),
                                   base_sign * sign)
                    for levels, _, inv, sign in row_walk(
-                       partial(_chain_rows, seq), bottom_row(seq.order, k))),
+                       partial(_chain_rows, _sequence_slots(seq)),
+                       bottom_row(seq.order, k))),
                   key=lambda g: g.levels)
 
 
@@ -433,26 +430,27 @@ _LOW_TAIL = (0, 0, 0, 0, 1, 1, 0, 0)
 _LOW_HEAD = (0, 0, 0, 0, 0, 0, 1, 1)
 
 
-def _pin_options(edges, values):
-    """The per-values setup of a pinned level, as (odd, options, bits).
+def _pin_options(forms, values):
+    """The per-values setup of a pinned level, read from its slot forms
+    (``_level_slots``), as (odd, options, bits).
 
     ``odd`` is the parity of the edges whose tail label exceeds the head
-    label.  For the edge named e and a state s (``_edge_state``),
-    ``options[e - 1][s]`` is the edge's slot of unshifted values (a
-    one-value range when pinned), or None when the state admits no value:
-    a free edge whose interval is empty once a marked low end is excluded,
-    or an edge pinned at a tie whose other end pins another edge.
-    ``bits[e - 1][s]`` is 1 when the pin adds a minimum pin or a tie
+    label.  For the edge named e, with slot form ((a, s), (b, t)), and a
+    state (``_edge_state``), ``options[e - 1][state]`` is the edge's slot of
+    unshifted values (a one-value range when pinned: x_a + s by the tail,
+    x_b + t + 1 by the head), or None when the state admits no value: a
+    free edge whose interval is empty once a marked low end is excluded, or
+    an edge pinned at a tie whose other end pins another edge.
+    ``bits[e - 1][state]`` is 1 when the pin adds a minimum pin or a tie
     inversion to the sign.
     """
-    lab = (0,) + tuple(x + v for v, x in enumerate(values, start=1))
     odd = 0
     options = []
     bits = []
-    for name, t, h in edges:
-        a, b = lab[t] - name, lab[h] - name
-        tail, head = range(a, a + 1), range(b, b + 1)
-        iv = slot(a, b - 1)
+    for (a, s), (b, t) in forms[0]:
+        lo, hi = values[a - 1] + s, values[b - 1] + t
+        tail, head = range(lo, lo + 1), range(hi + 1, hi + 2)
+        iv = slot(lo, hi)
         if iv is None:
             options.append((None, None, None, None, tail, None, head, None))
             bits.append(_LOW_TAIL)
@@ -462,7 +460,8 @@ def _pin_options(edges, values):
         low_mark = 2 if inverted else 1
         bits.append(_LOW_HEAD if inverted else _LOW_TAIL)
         cut = free[1:] or None
-        options.append(tuple(cut if s & low_mark else free for s in range(4))
+        options.append(tuple(cut if state & low_mark else free
+                             for state in range(4))
                        + (tail, tail, head, head))
     return odd, tuple(options), tuple(bits)
 
@@ -540,7 +539,7 @@ class _LevelWalk:
             plain = SequenceCounter(seq)
         elif plain.seq != seq:
             raise ValueError("plain counter is for another tree sequence")
-        self.m, self._plain, self._edges = m, plain, plain._edges
+        self.m, self._plain, self._forms = m, plain, plain._forms
         self.seq, self.tree_sign, self._order = seq, plain.tree_sign, seq.order
         self._memo = {level: {} for level in range(m, seq.order + 1)}
         self._zeros = (0,) * members
@@ -552,7 +551,7 @@ class _LevelWalk:
             if level == self.m:
                 entry = self._transition(values)
             else:
-                ranges, odd = _ranges_and_parity(self._edges[level], values)
+                ranges, odd = _ranges_and_parity(self._forms[level], values)
                 entry = (self._zeros if ranges is None
                          else self._box(level - 1, ranges))
                 if odd:
@@ -590,14 +589,14 @@ class PinnedFamily(_LevelWalk):
         super().__init__(seq, m, plain, len(sets))
         self.sets = [_pin_set(R, mode, m) for R in sets]
         self.mode = mode
-        edges = self._edges[m]
+        edges = _edge_triples(seq.tree(m))
         self._plans = [_compile_plan(edges, self.ASSIGNMENTS[mode](
             edges, _incidence(m, edges), R)) for R in self.sets]
 
     def _transition(self, values):
         """Per member, the sum over its plan of the signed weight times the
         level m-1 count summed over the slot box."""
-        odd, options, bits = self._plain._pin_setup(self.m, values)
+        odd, options, bits = _pin_options(self._forms[self.m], values)
         box, below = self._plain._box, self.m - 1
         totals = []
         for plan in self._plans:
@@ -642,7 +641,7 @@ class FilteredFamily(_LevelWalk):
     def _transition(self, values):
         """Each level m-1 labeling's count, added to every member whose
         pairs it keeps apart."""
-        ranges, odd = _ranges_and_parity(self._edges[self.m], values)
+        ranges, odd = _ranges_and_parity(self._forms[self.m], values)
         if ranges is None:
             return self._zeros
         below, level = self._plain._raw, self.m - 1

@@ -165,18 +165,6 @@ def binomial_determinant(k):
     return next(binomial_determinants([(kj,) for kj in k]))
 
 
-def extended_sum(f, a, b):
-    """Sum f(i) for i = a..b under the extended summation convention.
-
-    Empty for b = a - 1, and sum_{a}^{b} = -sum_{b+1}^{a-1} when b + 1 <= a - 1.
-    """
-    if b >= a:
-        return sum(f(i) for i in range(a, b + 1))
-    if b == a - 1:
-        return 0
-    return -sum(f(i) for i in range(b + 1, a))
-
-
 # Caps that make an oversized operator fail at once rather than run for
 # hours.  One product multiplies out at most MAX_PRODUCT_PAIRS term pairs:
 # the largest product the suites and the benchmark build, in

@@ -34,10 +34,6 @@ from .trees import _permutation_sign
 STEP_MOVES = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "D": (1, -1)}
 
 
-def starting_points(n):
-    return [(-i + 1, i - 1) for i in range(1, n + 1)]
-
-
 @dataclass(frozen=True)
 class PathFamily:
     n: int

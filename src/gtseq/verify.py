@@ -455,9 +455,8 @@ def suite_extensions_agree(bound3=2, lo4=0, hi4=3):
     forms are built once per n and applied to one shared product-formula
     lattice function.
     """
-    staircase = {1: 1, 2: 2, 3: 7, 4: 42}
-    for n, want in staircase.items():
-        got = alpha(n, tuple(range(1, n + 1)))
+    for n in range(1, 5):
+        got, want = alpha(n, tuple(range(1, n + 1))), _asm_count(n)
         yield () if got == want else [{"check": "staircase", "n": n,
                                        "lhs": got, "rhs": want}]
     grids = [(3, list(_cube(bound3, 3))),
@@ -497,7 +496,21 @@ def suite_alpha_props(n_max=4, bound=2):
                                 for v in report["violations"]])
 
 
-FROZEN_REFINED = {1: (1,), 2: (1, 1), 3: (2, 3, 2), 4: (7, 14, 14, 7)}
+def _asm_count(n):
+    """A_n = prod_{j<n} (3j+1)!/(n+j)!, the n x n alternating sign matrices."""
+    return (math.prod(math.factorial(3 * j + 1) for j in range(n))
+            // math.prod(math.factorial(n + j) for j in range(n)))
+
+
+def _refined_asm_counts(n):
+    """The refined counts A(n, i) = C(n+i-2, i-1) (2n-i-1)!/(n-i)!
+    prod_{j<n-1} (3j+1)!/(n+j)! for i = 1..n (Zeilberger 1996)."""
+    top = math.prod(math.factorial(3 * j + 1) for j in range(n - 1))
+    bottom = math.prod(math.factorial(n + j) for j in range(n - 1))
+    return tuple(math.comb(n + i - 2, i - 1) * math.factorial(2 * n - i - 1)
+                 * top // (math.factorial(n - i) * bottom)
+                 for i in range(1, n + 1))
+
 
 FROZEN_DOUBLY = {
     2: ((0, 1), (1, 0)),
@@ -508,7 +521,7 @@ FROZEN_DOUBLY = {
 
 @suite("refined")
 def suite_refined(n_max=4):
-    """Refined count routes, frozen small values, linear system, symmetry."""
+    """Refined count routes, the closed form, linear system, symmetry."""
     for n in range(1, n_max + 1):
         try:
             vec = refined_asm(n).vector
@@ -516,9 +529,10 @@ def suite_refined(n_max=4):
             yield [{"check": "routes", "n": n, "error": str(err)}]
             continue
         records = []
-        if n in FROZEN_REFINED and vec != FROZEN_REFINED[n]:
+        want = _refined_asm_counts(n)
+        if vec != want:
             records.append({"check": "frozen", "n": n, "lhs": list(vec),
-                            "rhs": list(FROZEN_REFINED[n])})
+                            "rhs": list(want)})
         if vec != tuple(reversed(vec)):
             records.append({"check": "symmetry", "n": n, "lhs": list(vec)})
         yield records

@@ -21,7 +21,7 @@ from gtseq.intervals import (
     slot,
 )
 from gtseq.operators import product_formula
-from gtseq.trees import basic_sequence, random_sequence
+from gtseq.trees import basic_sequence, random_sequence, random_tree
 
 
 @pytest.mark.parametrize(
@@ -131,8 +131,10 @@ def test_row_protocol_on_a_synthetic_generator():
 @pytest.mark.parametrize("rows", (
     patterns._rows, monotone._rows_1, monotone._rows_2, monotone._rows_3,
     partial(monotone._rows_3, subsets=monotone._subsets), monotone._rows_4,
-    partial(labelings._chain_rows, basic_sequence(3)),
-    partial(labelings._chain_rows, random_sequence(3, 5)),
+    partial(labelings._chain_rows,
+            labelings._sequence_slots(basic_sequence(3))),
+    partial(labelings._chain_rows,
+            labelings._sequence_slots(random_sequence(3, 5))),
 ), ids=("patterns", "v1", "v2", "v3", "v3relaxed", "v4", "chainBasic",
         "chainRandom"))
 def test_row_generators_yield_named_slots(rows):
@@ -271,17 +273,40 @@ def _family_levels(rng):
                 labelings._edge_triples(seq.tree(i)))
 
 
+def _admissible_slot(k, e, t, h):
+    """The slot of edge e = (t, h) at the vertex labels k, by brute force
+    over labels from the admissibility definition: the values l with
+    min(k_t + t, k_h + h) <= l + e < max(k_t + t, k_h + h), and whether the
+    tail label is the larger; None at a tie."""
+    a, b = k[t - 1] + t, k[h - 1] + h
+    if a == b:
+        return None
+    return [l for l in range(-30, 30) if min(a, b) <= l + e < max(a, b)], a > b
+
+
 def test_tree_slot_forms_give_the_edge_slots():
+    # the one statement of the edge rule, evaluated here (_at) and by the
+    # library (_edge_slots), against the definition itself
     rng = random.Random(3)
+    ties = inversions = 0
     for _ in range(100):
         n = rng.randint(2, 7)
-        seq = random_sequence(n, rng.randrange(10 ** 6))
-        for i in range(2, n + 1):
-            tree = seq.tree(i)
-            (choice,) = labelings._level_slots(labelings._edge_triples(tree))
-            for _ in range(5):
-                x = tuple(rng.randint(-4, 4) for _ in range(i))
-                assert _at(choice, x) == labelings._edge_slots(tree, x)
+        tree = random_tree(n, rng)
+        edges = [(e,) + tree.edge(e) for e in range(1, n)]
+        forms = labelings._level_slots(labelings._edge_triples(tree))
+        (choice,) = forms
+        for _ in range(5):
+            k = [rng.randint(-4, 4) for _ in range(n)]
+            if rng.random() < 0.5:
+                _, t, h = rng.choice(edges)
+                k[h - 1] = k[t - 1] + t - h          # tie one edge
+            want = [_admissible_slot(k, e, t, h) for e, t, h in edges]
+            for slots in (_at(choice, k), labelings._edge_slots(forms, k)):
+                assert [None if s is None else (list(s[0]), s[1])
+                        for s in slots] == want, (tree, k)
+            ties += None in want
+            inversions += any(s is not None and s[1] for s in want)
+    assert ties and inversions
 
 
 def test_alpha_slot_forms_give_the_star_choices():

@@ -19,7 +19,6 @@ from gtseq.operators import (
     column_determinants,
     delta,
     elementary_symmetric,
-    extended_sum,
     falling_binomial,
     identity,
     integer_determinant,
@@ -129,13 +128,6 @@ def test_binomial_matrix_matches_falling_binomial(k):
     want = [[falling_binomial(k[j] + j, i) for j in range(n)]
             for i in range(n)]
     assert binomial_matrix(k) == want
-
-
-def test_extended_sum_convention():
-    f = lambda i: i * i
-    assert extended_sum(f, 3, 2) == 0
-    assert extended_sum(f, 2, 5) == 4 + 9 + 16 + 25
-    assert extended_sum(f, 5, 0) == -extended_sum(f, 1, 4)
 
 
 def test_operator_algebra_normalizes():

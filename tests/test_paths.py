@@ -14,14 +14,9 @@ from gtseq.paths import (
     family_to_svg,
     path_vertices,
     signed_families,
-    starting_points,
     tail_swap,
 )
 from gtseq.trees import _permutation_sign
-
-
-def test_starting_points_diagonal():
-    assert starting_points(3) == [(0, 0), (-1, 1), (-2, 2)]
 
 
 def test_classic_frozen_example():

@@ -102,6 +102,40 @@ def test_extensions_agree_catches_moved_upper_limit(monkeypatch, variant):
                for v in rep["violations"])
 
 
+def test_asm_closed_forms_give_the_known_counts():
+    assert [verify._asm_count(n) for n in range(1, 8)] == [
+        1, 2, 7, 42, 429, 7436, 218348]
+    assert verify._refined_asm_counts(4) == (7, 14, 14, 7)
+    assert verify._refined_asm_counts(5) == (42, 105, 135, 105, 42)
+    for n in range(1, 30):
+        assert sum(verify._refined_asm_counts(n)) == verify._asm_count(n), n
+
+
+@pytest.mark.parametrize("name, suite, params, check", [
+    ("_refined_asm_counts", verify.suite_refined, dict(n_max=3), "frozen"),
+    ("_asm_count", verify.suite_extensions_agree,
+     dict(bound3=1, lo4=0, hi4=0), "staircase"),
+])
+def test_gates_catch_a_closed_form_off_by_one(monkeypatch, name, suite, params,
+                                              check):
+    real = getattr(verify, name)
+
+    def off(n):
+        want = real(n)
+        return want + 1 if isinstance(want, int) else (want[0] + 1,) + want[1:]
+
+    monkeypatch.setattr(verify, name, off)
+    report = suite(**params)
+    assert report["violations"]
+    assert {v["check"] for v in report["violations"]} == {check}
+
+
+def test_refined_checks_the_closed_form_past_n_four():
+    report = verify.suite_refined(n_max=6)
+    assert report["pointsChecked"] > verify.suite_refined()["pointsChecked"]
+    assert report["violations"] == []
+
+
 def test_operator_cache_bounded_after_run_all(run_all_report):
     assert run_all_report["violations"] == []
     for build in PAIR_PRODUCTS.values():
