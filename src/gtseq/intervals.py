@@ -24,9 +24,13 @@ not depend on its entry.  Only ``row_walk`` and ``row_count`` read the
 slots: a choice holding None has no objects, each inverted slot flips
 its sign, and its box is the members of its slots.  ``row_walk`` streams
 the objects from such a generator, and ``row_count`` sums the memoized
-count of each box through ``table_sum``, so a check of the stream
-against the count tests the walk, not the rows; ``interval`` stays the
-reference the rows are held to.
+count of each box through ``box_sum``, so a check of the stream against
+the count tests the walk, not the rows; ``interval`` stays the reference
+the rows are held to.  The count above a row x of length 2 must be affine
+in x, as it is when its choices do not depend on x beyond dropping those
+with an empty slot: extended summation makes each add its signed width
+x_b + t - x_a - s + 1 for slot(x_a + s, x_b + t), 0 when empty, or 1 for a
+pin, so ``box_sum`` reads a level-2 box sum at two opposite corners.
 
 The level fill is the same recursion taken a box at a time, and ``fill``
 is its one entry point, shared by the tree-sequence counts
@@ -121,22 +125,36 @@ def table_sum(table, fill, level, ranges):
     return total
 
 
-def row_count(rows, table, n, v):
-    """Signed total above row v of length n, memoized in table.
+def box_sum(tables, count, level, box):
+    """Sum of the level-``level`` count over product(*box): at level 1,
+    where every count is 1, the product of the range lengths; at level 2,
+    where the count is affine in its row, the box size times the mean of the
+    counts at two opposite corners; above, ``table_sum`` over
+    ``tables[level]``, with ``count(level, v)`` filling a missing entry."""
+    if level == 1:
+        return prod(map(len, box))
+    if level == 2:
+        x, y = box
+        return (len(x) * len(y)
+                * (count(2, (x[0], y[0])) + count(2, (x[-1], y[-1]))) // 2)
+    return table_sum(tables[level], count, level, box)
+
+
+def row_count(rows, tables, n, v):
+    """Signed total above row v of length n, memoized in ``tables[n]``; a
+    family with one table for every row length passes it at each index.
 
     Each choice from rows(v) without an empty slot adds its sign, flipped
-    once per inverted slot, times the sum of the level n-1 count over the
-    members of its slots, read from the table (``table_sum``), which calls
-    back here only for missing entries.  Above a row of length 2 every entry
-    counts 1, so that box sum is the product of the range lengths.
+    once per inverted slot, times the level n-1 count summed over the
+    members of its slots (``box_sum``), which calls back here only for
+    missing entries.
     """
     if n == 1:
         return 1
-    try:
-        return table[v]
-    except KeyError:
-        pass
-    fill = partial(row_count, rows, table)
+    total = tables[n].get(v)
+    if total is not None:
+        return total
+    fill = partial(row_count, rows, tables)
     total = 0
     for _, sign, slots in rows(v):
         if None in slots:
@@ -144,11 +162,8 @@ def row_count(rows, table, n, v):
         box, inverted = zip(*slots)
         if inverted.count(True) % 2:
             sign = -sign
-        if n == 2:
-            total += sign * prod(map(len, box))
-        else:
-            total += sign * table_sum(table, fill, n - 1, box)
-    table[v] = total
+        total += sign * box_sum(tables, fill, n - 1, box)
+    tables[n][v] = total
     return total
 
 

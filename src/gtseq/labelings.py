@@ -13,9 +13,8 @@ empty at a tie and inverted exactly at an inversion.  ``_level_slots``
 states this rule once, as the slot form ((t, t - e), (h, h - e - 1)) per
 edge: a level's one row choice, in the shape ``intervals.fill`` reads.
 Every route that computes reads these forms.  ``_edge_slots`` evaluates
-them at a level point for ``inversion_edges``, ``admissible_labelings``,
-the chain stream and the memoized step; the level-2 closed forms read the
-one edge's shifts; the fill derives its stencils from them; and
+them at a level point for ``inversion_edges``, ``admissible_labelings``
+and the chain rows; the fill derives its stencils from them; and
 ``_pin_options`` builds a pinned level's setup from them.  The reference
 routes (``_pin_terms`` and the two witness functions) read the tree
 instead, so the tests hold the counters to an independent reading of each
@@ -23,9 +22,10 @@ level.
 
 A tree-sequence labeling chain (T_1..T_n, l_1..l_n) fixes l_n = k and asks
 l_{i-1} to be admissible for (T_i, l_i); its sign is (-1)^{#inversions}
-times the product of the tree signs.  ``enumerate_sequences`` lists the
-chains by ``intervals.row_walk``, one row choice per level; ``signed_count``
-evaluates the signed total without them, by a memoized recursion over levels.
+times the product of the tree signs.  The chains have one row generator,
+``_chain_rows``, one row choice per level: ``enumerate_sequences`` lists
+the chains by ``intervals.row_walk`` over it, and ``signed_count``
+evaluates the signed total without them, by ``intervals.row_count``.
 
 ``SequenceCounter.sweep`` fills the same memo tables for a whole grid at
 once, through the level fill that alpha shares (``intervals.fill``), which
@@ -74,10 +74,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from math import prod
 from operator import getitem, neg
 
-from .intervals import bottom_row, fill, row_walk, slot, table_sum
+from .intervals import bottom_row, box_sum, fill, row_count, row_walk, slot
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,12 @@ def _edge_slots(forms, values):
 def inversion_edges(tree, k):
     """Edge names whose tail label exceeds the head label, or None when
     some edge has equal end labels (then no labeling is admissible)."""
-    slots = _edge_slots(_level_slots(_edge_triples(tree)), k)
+    return _inversions(_edge_slots(_level_slots(_edge_triples(tree)), k))
+
+
+def _inversions(slots):
+    """The names of the edges whose slot is inverted, or None when one is
+    empty."""
     if None in slots:
         return None
     return frozenset(e for e, (_, inverted) in enumerate(slots, 1)
@@ -154,23 +158,24 @@ def _ranges_and_parity(forms, values):
 
 def admissible_labelings(tree, k):
     """All admissible labelings of (tree, k), lexicographic in l."""
-    k = bottom_row(tree.n, k)
-    inv = inversion_edges(tree, k)
+    slots = _edge_slots(_level_slots(_edge_triples(tree)),
+                        bottom_row(tree.n, k))
+    inv = _inversions(slots)
     if inv is None:
         return []
-    ranges, _ = _ranges_and_parity(_level_slots(_edge_triples(tree)), k)
-    return [AdmissibleLabeling(l, inv) for l in product(*ranges)]
+    return [AdmissibleLabeling(l, inv)
+            for l in product(*(members for members, _ in slots))]
 
 
 class SequenceCounter:
     """Signed enumeration of labeling chains over one tree sequence.
 
     The counter builds each level's slot forms (``_level_slots``) once, and
-    every step it takes reads them.  The level-i memo table, keyed by the
-    level-i vector, is shared across evaluation points and filled one point
-    at a time by ``__call__`` or one box at a time by ``sweep``.  Level 2 is
-    one edge, whose signed width the memoized step reads from its slot form
-    and no table, and a level-3 entry sums it over a box in closed form.
+    its rows (``_chain_rows``) read them.  The level-i memo table, keyed by
+    the level-i vector, is shared across evaluation points and filled one
+    point at a time by ``__call__``, through ``intervals.row_count``, or one
+    box at a time by ``sweep``.  ``_box`` is ``intervals.box_sum`` over
+    these tables.
     """
 
     def __init__(self, seq):
@@ -181,35 +186,11 @@ class SequenceCounter:
         self._order = seq.order
         self._forms = _sequence_slots(seq)
         self._memo = [None] + [dict() for _ in range(seq.order)]
+        self._rows = partial(_chain_rows, self._forms)
+        self._box = partial(box_sum, self._memo, self._raw)
 
     def _raw(self, level, values):
-        if level == 2:
-            # the signed width of the edge's slot(x_a + s, x_b + t)
-            ((((a, s), (b, t)),),) = self._forms[2]
-            return values[b - 1] + t - values[a - 1] - s + 1
-        if level == 1:
-            return 1
-        memo = self._memo[level]
-        total = memo.get(values)
-        if total is None:
-            ranges, odd = _ranges_and_parity(self._forms[level], values)
-            total = 0 if ranges is None else self._box(level - 1, ranges)
-            if odd:
-                total = -total
-            memo[values] = total
-        return total
-
-    def _box(self, level, ranges):
-        """Sum of the level-``level`` count over product(*ranges)."""
-        if level >= 3:
-            return table_sum(self._memo[level], self._raw, level, ranges)
-        if level == 1:
-            return prod(map(len, ranges))
-        # level 2: the widths x_b + t - x_a - s + 1 summed in closed form
-        ((((a, s), (b, t)),),) = self._forms[2]
-        ra, rb = ranges[a - 1], ranges[b - 1]
-        return (len(ra) * len(rb) * (rb.start + rb.stop - ra.start - ra.stop
-                                     + 2 * (t - s + 1)) // 2)
+        return row_count(self._rows, self._memo, level, values)
 
     def __call__(self, k):
         k = tuple(k)

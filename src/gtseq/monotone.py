@@ -84,7 +84,7 @@ FILL_MAX_N = 6
 
 def alpha(n, k):
     """Polynomial extension of the monotone triangle count, exact on Z^n."""
-    return row_count(_rows_1, _alpha_memo, n, bottom_row(n, k))
+    return row_count(_rows_1, [_alpha_memo] * (n + 1), n, bottom_row(n, k))
 
 
 def alpha_function(n):
@@ -350,15 +350,15 @@ def extension_signed_count(variant, n, k):
     """Signed total of one extension, read from the same row generator as
     its stream: the count of each row above is summed over the row's box
     through the variant's memo table.  Variant 1 is alpha."""
-    k = bottom_row(n, k)
-    return row_count(_rows_of(variant), _ext_memos[variant], n, k)
+    return row_count(_rows_of(variant), [_ext_memos[variant]] * (n + 1), n,
+                     bottom_row(n, k))
 
 
 def extension_three_relaxed(n, k):
     """Variant 3 with adjacent specials permitted (same signed total); its
     box sums go through a table local to the call."""
-    k = bottom_row(n, k)
-    return row_count(partial(_rows_3, subsets=_subsets), {}, n, k)
+    return row_count(partial(_rows_3, subsets=_subsets), [{}] * (n + 1), n,
+                     bottom_row(n, k))
 
 
 @lru_cache(maxsize=8)

@@ -97,7 +97,8 @@ _count_memo = {}
 def signed_pattern_count(k):
     """Signed number of patterns with bottom row k, by a memoized recursion."""
     k = tuple(k)
-    return row_count(_rows, _count_memo, len(k), bottom_row(len(k), k))
+    n = len(k)
+    return row_count(_rows, [_count_memo] * (n + 1), n, bottom_row(n, k))
 
 
 def pattern_to_chain(pattern):

@@ -324,6 +324,8 @@ def random_tree(n, rng):
     of the edge names.  ``rng`` is a random.Random (or anything with
     randrange/shuffle), so a fixed seed reproduces the tree.
     """
+    if n < 1:
+        raise ValueError("need at least one vertex")
     if n == 1:
         return NTree(1, ())
     if n == 2:

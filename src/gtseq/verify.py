@@ -48,14 +48,14 @@ it defaults to 1, so a library call forks nothing.  In ``run_all``, whose
 units all share one pool, a suite report's wall time is the time its units
 ran, summed.
 
-Default parameters are chosen so the whole chain finishes in minutes on one
-core while still covering every identity the library claims: the signed
-main count against the product formula over seeded random tree sequences,
-the determinant form, shift antisymmetry and sequence independence, the
-difference-operator annihilators, the pinned-level propositions, the four
-monotone triangle extensions against both operator products, the refined
-count routes and their linear system, the lattice path models, the interval
-identities, and the four-part decomposition.
+Default parameters are chosen so the whole chain finishes in about half a
+second on one core while still covering every identity the library claims:
+the signed main count against the product formula over seeded random tree
+sequences, the determinant form, shift antisymmetry and sequence
+independence, the difference-operator annihilators, the pinned-level
+propositions, the four monotone triangle extensions against both operator
+products, the refined count routes and their linear system, the lattice
+path models, the interval identities, and the four-part decomposition.
 """
 
 import functools
@@ -531,7 +531,7 @@ def suite_refined(n_max=4):
         records = []
         want = _refined_asm_counts(n)
         if vec != want:
-            records.append({"check": "frozen", "n": n, "lhs": list(vec),
+            records.append({"check": "closedForm", "n": n, "lhs": list(vec),
                             "rhs": list(want)})
         if vec != tuple(reversed(vec)):
             records.append({"check": "symmetry", "n": n, "lhs": list(vec)})

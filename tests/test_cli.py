@@ -166,6 +166,14 @@ def test_emit_tree_formats(capsys):
     assert len(doc["edges"]) == 3
 
 
+@pytest.mark.parametrize("n", ("0", "-3"))
+def test_emit_random_tree_needs_a_vertex(capsys, n):
+    code, out, err = run(capsys, "emit", "tree", "--kind", "random", "--n",
+                         n, "--seed", "1")
+    assert (code, out) == (2, "")
+    assert "need at least one vertex" in err
+
+
 def test_emit_pattern_and_ssyt(capsys):
     code, out, _ = run(capsys, "emit", "pattern", "--k", "0,2")
     doc = json.loads(out)

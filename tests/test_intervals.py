@@ -10,6 +10,7 @@ import pytest
 from gtseq import intervals, labelings, monotone, patterns
 from gtseq.intervals import (
     FILL_MIN_POINTS,
+    box_sum,
     containment_dichotomy,
     fill,
     interval,
@@ -125,10 +126,11 @@ def test_row_protocol_on_a_synthetic_generator():
         assert decorations == ("top", "pair", "pinned")
         assert inversions == ((2, 2),)
         assert sign == -1
-    assert row_count(_toy_rows, {}, 3, k) == -7 == sum(w[3] for w in walk)
+    assert (row_count(_toy_rows, [{}] * 4, 3, k) == -7
+            == sum(w[3] for w in walk))
 
 
-@pytest.mark.parametrize("rows", (
+ROW_GENERATORS = pytest.mark.parametrize("rows", (
     patterns._rows, monotone._rows_1, monotone._rows_2, monotone._rows_3,
     partial(monotone._rows_3, subsets=monotone._subsets), monotone._rows_4,
     partial(labelings._chain_rows,
@@ -137,6 +139,9 @@ def test_row_protocol_on_a_synthetic_generator():
             labelings._sequence_slots(random_sequence(3, 5))),
 ), ids=("patterns", "v1", "v2", "v3", "v3relaxed", "v4", "chainBasic",
         "chainRandom"))
+
+
+@ROW_GENERATORS
 def test_row_generators_yield_named_slots(rows):
     for m in (1, 2, 3):
         for v in product(range(-2, 3), repeat=m):
@@ -151,6 +156,42 @@ def test_row_generators_yield_named_slots(rows):
                     members, inverted = entry
                     assert len(members) > 0, v
                     assert type(inverted) is bool, v
+
+
+@ROW_GENERATORS
+def test_level_two_box_sum_reads_two_corners(rows):
+    # ascending, descending and crossing boxes hold normal, tied, empty and
+    # inverted slots; the reference sums the signs of the walked objects
+    rng = random.Random(2)
+    boxes = [[range(0, 4), range(3, 8)], [range(3, 7), range(-3, 1)],
+             [range(-2, 3), range(-2, 3)], [range(5, 6), range(4, 5)]]
+    boxes += [[range(lo, lo + rng.randint(1, 6))
+               for lo in (rng.randint(-5, 5), rng.randint(-5, 5))]
+              for _ in range(30)]
+    for box in boxes:
+        reads = []
+
+        def count(level, v):
+            reads.append((level, v))
+            return row_count(rows, [None, {}, {}], level, v)
+
+        want = sum(sign for v in product(*box)
+                   for _, _, _, sign in row_walk(rows, v))
+        assert box_sum([None, {}, {}], count, 2, box) == want, box
+        assert len(reads) <= 2 and {level for level, _ in reads} == {2}
+
+
+def test_wide_rows_count_the_product_formula(monkeypatch):
+    # each level-3 entry over a 30-wide box reads two level-2 corners
+    k = (0, 30, 60, 90)
+    want = product_formula(k)
+    monkeypatch.setattr(patterns, "_count_memo", {})
+    assert patterns.signed_pattern_count(k) == want
+    for seq in (basic_sequence(4), random_sequence(4, 7)):
+        assert labelings.signed_count(seq, k) == want
+    monkeypatch.setattr(monotone, "_alpha_memo", {})
+    assert monotone.alpha(4, k) == monotone.alpha_via_operator(
+        4, k, "deltaDelta")
 
 
 @pytest.mark.parametrize("call", (

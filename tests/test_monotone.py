@@ -122,7 +122,7 @@ def test_pruned_row_generators_yield_only_inhabited_choices():
             built.append(choice)
             yield choice
 
-    assert row_count(counted, {}, 8, tuple(range(1, 9))) == 10850216
+    assert row_count(counted, [{}] * 9, 8, tuple(range(1, 9))) == 10850216
     assert len(built) == 1588
 
 
@@ -401,7 +401,8 @@ def test_alpha_fill_matches_the_memoized_step(monkeypatch, fill_log, n):
         below = [k for k in filled if len(k) < n]
         # the whole box, and a sample of the rows below it that it reached
         for k in top + rng.sample(below, min(len(below), 200)):
-            assert filled[k] == row_count(monotone._rows_1, reference,
+            assert filled[k] == row_count(monotone._rows_1,
+                                          [reference] * (len(k) + 1),
                                           len(k), k), (box, k)
 
 
@@ -411,8 +412,8 @@ def test_alpha_sweep_matches_point_calls_through_apply_at(monkeypatch,
     reference = {}
     for n in (2, 3, 4, 5):
         monkeypatch.setattr(monotone, "_alpha_memo", {})
-        plain = LatticeFunction(n, lambda k: row_count(monotone._rows_1,
-                                                       reference, n, k))
+        plain = LatticeFunction(n, lambda k: row_count(
+            monotone._rows_1, [reference] * (n + 1), n, k))
         for _ in range(4):
             op = identity(n)
             for _ in range(rng.randint(1, 4)):
@@ -433,7 +434,8 @@ def test_alpha_sweep_keeps_the_memoized_step(monkeypatch, fill_log):
     reference = {}
 
     def want(n, points):
-        return [row_count(monotone._rows_1, reference, n, k) for k in points]
+        return [row_count(monotone._rows_1, [reference] * (n + 1), n, k)
+                for k in points]
 
     # a sparse reach: a difference 100000 wide, at one point and on a grid
     far = shift(2, 0, 100000) - identity(2)

@@ -112,7 +112,8 @@ def test_asm_closed_forms_give_the_known_counts():
 
 
 @pytest.mark.parametrize("name, suite, params, check", [
-    ("_refined_asm_counts", verify.suite_refined, dict(n_max=3), "frozen"),
+    ("_refined_asm_counts", verify.suite_refined, dict(n_max=3),
+     "closedForm"),
     ("_asm_count", verify.suite_extensions_agree,
      dict(bound3=1, lo4=0, hi4=0), "staircase"),
 ])
