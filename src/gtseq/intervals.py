@@ -14,44 +14,42 @@ and it is what makes telescoping identities hold for all integer bounds.
 Patterns, tree-sequence labeling chains and the monotone-triangle
 extensions are built alike: each entry of the row above a row v ranges
 over one such interval, its slot, and each inverted slot flips the sign.
-A family gives its rows as a row generator ``rows(v)`` yielding, for every
-candidate choice of the row above v, (decoration, sign, slots): the
-family's own mark of the choice and its sign, and one slot per entry of
-the row above.  A slot is a ``slot(lo, hi)`` result, (members, inverted),
-or None when that interval is empty; a pinned entry is the slot
-((x,), False).  The choices above a one-entry row have no slots and do
-not depend on its entry.  Only ``row_walk`` and ``row_count`` read the
-slots: a choice holding None has no objects, each inverted slot flips
-its sign, and its box is the members of its slots.  ``row_walk`` streams
-the objects from such a generator, and ``row_count`` sums the memoized
-count of each box through ``box_sum``, so a check of the stream against
-the count tests the walk, not the rows; ``interval`` stays the reference
-the rows are held to.  The count above a row x of length 2 must be affine
-in x, as it is when its choices do not depend on x beyond dropping those
-with an empty slot: extended summation makes each add its signed width
-x_b + t - x_a - s + 1 for slot(x_a + s, x_b + t), 0 when empty, or 1 for a
-pin, so ``box_sum`` reads a level-2 box sum at two opposite corners.
+A family's rows are a row generator ``rows(v)`` giving, per choice of the
+row above v, (decoration, sign, slots): the family's mark of the choice,
+its sign, and one slot per entry above, a ``slot(lo, hi)`` result
+(members, inverted), a pin ((x,), False), or None when empty.  The
+choices above a one-entry row have no slots and do not depend on its
+entry.  ``row_walk`` streams the objects and ``row_count`` sums the
+memoized count of each box through ``box_sum``: a choice holding None has
+no objects, and each inverted slot flips its sign.  So a check of the
+stream against the count tests the walk, not the rows; ``interval`` stays
+the reference the rows are held to.  The count above a row x of length 2
+must be affine in x, as it is when its choices do not depend on x beyond
+dropping those with an empty slot: extended summation makes each add its
+signed width x_b + t - x_a - s + 1 for slot(x_a + s, x_b + t), 0 when
+empty, or 1 for a pin, so ``box_sum`` reads a level-2 box sum at two
+opposite corners.
 
-The level fill is the same recursion taken a box at a time, and ``fill``
-is its one entry point, shared by the tree-sequence counts
-(``labelings.SequenceCounter.sweep``) and alpha
-(``monotone.alpha_function``).  A family gives ``fill`` only its slots:
-per level, its row choices, each one slot form ((a, s), (b, t)) per
-coordinate of the level below, meaning slot(x_a + s, x_b + t) at a level
-point x.  Everything else is derived here, once.  Extended summation makes
-the signed sum over a slot F(x_b + t) - F(x_a + s - 1), with F the padded
-prefix table of the level below (``prefix_table``), whatever the order of
-the two ends, so a level's values are signed sums of F at a fixed set of
-corners, its stencil (``_stencil``: the differences multiplied out over
-the coordinates and summed over the choices, equal corners cancelling).
-The members of each slot at every point of a box give the box of the level
-below that it reaches (``_reach``).  ``fill`` owns the rest: the one rule
-for when a fill beats the memoized step (enough points, making up enough
-of their box, within ``FILL_BUDGET`` cells), the boxes of every level from
-the top box down, the stencil's per-coordinate offset columns
-(``corner_column``), and the levels filled bottom-up from the all-ones
-level 1, where ``corner_sums`` evaluates a stencil over a whole box with
-the partial offsets shared by terms that agree on their leading columns.
+A fill family (patterns, tree chains and alpha) gives only slot forms:
+``slots(level)`` is the tuple of its row choices above a level point x,
+each one form ((a, s), (b, t)) per entry above, meaning
+slot(x_a + s, x_b + t), and ``marks(level)`` names the choices of a family
+that marks them.  Rows, reach and stencil are derived from the forms here,
+once.  ``form_rows`` is the one evaluator and the family's row generator;
+outside this module only ``labelings._pin_options``, whose pinned states
+are not plain slots, and the references the tests keep read a form.
+``fill`` takes the same recursion a box at a time, for the tree-sequence
+counts (``labelings.SequenceCounter.sweep``) and alpha
+(``monotone.alpha_function``).  Extended summation makes the signed sum
+over a slot F(x_b + t) - F(x_a + s - 1), with F the padded prefix table of
+the level below (``prefix_table``), whatever the order of the two ends, so
+a level's values are signed sums of F at a fixed set of corners, its
+stencil (``_stencil``: the differences multiplied out over the coordinates
+and summed over the choices, equal corners cancelling).  The members of
+each slot at every point of a box give the box of the level below that it
+reaches (``_reach``).  ``fill`` owns the rule for when a fill beats the
+memoized step and fills the levels bottom-up from the all-ones level 1,
+evaluating each stencil over a whole box (``corner_sums``).
 """
 
 from dataclasses import dataclass
@@ -194,6 +192,50 @@ def row_walk(rows, k):
     return up([k], (), (), 1)
 
 
+def form_rows(slots, x, marks=None):
+    """The rows above the level point x of a family stated by slot forms:
+    each choice of ``slots(len(x))`` whose slots at x are all inhabited, in
+    the order of the tuple, as (decoration, 1, slots), the decoration of
+    choice i being ``marks(len(x))[i]``, or None without marks.  With
+    several choices each distinct form is evaluated once, and an empty slot
+    drops every choice holding its form (``_choice_masks``)."""
+    level = len(x)
+    choices = slots(level)
+    decorations = marks(level) if marks else (None,) * len(choices)
+    if len(choices) == 1:
+        forms = choices[0]
+    else:
+        forms, picks, users = _choice_masks(slots, level)
+    found = [slot(x[a - 1] + s, x[b - 1] + t) for (a, s), (b, t) in forms]
+    if len(choices) == 1:
+        return [] if None in found else [(decorations[0], 1, found)]
+    alive = (1 << len(picks)) - 1
+    for value, mask in zip(found, users):
+        if value is None:
+            alive &= ~mask
+    rows = []
+    while alive:
+        i = (alive & -alive).bit_length() - 1
+        alive ^= 1 << i
+        rows.append((decorations[i], 1, [found[f] for f in picks[i]]))
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _choice_masks(slots, level):
+    """(forms, picks, users) for the choices of ``slots(level)``: their
+    distinct forms, each choice's form indices, and each form's bit mask of
+    the choices holding it; built once per family and level."""
+    index = {}
+    picks = [tuple(index.setdefault(form, len(index)) for form in choice)
+             for choice in slots(level)]
+    users = [0] * len(index)
+    for i, pick in enumerate(picks):
+        for f in pick:
+            users[f] |= 1 << i
+    return list(index), picks, users
+
+
 # --- level fills -----------------------------------------------------------
 
 # The fewest points a fill is built for; below it the fill's fixed cost per
@@ -211,16 +253,13 @@ def fill(points, top, slots):
     level 1, yielding (level, box, values) with the values row-major over
     the box.
 
-    ``slots(level)`` gives the level's row choices as a tuple of choices,
-    each one slot form ((a, s), (b, t)) per coordinate c of level - 1: at a
-    level point x, coordinate c of the level below ranges over
-    slot(x_a + s, x_b + t).  From these forms the fill derives the box of
-    the level below that a box reaches (``_reach``) and the level's stencil
-    (``_stencil``).  It yields nothing, leaving the points to the memoized
-    step, unless they are at least FILL_MIN_POINTS distinct vectors of
-    length top making up at least half of their bounding box, and the
-    reached boxes hold at most FILL_BUDGET cells; with top = 1 there is no
-    level to fill.
+    ``slots`` are the family's slot forms, from which the fill derives the
+    box of the level below that a box reaches (``_reach``) and each level's
+    stencil (``_stencil``).  It yields nothing, leaving the points to the
+    memoized step, unless they are at least FILL_MIN_POINTS distinct
+    vectors of length top making up at least half of their bounding box,
+    and the reached boxes hold at most FILL_BUDGET cells; with top = 1
+    there is no level to fill.
     """
     distinct = set(points)
     if (len(distinct) < FILL_MIN_POINTS

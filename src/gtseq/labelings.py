@@ -11,28 +11,24 @@ carries the larger label is an inversion.  So the values of edge e = (t, h)
 form the generalized interval ``intervals.slot(k_t + t - e, k_h + h - e - 1)``,
 empty at a tie and inverted exactly at an inversion.  ``_level_slots``
 states this rule once, as the slot form ((t, t - e), (h, h - e - 1)) per
-edge: a level's one row choice, in the shape ``intervals.fill`` reads.
-Every route that computes reads these forms.  ``_edge_slots`` evaluates
-them at a level point for ``inversion_edges``, ``admissible_labelings``
-and the chain rows; the fill derives its stencils from them; and
-``_pin_options`` builds a pinned level's setup from them.  The reference
-routes (``_pin_terms`` and the two witness functions) read the tree
-instead, so the tests hold the counters to an independent reading of each
-level.
+edge, a level's one row choice.  ``intervals.form_rows`` evaluates it for
+every computing route but two: ``inversion_edges``,
+``admissible_labelings``, the chain rows and the family walks.  The fill
+derives its stencils from it, and ``_pin_options``, whose pinned states
+are not plain slots, reads it directly.  The reference routes
+(``_pin_terms`` and the two witness functions) read the tree instead, so
+the tests hold the counters to an independent reading of each level.
 
 A tree-sequence labeling chain (T_1..T_n, l_1..l_n) fixes l_n = k and asks
 l_{i-1} to be admissible for (T_i, l_i); its sign is (-1)^{#inversions}
-times the product of the tree signs.  The chains have one row generator,
-``_chain_rows``, one row choice per level: ``enumerate_sequences`` lists
-the chains by ``intervals.row_walk`` over it, and ``signed_count``
-evaluates the signed total without them, by ``intervals.row_count``.
-
-``SequenceCounter.sweep`` fills the same memo tables for a whole grid at
-once, through the level fill that alpha shares (``intervals.fill``), which
-decides whether a fill beats the memoized step.  The counter hands it the
-points missing from its top table and each level's slot forms.  Every
-filled value goes into the per-level memo, which later point calls and
-every family walk handed the counter read.
+times the product of the tree signs.  Its rows are ``form_rows`` over each
+level's forms (``_sequence_slots``): ``enumerate_sequences`` walks them
+(``intervals.row_walk``) and ``signed_count`` counts through them
+(``intervals.row_count``).  ``SequenceCounter.sweep`` fills the same memo
+tables for a whole grid at once through ``intervals.fill``, handing it the
+points missing from its top table and the forms; every filled value goes
+into the per-level memo, which later point calls and every family walk
+handed the counter read.
 
 The "weak" machinery pins selected edges to the labels of selected vertices
 (one pinned edge per chosen vertex, exclusions keeping the pin unique) and
@@ -76,7 +72,8 @@ from functools import partial
 from itertools import product
 from operator import getitem, neg
 
-from .intervals import bottom_row, box_sum, fill, row_count, row_walk, slot
+from .intervals import (bottom_row, box_sum, fill, form_rows, row_count,
+                        row_walk, slot)
 
 
 @dataclass(frozen=True)
@@ -114,27 +111,20 @@ def _sequence_slots(seq):
     return [None] + [_level_slots(_edge_triples(tree)) for tree in seq.trees]
 
 
-def _edge_slots(forms, values):
-    """Per edge, in name order, the slot of its unshifted values at the level
-    point ``values``, from the level's slot forms: None when the end labels
-    tie, and inverted when the tail label is the larger."""
-    return [slot(values[a - 1] + s, values[b - 1] + t)
-            for (a, s), (b, t) in forms[0]]
+def _tree_rows(tree, k):
+    """The one row choice of the edge slots at the labels k, checked to be
+    n labels, listed only when no edge has equal end labels."""
+    forms = _level_slots(_edge_triples(tree))
+    return form_rows(lambda level: forms, bottom_row(tree.n, k))
 
 
 def inversion_edges(tree, k):
     """Edge names whose tail label exceeds the head label, or None when
     some edge has equal end labels (then no labeling is admissible)."""
-    return _inversions(_edge_slots(_level_slots(_edge_triples(tree)), k))
-
-
-def _inversions(slots):
-    """The names of the edges whose slot is inverted, or None when one is
-    empty."""
-    if None in slots:
-        return None
-    return frozenset(e for e, (_, inverted) in enumerate(slots, 1)
-                     if inverted)
+    for _, _, slots in _tree_rows(tree, k):
+        return frozenset(e for e, (_, inverted) in enumerate(slots, 1)
+                         if inverted)
+    return None
 
 
 def _incidence(n, edges):
@@ -143,27 +133,11 @@ def _incidence(n, edges):
                    for v in range(1, n + 1)]
 
 
-def _ranges_and_parity(forms, values):
-    """Per-edge unshifted admissible values and whether the number of
-    inversions is odd; (None, False) if an edge is blocked."""
-    ranges = []
-    odd = False
-    for iv in _edge_slots(forms, values):
-        if iv is None:
-            return None, False
-        ranges.append(iv[0])
-        odd ^= iv[1]
-    return ranges, odd
-
-
 def admissible_labelings(tree, k):
     """All admissible labelings of (tree, k), lexicographic in l."""
-    slots = _edge_slots(_level_slots(_edge_triples(tree)),
-                        bottom_row(tree.n, k))
-    inv = _inversions(slots)
-    if inv is None:
-        return []
-    return [AdmissibleLabeling(l, inv)
+    k = bottom_row(tree.n, k)
+    inv = inversion_edges(tree, k)
+    return [AdmissibleLabeling(l, inv) for _, _, slots in _tree_rows(tree, k)
             for l in product(*(members for members, _ in slots))]
 
 
@@ -171,11 +145,11 @@ class SequenceCounter:
     """Signed enumeration of labeling chains over one tree sequence.
 
     The counter builds each level's slot forms (``_level_slots``) once, and
-    its rows (``_chain_rows``) read them.  The level-i memo table, keyed by
-    the level-i vector, is shared across evaluation points and filled one
-    point at a time by ``__call__``, through ``intervals.row_count``, or one
-    box at a time by ``sweep``.  ``_box`` is ``intervals.box_sum`` over
-    these tables.
+    its rows are ``intervals.form_rows`` over them.  The level-i memo table,
+    keyed by the level-i vector, is shared across evaluation points and
+    filled one point at a time by ``__call__``, through
+    ``intervals.row_count``, or one box at a time by ``sweep``.  ``_box``
+    is ``intervals.box_sum`` over these tables.
     """
 
     def __init__(self, seq):
@@ -186,7 +160,7 @@ class SequenceCounter:
         self._order = seq.order
         self._forms = _sequence_slots(seq)
         self._memo = [None] + [dict() for _ in range(seq.order)]
-        self._rows = partial(_chain_rows, self._forms)
+        self._rows = partial(form_rows, self._forms.__getitem__)
         self._box = partial(box_sum, self._memo, self._raw)
 
     def _raw(self, level, values):
@@ -222,12 +196,6 @@ def signed_count(seq, k):
     return SequenceCounter(seq)(k)
 
 
-def _chain_rows(forms, values):
-    """The one choice of the level below ``values``: edge e of the tree at
-    level len(values) ranges over its slot of admissible values."""
-    yield None, 1, _edge_slots(forms[len(values)], values)
-
-
 def enumerate_sequences(seq, k):
     """All labeling chains, sorted lexicographically on (l_1, l_2, ...).
 
@@ -239,7 +207,7 @@ def enumerate_sequences(seq, k):
     return sorted((GTTreeSequence(levels, tuple([(i + 1, e) for i, e in inv]),
                                   base_sign * sign)
                    for levels, _, inv, sign in row_walk(
-                       partial(_chain_rows, _sequence_slots(seq)),
+                       partial(form_rows, _sequence_slots(seq).__getitem__),
                        bottom_row(seq.order, k))),
                   key=lambda g: g.levels)
 
@@ -532,11 +500,12 @@ class _LevelWalk:
             if level == self.m:
                 entry = self._transition(values)
             else:
-                ranges, odd = _ranges_and_parity(self._forms[level], values)
-                entry = (self._zeros if ranges is None
-                         else self._box(level - 1, ranges))
-                if odd:
-                    entry = tuple(map(neg, entry))
+                entry = self._zeros
+                for _, _, slots in self._plain._rows(values):
+                    box, inverted = zip(*slots)
+                    entry = self._box(level - 1, box)
+                    if inverted.count(True) % 2:
+                        entry = tuple(map(neg, entry))
             memo[values] = entry
         return entry
 
@@ -622,19 +591,21 @@ class FilteredFamily(_LevelWalk):
     def _transition(self, values):
         """Each level m-1 labeling's count, added to every member whose
         pairs it keeps apart."""
-        ranges, odd = _ranges_and_parity(self._forms[self.m], values)
-        if ranges is None:
-            return self._zeros
         below, level = self._plain._raw, self.m - 1
         members = list(enumerate(self.pair_lists))
         totals = list(self._zeros)
-        for l in product(*ranges):
-            count = below(level, l)
-            if count:
-                for i, pairs in members:
-                    if all(l[a - 1] + a != l[b - 1] + b for a, b in pairs):
-                        totals[i] += count
-        return tuple(map(neg, totals) if odd else totals)
+        for _, _, slots in self._plain._rows(values):
+            box, inverted = zip(*slots)
+            for l in product(*box):
+                count = below(level, l)
+                if count:
+                    for i, pairs in members:
+                        if all(l[a - 1] + a != l[b - 1] + b
+                               for a, b in pairs):
+                            totals[i] += count
+            if inverted.count(True) % 2:
+                totals = list(map(neg, totals))
+        return tuple(totals)
 
 
 class FilteredCounter(FilteredFamily):

@@ -14,18 +14,13 @@ with the interval sign standing in for the extended summation convention.
 ``alpha`` takes that recursion one point at a time, memoized in
 ``_alpha_memo``.  ``alpha_function(n)``, the lattice function the operator
 routes and properties apply operators to, can also fill that memo a box at
-a time through the level fill that the tree-sequence counts share
-(``intervals.fill``), which decides whether a fill beats the memoized
-step.  It is handed the points not yet in the memo and, per row length,
-the 2^(m-1) star choices of ``_rows_1`` as slot forms (``_alpha_slots``):
-a starred entry q of the row above is pinned, slot(v_q, v_q); left of a
-star it is tight, slot(v_q + 1, v_{q+1} - 1); otherwise it is free,
-slot(v_q + 1, v_{q+1}).  The fill derives the box each row length reaches
-and the stencil, whose equal corners cancel down to 2, 6, 16, 44 and 120
-terms for rows of length 2..6.  The stencil grows about 2.7 times per row
-length, so the fill stops at n = FILL_MAX_N; above it, for the points the
-fill leaves, and for ``alpha`` itself (and so ``count alpha``), the
-memoized step runs.
+a time through ``intervals.fill``, which decides whether a fill beats the
+memoized step.  Both read the one statement of the star rule,
+``_alpha_slots``: per row length m, the 2^(m-1) star choices as slot
+forms.  Their stencils cancel down to 2, 6, 16, 44 and 120 terms for rows
+of length 2..6, growing about 2.7 times per row length, so the fill stops
+at n = FILL_MAX_N; above it, for the points the fill leaves, and for
+``alpha`` itself (and so ``count alpha``), the memoized step runs.
 
 Four object-level extensions realize the same polynomial as signed
 enumerations.  Variant 1 uses the left pins above, so its count is alpha.
@@ -35,14 +30,13 @@ them.  Variant 4 assigns an arrow to every entry; the arrows of a row
 tighten the intervals of the row above it.
 
 Each variant has one row generator, ``_rows_1`` to ``_rows_4``, in the
-protocol of ``intervals``: for a row v it yields every choice of pins and
-marks for the row above, with its decoration, its sign and one slot per
-entry (``intervals.slot`` or a pin), picked from slots built once per
-row.  Variants 1 and 4 grow their choices entry by entry and drop a
-choice as soon as one of its slots is empty, so they yield only choices
-that hold objects.  The object stream (``enumerate_extension``) is ``intervals.row_walk``
-over the generator, with the decorations turned into the triangle's marks;
-the memoized count (``alpha`` and ``extension_signed_count``) is
+protocol of ``intervals``.  Variant 1's is ``intervals.form_rows`` over
+``_alpha_slots``, decorated with its star sets (``_alpha_marks``).
+Variants 2 to 4 are object models held to alpha, their slots built once
+per row; variant 4, like variant 1, yields only choices that hold objects.
+The object stream (``enumerate_extension``) is ``intervals.row_walk`` over
+the generator, with the decorations turned into the triangle's marks; the
+memoized count (``alpha`` and ``extension_signed_count``) is
 ``intervals.row_count`` over it, in the variant's memo table.  The relaxed
 variant 3 is ``_rows_3`` over all subsets of specials, counted through a
 table local to the call.
@@ -63,7 +57,7 @@ from functools import lru_cache, partial
 from itertools import combinations, product
 from operator import add, getitem
 
-from .intervals import bottom_row, fill, row_count, row_walk, slot
+from .intervals import bottom_row, fill, form_rows, row_count, row_walk, slot
 from .operators import (LatticeFunction, apply_at, apply_operator, delta,
                         elementary_symmetric, identity, shift, small_delta,
                         v_operator)
@@ -105,17 +99,25 @@ def _alpha_sweep(n, points):
     return [alpha(n, k) for k in points]
 
 
+@lru_cache(maxsize=None)
+def _alpha_marks(m):
+    """The star sets of the row above a row of length m, by number of stars
+    and then lexicographically, each as the decoration (m - 1, stars)."""
+    return tuple((m - 1, stars) for stars in _subsets(range(1, m)))
+
+
+@lru_cache(maxsize=None)
 def _alpha_slots(m):
-    """The star choices of ``_rows_1`` above a row of length m, for
-    ``intervals.fill``: entry q of the row above is pinned to v_q when
-    starred, ranges over [v_q + 1, v_{q+1} - 1] (tight) when entry q + 1
-    is starred, and over [v_q + 1, v_{q+1}] (free) otherwise."""
-    return tuple(
-        tuple(((q, 0), (q, 0)) if stars[q - 1]
-              else ((q, 1), (q + 1, -1)) if q < m - 1 and stars[q]
-              else ((q, 1), (q + 1, 0))
-              for q in range(1, m))
-        for stars in product((False, True), repeat=m - 1))
+    """The star rule, stated once: the choices above a row of length m, one
+    per star set of ``_alpha_marks(m)`` and in its order.  Entry q of the
+    row above is pinned to v_q when starred, ranges over
+    [v_q + 1, v_{q+1} - 1] (tight) when entry q + 1 is starred, and over
+    [v_q + 1, v_{q+1}] (free) otherwise."""
+    forms = [(((q, 0), (q, 0)), ((q, 1), (q + 1, -1)), ((q, 1), (q + 1, 0)))
+             for q in range(1, m)]
+    return tuple(tuple(pin if q in stars else tight if q + 1 in stars else free
+                       for q, (pin, tight, free) in enumerate(forms, 1))
+                 for _, stars in _alpha_marks(m))
 
 
 def enumerate_monotone_triangles(k):
@@ -208,30 +210,10 @@ class ExtTriangle:
 
 
 def _rows_1(v):
-    """Variant 1: a star pins entry q of the row above to its left parent
-    v_{q-1}; an unstarred entry ranges over [v_{q-1} + 1, v_q], less one at
-    the top when entry q+1 is starred."""
-    m = len(v)
-    # (stars, slots) over the entries q..m-1, grown from the right; the
-    # entry left of a star is tight unless starred too, and a choice whose
-    # slot is empty is dropped at once.  An empty free slot leaves the
-    # tight one, [v_q + 1, v_q - 1], inverted and inhabited.
-    choices = [((), [])]
-    for q in range(m - 1, 0, -1):
-        pin = ((v[q - 1],), False)
-        free = slot(v[q - 1] + 1, v[q])
-        tight = slot(v[q - 1] + 1, v[q] - 1)
-        grown = []
-        for pinned, slots in choices:
-            grown.append(((q,) + pinned, [pin] + slots))
-            own = tight if pinned[:1] == (q + 1,) else free
-            if own is not None:
-                grown.append((pinned, [own] + slots))
-        choices = grown
-    # by number of stars, then lexicographic: the order of combinations
-    choices.sort(key=lambda choice: (len(choice[0]), choice[0]))
-    for pinned, slots in choices:
-        yield (m - 1, pinned), 1, slots
+    """Variant 1, the rows of alpha: the inhabited star choices of
+    ``_alpha_slots``, decorated with their star sets.  An empty free slot
+    leaves the tight one, [v_q + 1, v_q - 1], inverted and inhabited."""
+    return form_rows(_alpha_slots, v, _alpha_marks)
 
 
 def _rows_2(v):
@@ -445,20 +427,10 @@ def refined_via_last(n, i):
     return apply_operator(op, f, _vector_point_last(n))
 
 
-def _left_edge_ones(tri):
-    return sum(1 for row in tri if row[0] == 1)
-
-
-def _right_edge_tops(tri, n):
-    return sum(1 for row in tri if row[-1] == n)
-
-
 def refined_direct(n):
-    """Counts of monotone triangles over 1..n by left-edge appearances of 1."""
-    vec = [0] * n
-    for tri in enumerate_monotone_triangles(tuple(range(1, n + 1))):
-        vec[_left_edge_ones(tri) - 1] += 1
-    return tuple(vec)
+    """Counts of monotone triangles over 1..n by the rows that start with 1:
+    the row sums of ``doubly_refined_direct``."""
+    return tuple(map(sum, doubly_refined_direct(n)))
 
 
 def refined_asm(n):
@@ -482,9 +454,12 @@ def doubly_refined_entry(n, i, j):
 
 
 def doubly_refined_direct(n):
+    """Counts of monotone triangles over 1..n by the rows that start with 1
+    (row index) and the rows that end with n (column index)."""
     mat = [[0] * n for _ in range(n)]
     for tri in enumerate_monotone_triangles(tuple(range(1, n + 1))):
-        mat[_left_edge_ones(tri) - 1][_right_edge_tops(tri, n) - 1] += 1
+        mat[sum(row[0] == 1 for row in tri) - 1][
+            sum(row[-1] == n for row in tri) - 1] += 1
     return tuple(tuple(r) for r in mat)
 
 

@@ -13,12 +13,14 @@ pair differs by exactly one the interval is empty and no pattern exists with
 that row.  The sign of a pattern is (-1)^{#inversions} and the signed count
 over a fixed bottom row equals the same product formula that counts labeling
 chains of tree sequences; the two pictures match row for row over the path
-trees (see pattern_to_chain).  The rows above v have one row generator,
-``_rows``, in the protocol of ``intervals``: ``enumerate_patterns`` walks it
-(``intervals.row_walk``) and ``signed_pattern_count`` counts through it
-(``intervals.row_count``).  ``intervals.interval`` stays the reference
-convention, used by ``validate_pattern`` and by the per-member recursion
-the tests hold the count to.
+trees (see pattern_to_chain).  ``_pattern_slots`` states the interval rule
+once, as the slot form ((q, 0), (q + 1, 0)) of entry q above a row, and
+the rows ``_rows`` are ``intervals.form_rows`` over it:
+``enumerate_patterns`` walks them (``intervals.row_walk``) and
+``signed_pattern_count`` counts through them (``intervals.row_count``).
+``intervals.interval`` stays the reference convention, used by
+``validate_pattern`` and by the per-member recursion the tests hold the
+count to.
 
 Classic patterns (all intervals normal, nonnegative weakly increasing bottom
 row) biject with semistandard tableaux: entry a_{i,j} is the number of cells
@@ -26,8 +28,9 @@ with value at most i in tableau row i + 1 - j.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .intervals import bottom_row, interval, row_count, row_walk, slot
+from .intervals import bottom_row, form_rows, interval, row_count, row_walk
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,16 @@ def make_pattern(rows):
     return Pattern(rows, inv, (-1) ** len(inv))
 
 
+@lru_cache(maxsize=None)
+def _pattern_slots(m):
+    """The interval rule, stated once: the one choice above a row of length
+    m, entry q over slot(v_q, v_{q+1})."""
+    return (tuple(((q, 0), (q + 1, 0)) for q in range(1, m)),)
+
+
 def _rows(v):
-    """The one choice of the row above v: entry q ranges over
-    slot(v[q-1], v[q])."""
-    yield None, 1, [slot(a, b) for a, b in zip(v, v[1:])]
+    """The one choice of the row above v, from ``_pattern_slots``."""
+    return form_rows(_pattern_slots, v)
 
 
 def enumerate_patterns(k):

@@ -91,7 +91,12 @@ class NTree:
         n = data["n"]
         slots = [None] * (n - 1)
         for rec in data["edges"]:
-            slots[rec["id"] - 1] = (rec["tail"], rec["head"])
+            name = rec["id"]
+            if not 1 <= name < n:
+                raise ValueError("edge id %r is outside 1..%d" % (name, n - 1))
+            if slots[name - 1] is not None:
+                raise ValueError("edge id %d is repeated" % name)
+            slots[name - 1] = (rec["tail"], rec["head"])
         if any(e is None for e in slots):
             raise ValueError("edge ids must cover 1..n-1")
         return cls(n, tuple(slots))

@@ -1,4 +1,3 @@
-from collections import Counter
 from functools import partial
 from itertools import product
 import random
@@ -13,6 +12,7 @@ from gtseq.intervals import (
     box_sum,
     containment_dichotomy,
     fill,
+    form_rows,
     interval,
     left_anchored_identity,
     right_anchored_dichotomy,
@@ -133,10 +133,10 @@ def test_row_protocol_on_a_synthetic_generator():
 ROW_GENERATORS = pytest.mark.parametrize("rows", (
     patterns._rows, monotone._rows_1, monotone._rows_2, monotone._rows_3,
     partial(monotone._rows_3, subsets=monotone._subsets), monotone._rows_4,
-    partial(labelings._chain_rows,
-            labelings._sequence_slots(basic_sequence(3))),
-    partial(labelings._chain_rows,
-            labelings._sequence_slots(random_sequence(3, 5))),
+    partial(form_rows,
+            labelings._sequence_slots(basic_sequence(3)).__getitem__),
+    partial(form_rows,
+            labelings._sequence_slots(random_sequence(3, 5)).__getitem__),
 ), ids=("patterns", "v1", "v2", "v3", "v3relaxed", "v4", "chainBasic",
         "chainRandom"))
 
@@ -325,9 +325,14 @@ def _admissible_slot(k, e, t, h):
     return [l for l in range(-30, 30) if min(a, b) <= l + e < max(a, b)], a > b
 
 
+def _listed(slots):
+    return [None if s is None else (list(s[0]), s[1]) for s in slots]
+
+
 def test_tree_slot_forms_give_the_edge_slots():
     # the one statement of the edge rule, evaluated here (_at) and by the
-    # library (_edge_slots), against the definition itself
+    # library (form_rows, which lists the choice only when no edge ties),
+    # against the definition itself
     rng = random.Random(3)
     ties = inversions = 0
     for _ in range(100):
@@ -342,30 +347,51 @@ def test_tree_slot_forms_give_the_edge_slots():
                 _, t, h = rng.choice(edges)
                 k[h - 1] = k[t - 1] + t - h          # tie one edge
             want = [_admissible_slot(k, e, t, h) for e, t, h in edges]
-            for slots in (_at(choice, k), labelings._edge_slots(forms, k)):
-                assert [None if s is None else (list(s[0]), s[1])
-                        for s in slots] == want, (tree, k)
+            assert _listed(_at(choice, k)) == want, (tree, k)
+            assert [_listed(slots) for _, _, slots in form_rows(
+                lambda level: forms, k)] == ([] if None in want else [want])
             ties += None in want
             inversions += any(s is not None and s[1] for s in want)
     assert ties and inversions
 
 
-def test_alpha_slot_forms_give_the_star_choices():
-    def multiset(choices):
-        return Counter(tuple((tuple(members), inverted)
-                             for members, inverted in slots)
-                       for slots in choices)
+def _random_family(rng):
+    """Slot forms and marks of a family with two to nine choices per level,
+    some repeated, whose small shifts make empty, tied and inverted slots
+    all occur."""
+    def form(level):
+        return ((rng.randint(1, level), rng.randint(-1, 1)),
+                (rng.randint(1, level), rng.randint(-2, 1)))
 
+    table = {}
+    for level in range(1, 7):
+        choices = [tuple(form(level) for _ in range(level - 1))
+                   for _ in range(rng.randint(2, 6))]
+        repeated = rng.choices(choices, k=rng.randint(0, 3))
+        table[level] = tuple(choices + repeated)
+    return table.__getitem__, lambda level: [
+        "choice %d" % i for i in range(len(table[level]))]
+
+
+def test_form_rows_yield_the_inhabited_choices_in_order():
+    # the evaluator against the flat reading of every choice (_at): the
+    # choices without an empty slot, in the order of the tuple, each with
+    # its own mark; alpha's star choices, and random families whose
+    # choices share, repeat and interleave their forms
     rng = random.Random(4)
-    for m in range(2, 7):
-        choices = monotone._alpha_slots(m)
-        assert len(choices) == 2 ** (m - 1)
-        for _ in range(40):
-            v = tuple(rng.randint(-3, 3) for _ in range(m))
-            derived = [slots for slots in (_at(c, v) for c in choices)
-                       if None not in slots]
-            assert multiset(derived) == multiset(
-                slots for _, _, slots in monotone._rows_1(v)), v
+    families = [(monotone._alpha_slots, monotone._alpha_marks)]
+    families += [_random_family(rng) for _ in range(20)]
+    for slots, marks in families:
+        for level in range(1, 7):
+            choices = slots(level)
+            for _ in range(30):
+                x = tuple(rng.randint(-3, 3) for _ in range(level))
+                want = [(mark, 1, _at(choice, x))
+                        for mark, choice in zip(marks(level), choices)
+                        if None not in _at(choice, x)]
+                assert form_rows(slots, x, marks) == want, (choices, x)
+                assert form_rows(slots, x) == [(None, 1, found)
+                                               for _, _, found in want]
 
 
 def test_reach_covers_every_read_and_no_more():

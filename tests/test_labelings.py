@@ -115,10 +115,12 @@ def test_sequence_streams_frozen(n, seed, k, digest):
     lambda: enumerate_sequences(basic_sequence(3), (0, 1, 2, 3)),
     lambda: admissible_labelings(basic_tree(3), (0, 1)),
     lambda: admissible_labelings(basic_tree(3), (0, 1, 2, 3)),
+    lambda: inversion_edges(basic_tree(3), (0, 1)),
+    lambda: inversion_edges(basic_tree(3), (0, 1, 2, 3)),
     lambda: signed_count(basic_sequence(3), (0, 1)),
     lambda: SequenceCounter(basic_sequence(3)).sweep([(0, 1), (1, 1)]),
 ), ids=("chainsShort", "chainsLong", "labelingsShort", "labelingsLong",
-        "count", "sweep"))
+        "inversionsShort", "inversionsLong", "count", "sweep"))
 def test_wrong_length_k_rejected(call):
     with pytest.raises(ValueError, match="k must have length"):
         call()

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import prod
 
@@ -111,9 +111,9 @@ def test_pruned_row_generators_yield_only_inhabited_choices():
     # above (0, 0, 5) entry 1's free slot [1, 0] is empty, but a star on
     # entry 2 leaves it the tight slot [1, -1], the inverted {0}
     assert list(monotone._rows_1((0, 0, 5))) == [
-        ((2, (1,)), 1, [((0,), False), (range(1, 6), False)]),
-        ((2, (2,)), 1, [(range(0, 1), True), ((0,), False)]),
-        ((2, (1, 2)), 1, [((0,), False), ((0,), False)])]
+        ((2, (1,)), 1, [(range(0, 1), False), (range(1, 6), False)]),
+        ((2, (2,)), 1, [(range(0, 1), True), (range(0, 1), False)]),
+        ((2, (1, 2)), 1, [(range(0, 1), False), (range(0, 1), False)])]
     # a cold staircase count at n = 8 builds 1,588 choices, not 3,272
     built = []
 
@@ -217,6 +217,20 @@ def test_extension_streams_frozen(variant, k, digest):
     objs = enumerate_extension(variant, len(k), k)
     text = json.dumps([o.to_json() for o in objs])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_variant_one_stream_frozen_on_the_cube():
+    # sha256 over the points of [-2, 2]^n, n <= 4, in product order, of
+    # json.dumps([o.to_json() for o in enumerate_extension(1, n, k)]),
+    # recorded from the hand-grown star choices that variant 1 had before
+    # its rows were read from the slot forms: 138,696 objects
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for k in product(range(-2, 3), repeat=n):
+            digest.update(json.dumps(
+                [o.to_json() for o in enumerate_extension(1, n, k)]).encode())
+    assert digest.hexdigest() == (
+        "c44907deea38c793411f504f8ce1d3e1fea865987e4e05687ec7f620daccd8f8")
 
 
 @pytest.mark.parametrize("variant, n, k", ((5, 2, (1, 3)), (0, 2, (1, 3)),
@@ -518,10 +532,17 @@ def test_gates_catch_a_broken_alpha_fill(monkeypatch, mutate):
     # delta-n, e-rho and alpha-props read alpha through the fill; a fresh
     # memo makes them fill it rather than read earlier values.  At n = 3
     # the broken rows of length 3 are still of low degree, so delta-n needs
-    # n = 4 to see them.
+    # n = 4 to see them.  The memoized step reads the same slot forms, so a
+    # moved slot limit also shows in extensions-agree, which holds alpha to
+    # both operator products on the product formula.
     mutate(monkeypatch)
-    for suite in (verify.suite_delta_n, verify.suite_e_rho,
-                  verify.suite_alpha_props):
+    suites = [partial(suite, n_max=4, bound=1)
+              for suite in (verify.suite_delta_n, verify.suite_e_rho,
+                            verify.suite_alpha_props)]
+    if mutate is _one_slot_limit_moved:
+        suites.append(partial(verify.suite_extensions_agree, bound3=1,
+                              lo4=0, hi4=1))
+    for suite in suites:
         monkeypatch.setattr(monotone, "_alpha_memo", {})
-        report = suite(n_max=4, bound=1)
+        report = suite()
         assert report["violations"], (mutate.__name__, report["suite"])

@@ -131,23 +131,20 @@ def test_signed_count_matches_per_member_reference(k):
 
 
 def test_independence_catches_moved_upper_limit(monkeypatch):
-    # the stream-against-count check only tests the walk, so a wrong row
-    # must show against the tree-sequence counters instead
-    real = patterns._rows
+    # the stream-against-count check only tests the walk, so a wrong slot
+    # form must show against the tree-sequence counters instead
+    real = patterns._pattern_slots
 
-    def moved(v):
-        for decoration, sign, slots in real(v):
-            slots = list(slots)
-            for q, found in enumerate(slots):
-                if found is not None:
-                    # the first non-empty slot's upper limit, one higher
-                    members, inverted = found
-                    slots[q] = range(members[0], members[-1] + 2), inverted
-                    break
-            yield decoration, sign, slots
+    def moved(m):
+        (choice,) = real(m)
+        if choice:
+            # entry 1's upper limit, one higher: slot(v_1, v_2 + 1)
+            ((a, s), (b, t)), *others = choice
+            choice = (((a, s), (b, t + 1)), *others)
+        return (choice,)
 
     monkeypatch.setattr(patterns, "_count_memo", {})
-    monkeypatch.setattr(patterns, "_rows", moved)
+    monkeypatch.setattr(patterns, "_pattern_slots", moved)
     rep = verify.suite_independence(n_max=3, bound=1, trees=1)
     assert rep["violations"]
 

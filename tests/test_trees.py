@@ -100,6 +100,31 @@ def test_json_round_trip():
     assert TreeSequence.from_json(seq.to_json()) == seq
 
 
+def _path_json(*ids):
+    """The path 1 -> 2 -> 3 with its two edges carrying these ids."""
+    return {"n": 3, "edges": [{"id": ids[0], "tail": 1, "head": 2},
+                              {"id": ids[1], "tail": 2, "head": 3}]}
+
+
+@pytest.mark.parametrize("ids", ((0, 1), (1, 3), (-1, 2)))
+def test_json_edge_ids_must_lie_in_range(ids):
+    # edge id 0 would otherwise land on the last edge, slots[-1]
+    with pytest.raises(ValueError, match="outside 1..2"):
+        NTree.from_json(_path_json(*ids))
+
+
+def test_json_edge_ids_must_not_repeat():
+    # a later record would otherwise overwrite the earlier one, and ids 1
+    # and 2 would still cover 1..2
+    data = _path_json(1, 2)
+    data["edges"].append({"id": 1, "tail": 3, "head": 1})
+    with pytest.raises(ValueError, match="repeated"):
+        NTree.from_json(data)
+    with pytest.raises(ValueError, match="repeated"):
+        NTree.from_json(_path_json(1, 1))
+    assert NTree.from_json(_path_json(2, 1)) == NTree(3, ((2, 3), (1, 2)))
+
+
 def test_dot_output_lists_edges():
     dot = basic_tree(3).to_dot()
     assert dot.startswith("digraph")
