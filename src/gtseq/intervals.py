@@ -38,18 +38,21 @@ that marks them.  Rows, reach and stencil are derived from the forms here,
 once.  ``form_rows`` is the one evaluator and the family's row generator;
 outside this module only ``labelings._pin_options``, whose pinned states
 are not plain slots, and the references the tests keep read a form.
-``fill`` takes the same recursion a box at a time, for the tree-sequence
-counts (``labelings.SequenceCounter.sweep``) and alpha
-(``monotone.alpha_function``).  Extended summation makes the signed sum
-over a slot F(x_b + t) - F(x_a + s - 1), with F the padded prefix table of
-the level below (``prefix_table``), whatever the order of the two ends, so
-a level's values are signed sums of F at a fixed set of corners, its
-stencil (``_stencil``: the differences multiplied out over the coordinates
-and summed over the choices, equal corners cancelling).  The members of
-each slot at every point of a box give the box of the level below that it
-reaches (``_reach``).  ``fill`` owns the rule for when a fill beats the
-memoized step and fills the levels bottom-up from the all-ones level 1,
-evaluating each stencil over a whole box (``corner_sums``).
+``sweep`` is a fill family's one grid path (tree-sequence counts and
+alpha): the points missing from its top table go to ``fill``, which takes
+the same recursion a box at a time and writes every level it fills into the
+family's tables, and the others to its point step.  Extended summation
+makes the signed sum over a slot F(x_b + t) - F(x_a + s - 1), with F the
+padded prefix table of the level below (``prefix_table``), whatever the
+order of the two ends, so a level's values are signed sums of F at a fixed
+set of corners, its stencil (``_stencil``: the differences multiplied out
+over the coordinates and summed over the choices, equal corners
+cancelling).  The members of each slot at every point of a box give the box
+of the level below that it reaches (``_reach``).  ``fill`` owns the rule
+for when a fill beats the memoized step, alpha's cut at n = 6
+(FILL_MAX_CORNERS) included, and fills the levels bottom-up from the
+all-ones level 1, evaluating each stencil over a whole box
+(``corner_sums``).
 """
 
 from dataclasses import dataclass
@@ -107,35 +110,30 @@ def bottom_row(n, k):
     return k
 
 
-def table_sum(table, fill, level, ranges):
-    """Sum of table[l] over l in product(*ranges), at C speed when every
-    entry is present; otherwise ``fill(level, l)`` computes (and stores)
-    each missing entry."""
-    try:
-        return sum(map(table.__getitem__, product(*ranges)))
-    except KeyError:
-        pass
-    get = table.get
-    total = 0
-    for l in product(*ranges):
-        value = get(l)
-        total += fill(level, l) if value is None else value
-    return total
-
-
 def box_sum(tables, count, level, box):
     """Sum of the level-``level`` count over product(*box): at level 1,
     where every count is 1, the product of the range lengths; at level 2,
     where the count is affine in its row, the box size times the mean of the
-    counts at two opposite corners; above, ``table_sum`` over
-    ``tables[level]``, with ``count(level, v)`` filling a missing entry."""
+    counts at two opposite corners; above, the entries of
+    ``tables[level]``, at C speed when all are present, with
+    ``count(level, v)`` computing (and storing) each missing one."""
     if level == 1:
         return prod(map(len, box))
     if level == 2:
         x, y = box
         return (len(x) * len(y)
                 * (count(2, (x[0], y[0])) + count(2, (x[-1], y[-1]))) // 2)
-    return table_sum(tables[level], count, level, box)
+    table = tables[level]
+    try:
+        return sum(map(table.__getitem__, product(*box)))
+    except KeyError:
+        pass
+    get = table.get
+    total = 0
+    for v in product(*box):
+        value = get(v)
+        total += count(level, v) if value is None else value
+    return total
 
 
 def row_count(rows, tables, n, v):
@@ -245,35 +243,54 @@ FILL_MIN_POINTS = 16
 # The most cells, summed over the reached boxes of every level, that one
 # fill may build; a wider reach keeps the memoized step.
 FILL_BUDGET = 250_000
+# The most corner products (choices times 2^(level - 1)) a level's stencil
+# may expand before cancelling.  Alpha's 4^(m - 1) keep it to n <= 6: on a
+# dense box of 2^n points the fill's lead over the memoized step fell from
+# 5x at n = 5 to 1.4x at n = 7, and was a loss at n = 8.  Trees fill to 11.
+FILL_MAX_CORNERS = 1024
 
 
-def fill(points, top, slots):
+def sweep(slots, tables, top, points, count):
+    """The level-``top`` values of a family at ``points``, in order: the
+    points missing from ``tables[top]`` go to ``fill``, and every point it
+    leaves to the family's point step ``count(k)``."""
+    points = [tuple(k) for k in points]
+    table = tables[top]
+    fill([k for k in points if k not in table], top, slots, tables)
+    return [table[k] if k in table else count(k) for k in points]
+
+
+def fill(points, top, slots, tables):
     """Fill levels 2..``top`` of a family over the boxes that the bounding
     box of the level-``top`` ``points`` reaches, bottom-up from the all-ones
-    level 1, yielding (level, box, values) with the values row-major over
-    the box.
+    level 1, writing each level's values into ``tables[level]``; return
+    whether it filled.
 
     ``slots`` are the family's slot forms, from which the fill derives the
     box of the level below that a box reaches (``_reach``) and each level's
-    stencil (``_stencil``).  It yields nothing, leaving the points to the
+    stencil (``_stencil``).  It fills nothing, leaving the points to the
     memoized step, unless they are at least FILL_MIN_POINTS distinct
     vectors of length top making up at least half of their bounding box,
+    no level's stencil expands more than FILL_MAX_CORNERS corner products,
     and the reached boxes hold at most FILL_BUDGET cells; with top = 1
     there is no level to fill.
     """
     distinct = set(points)
-    if (len(distinct) < FILL_MIN_POINTS
+    if (top < 2 or len(distinct) < FILL_MIN_POINTS
             or any(len(k) != top for k in distinct)):
-        return
+        return False
     boxes = [[range(min(column), max(column) + 1)
               for column in zip(*distinct)]]
     if 2 * len(distinct) < prod(map(len, boxes[0])):
-        return
+        return False
     choices = {level: slots(level) for level in range(2, top + 1)}
+    if any(len(choices[level]) << (level - 1) > FILL_MAX_CORNERS
+           for level in choices):
+        return False
     for level in range(top, 1, -1):
         boxes.append(_reach(choices[level], boxes[-1]))
     if sum(prod(map(len, box)) for box in boxes) > FILL_BUDGET:
-        return
+        return False
     boxes.reverse()
     # level 1 is all ones, so its padded prefix table counts
     prefix = list(range(len(boxes[0][0]) + 1))
@@ -290,9 +307,10 @@ def fill(points, top, slots):
         terms = [(coeff, tuple(map(list.index, reads, corner)))
                  for coeff, corner in stencil]
         values = corner_sums(prefix, columns, terms, prod(map(len, box)))
-        yield level, box, values
+        tables[level].update(zip(product(*box), values))
         if level < top:
             prefix = prefix_table(values, list(map(len, box)))
+    return True
 
 
 def _reach(choices, box):
@@ -307,7 +325,9 @@ def _reach(choices, box):
             for forms in zip(*choices)]
 
 
-@lru_cache(maxsize=None)
+# bounded, so tree levels (microseconds to expand) do not pile up, while
+# alpha's five (milliseconds at m = 6) stay among the recent entries
+@lru_cache(maxsize=32)
 def _stencil(choices):
     """A level's value as signed corners of the padded prefix table F of
     the level below, as (coeff, corner) pairs, a corner giving one (v, shift)

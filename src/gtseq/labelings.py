@@ -12,10 +12,10 @@ form the generalized interval ``intervals.slot(k_t + t - e, k_h + h - e - 1)``,
 empty at a tie and inverted exactly at an inversion.  ``_level_slots``
 states this rule once, as the slot form ((t, t - e), (h, h - e - 1)) per
 edge, a level's one row choice.  ``intervals.form_rows`` evaluates it for
-every computing route but two: ``inversion_edges``,
-``admissible_labelings``, the chain rows and the family walks.  The fill
-derives its stencils from it, and ``_pin_options``, whose pinned states
-are not plain slots, reads it directly.  The reference routes
+``inversion_edges``, ``admissible_labelings``, the chain rows and the
+family walks.  The two other computing routes read the forms themselves:
+the fill derives its stencils from them, and ``_pin_options``, whose
+pinned states are not plain slots, reads them directly.  The reference routes
 (``_pin_terms`` and the two witness functions) read the tree instead, so
 the tests hold the counters to an independent reading of each level.
 
@@ -25,10 +25,10 @@ times the product of the tree signs.  Its rows are ``form_rows`` over each
 level's forms (``_sequence_slots``): ``enumerate_sequences`` walks them
 (``intervals.row_walk``) and ``signed_count`` counts through them
 (``intervals.row_count``).  ``SequenceCounter.sweep`` fills the same memo
-tables for a whole grid at once through ``intervals.fill``, handing it the
-points missing from its top table and the forms; every filled value goes
-into the per-level memo, which later point calls and every family walk
-handed the counter read.
+tables for a whole grid at once through ``intervals.sweep``, which hands
+the points missing from the top table to ``intervals.fill``; the fill
+writes every level into the per-level memo, which later point calls and
+every family walk handed the counter read.
 
 The "weak" machinery pins selected edges to the labels of selected vertices
 (one pinned edge per chosen vertex, exclusions keeping the pin unique) and
@@ -72,8 +72,8 @@ from functools import partial
 from itertools import product
 from operator import getitem, neg
 
-from .intervals import (bottom_row, box_sum, fill, form_rows, row_count,
-                        row_walk, slot)
+from .intervals import (bottom_row, box_sum, form_rows, row_count, row_walk,
+                        slot, sweep)
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,11 @@ def _incidence(n, edges):
 
 def admissible_labelings(tree, k):
     """All admissible labelings of (tree, k), lexicographic in l."""
-    k = bottom_row(tree.n, k)
-    inv = inversion_edges(tree, k)
-    return [AdmissibleLabeling(l, inv) for _, _, slots in _tree_rows(tree, k)
-            for l in product(*(members for members, _ in slots))]
+    for _, _, slots in _tree_rows(tree, k):
+        inv = frozenset(e for e, (_, flip) in enumerate(slots, 1) if flip)
+        return [AdmissibleLabeling(l, inv)
+                for l in product(*(members for members, _ in slots))]
+    return []
 
 
 class SequenceCounter:
@@ -148,8 +149,8 @@ class SequenceCounter:
     its rows are ``intervals.form_rows`` over them.  The level-i memo table,
     keyed by the level-i vector, is shared across evaluation points and
     filled one point at a time by ``__call__``, through
-    ``intervals.row_count``, or one box at a time by ``sweep``.  ``_box``
-    is ``intervals.box_sum`` over these tables.
+    ``intervals.row_count``, or one box at a time by ``sweep``, through
+    ``intervals.sweep``.  ``_box`` is ``intervals.box_sum`` over them.
     """
 
     def __init__(self, seq):
@@ -167,28 +168,20 @@ class SequenceCounter:
         return row_count(self._rows, self._memo, level, values)
 
     def __call__(self, k):
-        k = tuple(k)
-        total = self._memo[self._order].get(k)
-        if total is None:
-            if len(k) != self._order:
-                raise ValueError("k must have length %d" % self._order)
-            total = self._raw(self._order, k)
-        return self.tree_sign * total
+        return self.tree_sign * self._count(tuple(k))
+
+    def _count(self, k):
+        if len(k) != self._order:
+            raise ValueError("k must have length %d" % self._order)
+        return self._raw(self._order, k)
 
     def sweep(self, points):
-        """The signed counts at ``points``, in order.
-
-        The points missing from the top table go to ``intervals.fill``,
-        which fills every level over the box they reach when that beats the
-        memoized step; the points it leaves take the memoized step."""
-        points = [tuple(k) for k in points]
-        memo = self._memo
-        top = memo[self._order]
-        for level, box, values in fill([k for k in points if k not in top],
-                                       self._order, self._forms.__getitem__):
-            memo[level].update(zip(product(*box), values))
+        """The signed counts at ``points``, in order, with ``_count``, the
+        count before the tree sign, as the point step."""
         sign = self.tree_sign
-        return [sign * top[k] if k in top else self(k) for k in points]
+        return [sign * total for total in sweep(
+            self._forms.__getitem__, self._memo, self._order, points,
+            self._count)]
 
 
 def signed_count(seq, k):

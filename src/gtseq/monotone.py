@@ -13,14 +13,14 @@ with the interval sign standing in for the extended summation convention.
 
 ``alpha`` takes that recursion one point at a time, memoized in
 ``_alpha_memo``.  ``alpha_function(n)``, the lattice function the operator
-routes and properties apply operators to, can also fill that memo a box at
-a time through ``intervals.fill``, which decides whether a fill beats the
-memoized step.  Both read the one statement of the star rule,
-``_alpha_slots``: per row length m, the 2^(m-1) star choices as slot
-forms.  Their stencils cancel down to 2, 6, 16, 44 and 120 terms for rows
-of length 2..6, growing about 2.7 times per row length, so the fill stops
-at n = FILL_MAX_N; above it, for the points the fill leaves, and for
-``alpha`` itself (and so ``count alpha``), the memoized step runs.
+routes and properties apply operators to, sweeps points through
+``intervals.sweep``, which fills that memo a box at a time when that beats
+the memoized step.  Both read the one statement of the star rule,
+``_alpha_slots``: per row length m, the 2^(m-1) star choices as slot forms.
+Their 4^(m-1) corner products cancel down to 2, 6, 16, 44 and 120 terms for
+rows of length 2..6; the fill's cap on those products stops it at n = 6.
+Above it, for the points the fill leaves, and for ``alpha`` itself (and so
+``count alpha``), the memoized step runs.
 
 Four object-level extensions realize the same polynomial as signed
 enumerations.  Variant 1 uses the left pins above, so its count is alpha.
@@ -57,7 +57,7 @@ from functools import lru_cache, partial
 from itertools import combinations, product
 from operator import add, getitem
 
-from .intervals import bottom_row, fill, form_rows, row_count, row_walk, slot
+from .intervals import bottom_row, form_rows, row_count, row_walk, slot, sweep
 from .operators import (LatticeFunction, apply_at, apply_operator, delta,
                         elementary_symmetric, identity, shift, small_delta,
                         v_operator)
@@ -69,12 +69,6 @@ ARROWS = (LEFT, RIGHT, BOTH)
 
 _alpha_memo = {}
 
-# The largest n whose alpha is filled over a box: the stencil grows about
-# 2.7 times per level, and on a dense box of 2^n points the fill's lead over
-# the memoized step fell from 5x at n = 5 to 1.4x at n = 7, and turned into
-# a loss at n = 8.
-FILL_MAX_N = 6
-
 
 def alpha(n, k):
     """Polynomial extension of the monotone triangle count, exact on Z^n."""
@@ -82,21 +76,11 @@ def alpha(n, k):
 
 
 def alpha_function(n):
-    """alpha(n, .) as a lattice function whose sweep fills ``_alpha_memo``
-    over the box a list of points reaches (``_alpha_sweep``)."""
-    return LatticeFunction(n, lambda k: alpha(n, k),
-                           sweep=partial(_alpha_sweep, n))
-
-
-def _alpha_sweep(n, points):
-    """alpha(n, k) at each of ``points``, in order, after ``intervals.fill``
-    has filled ``_alpha_memo`` over the box that the points not yet in it
-    reach, when n <= FILL_MAX_N and the fill beats the memoized step."""
-    if n <= FILL_MAX_N:
-        missing = [k for k in points if k not in _alpha_memo]
-        for _, box, values in fill(missing, n, _alpha_slots):
-            _alpha_memo.update(zip(product(*box), values))
-    return [alpha(n, k) for k in points]
+    """alpha(n, .) as a lattice function swept by ``intervals.sweep`` over
+    ``_alpha_memo``, one table for every row length."""
+    return LatticeFunction(n, lambda k: alpha(n, k), sweep=partial(
+        sweep, _alpha_slots, [_alpha_memo] * (n + 1), n,
+        count=partial(alpha, n)))
 
 
 @lru_cache(maxsize=None)

@@ -20,21 +20,17 @@ def cli_env():
 
 @pytest.fixture
 def fill_log(monkeypatch):
-    """The levels each call of ``intervals.fill`` from labelings or
-    monotone filled, one list per call: empty when the fill left the points
-    to the memoized step."""
-    from gtseq import labelings, monotone
+    """The levels each call of ``intervals.fill`` filled, one list per call:
+    2..top when it filled, empty when it left the points to the memoized
+    step."""
+    from gtseq import intervals
     log = []
+    real = intervals.fill
 
-    def watch(real):
-        def fill(*args):
-            levels = []
-            log.append(levels)
-            for level, box, values in real(*args):
-                levels.append(level)
-                yield level, box, values
-        return fill
+    def fill(points, top, slots, tables):
+        filled = real(points, top, slots, tables)
+        log.append(list(range(2, top + 1)) if filled else [])
+        return filled
 
-    for module in (labelings, monotone):
-        monkeypatch.setattr(module, "fill", watch(module.fill))
+    monkeypatch.setattr(intervals, "fill", fill)
     return log

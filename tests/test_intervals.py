@@ -233,12 +233,13 @@ def _toy_slots(level):
 
 def _toy_fill(points, top=2):
     """The top level's values by point, or None when nothing is filled."""
-    levels = list(fill(points, top, _toy_slots))
-    if not levels:
+    tables = [{} for _ in range(top + 1)]
+    if not fill(points, top, _toy_slots, tables):
+        assert not any(tables)
         return None
-    assert [level for level, _, _ in levels] == list(range(2, top + 1))
-    _, box, values = levels[-1]
-    return dict(zip(product(*box), values))
+    assert [level for level, table in enumerate(tables) if table] == list(
+        range(2, top + 1))
+    return tables[top]
 
 
 def test_fill_of_a_toy_family_gives_the_product_formula():
@@ -291,7 +292,39 @@ def test_fill_refuses_a_corner_counted_twice():
     # choices sum a corner twice must not be filled with a wrong value
     twice = _toy_slots(2) * 2
     with pytest.raises(ValueError, match="coefficient"):
-        list(fill(list(product(range(4), repeat=2)), 2, lambda level: twice))
+        fill(list(product(range(4), repeat=2)), 2, lambda level: twice,
+             [{}, {}, {}])
+
+
+def test_sweep_fills_the_pattern_family(fill_log):
+    # signed patterns, stated as slot forms, through the one grid path:
+    # handed fresh tables, a cube fills every level (none at n = 1, where
+    # each point takes the point step), and a sparse list takes the step
+    for n in range(1, 5):
+        cube = list(product(range(-2, 3), repeat=n))
+        tables = [{} for _ in range(n + 1)]
+        stepped = []
+
+        def count(k):
+            stepped.append(k)
+            return row_count(patterns._rows, tables, n, k)
+
+        fill_log.clear()
+        assert (intervals.sweep(patterns._pattern_slots, tables, n, cube,
+                                count)
+                == [patterns.signed_pattern_count(k) for k in cube]), n
+        assert fill_log == [list(range(2, n + 1))]
+        assert stepped == ([] if n > 1 else cube)
+        # every fourth point of the cube is under half of its box
+        sparse = [k for k in cube if sum(k) % 4 == 0]
+        tables = [{} for _ in range(n + 1)]
+        stepped.clear()
+        fill_log.clear()
+        assert (intervals.sweep(patterns._pattern_slots, tables, n, sparse,
+                                count)
+                == [patterns.signed_pattern_count(k) for k in sparse]), n
+        assert fill_log == [[]]
+        assert stepped == sparse
 
 
 # --- the families' slot forms ----------------------------------------------

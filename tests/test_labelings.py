@@ -624,6 +624,31 @@ def test_walks_sharing_a_swept_counter_match_fresh_ones():
             assert [shared(k) for k in grid] == [fresh(k) for k in grid]
 
 
+def test_sweep_fills_order_seven(monkeypatch, fill_log):
+    # 2^(level - 1) corner products per tree level, 64 at order 7, are
+    # within the fill's cap; 128 points with rows 3 apart fill their box
+    points = [tuple(x + 3 * q for q, x in enumerate(k))
+              for k in product(range(2), repeat=7)]
+    counter = SequenceCounter(basic_sequence(7))
+    monkeypatch.setattr(SequenceCounter, "_raw", _refuse_the_memoized_step)
+    assert counter.sweep(points) == list(map(product_formula, points))
+    assert fill_log == [list(range(2, 8))]
+
+
+def test_stencil_cache_does_not_grow_with_the_sequences_swept():
+    cube = list(product(range(-1, 2), repeat=4))
+    rng = random.Random(8)
+    intervals._stencil.cache_clear()
+    sizes = []
+    for _ in range(2):
+        for _ in range(100):
+            seq = random_sequence(4, rng.randrange(10 ** 6))
+            assert SequenceCounter(seq).sweep(cube) == list(
+                map(product_formula, cube))
+        sizes.append(intervals._stencil.cache_info().currsize)
+    assert sizes[0] == sizes[1] <= 32
+
+
 def test_level_stencil_keeps_every_corner():
     # one choice of i - 1 edge slots, whose 2^(i-1) corners never coincide
     rng = random.Random(6)

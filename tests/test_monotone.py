@@ -405,7 +405,7 @@ def test_alpha_fill_matches_the_memoized_step(monkeypatch, fill_log, n):
         monkeypatch.setattr(monotone, "_alpha_memo", {})
         fill_log.clear()
         top = list(product(*box))
-        monotone._alpha_sweep(n, top)
+        monotone.alpha_function(n).sweep(top)
         filled = monotone._alpha_memo
         if n == 1:
             # rows of length 1 count 1 and are not stored
@@ -489,10 +489,10 @@ def test_alpha_fill_over_budget_is_refused():
         return [tuple(x + gap * q for q, x in enumerate(k)) for k in unit]
 
     def filled(points):
-        return list(monotone.fill(points, 5, monotone._alpha_slots))
+        return intervals.fill(points, 5, monotone._alpha_slots, [{}] * 6)
 
-    assert filled(spaced(2)) != []
-    assert filled(spaced(1000)) == []
+    assert filled(spaced(2))
+    assert not filled(spaced(1000))
     boxes = [[range(min(c), max(c) + 1) for c in zip(*spaced(1000))]]
     for m in range(5, 1, -1):
         boxes.append(intervals._reach(monotone._alpha_slots(m), boxes[-1]))

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 from hypothesis import example, given, settings
@@ -132,7 +132,8 @@ def test_signed_count_matches_per_member_reference(k):
 
 def test_independence_catches_moved_upper_limit(monkeypatch):
     # the stream-against-count check only tests the walk, so a wrong slot
-    # form must show against the tree-sequence counters instead
+    # form must show against the tree-sequence counters instead, and in
+    # shift-antisym and decomposition, which read the pattern count too
     real = patterns._pattern_slots
 
     def moved(m):
@@ -143,10 +144,14 @@ def test_independence_catches_moved_upper_limit(monkeypatch):
             choice = (((a, s), (b, t + 1)), *others)
         return (choice,)
 
-    monkeypatch.setattr(patterns, "_count_memo", {})
     monkeypatch.setattr(patterns, "_pattern_slots", moved)
-    rep = verify.suite_independence(n_max=3, bound=1, trees=1)
-    assert rep["violations"]
+    for suite in (partial(verify.suite_independence, n_max=3, bound=1,
+                          trees=1),
+                  partial(verify.suite_shift_antisym, n_max=2, bound=1),
+                  partial(verify.suite_decomposition, n=3, bound=1)):
+        monkeypatch.setattr(patterns, "_count_memo", {})
+        report = suite()
+        assert report["violations"], report["suite"]
 
 
 @given(st.lists(st.integers(-3, 3), min_size=2, max_size=5),
