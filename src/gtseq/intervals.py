@@ -14,23 +14,24 @@ and it is what makes telescoping identities hold for all integer bounds.
 Patterns, tree-sequence labeling chains and the monotone-triangle
 extensions are built alike: each entry of the row above a row v ranges
 over one such interval, its slot, and each inverted slot flips the sign.
-A family's rows are a row generator ``rows(v)`` giving, per choice of the
-row above v, (decoration, sign, slots): the family's mark of the choice,
-its sign, and one slot per entry above, a ``slot(lo, hi)`` result
-(members, inverted), a pin ((x,), False), or None when empty.  The
+Each counted family is one ``Family``: its row generator, its memo tables
+and the memoized step over them.  The rows are ``rows(v)`` giving, per
+choice of the row above v, (decoration, sign, slots): the family's mark of
+the choice, its sign, and one slot per entry above, a ``slot(lo, hi)``
+result (members, inverted), a pin ((x,), False), or None when empty.  The
 choices above a one-entry row have no slots and do not depend on its
-entry.  ``row_walk`` streams the objects and ``row_count`` sums the
-memoized count of each box through ``box_sum``: a choice holding None has
-no objects, and each inverted slot flips its sign.  So a check of the
-stream against the count tests the walk, not the rows; ``interval`` stays
-the reference the rows are held to.  The count above a row x of length 2
-must be affine in x, as it is when its choices do not depend on x beyond
-dropping those with an empty slot: extended summation makes each add its
-signed width x_b + t - x_a - s + 1 for slot(x_a + s, x_b + t), 0 when
-empty, or 1 for a pin, so ``box_sum`` reads a level-2 box sum at two
+entry.  ``row_walk`` streams the objects and ``Family.row_count`` sums the
+memoized count of each box through ``Family.box_sum``: a choice holding
+None has no objects, and each inverted slot flips its sign.  So a check of
+the stream against the count tests the walk, not the rows; ``interval``
+stays the reference the rows are held to.  The count above a row x of
+length 2 must be affine in x, as it is when its choices do not depend on x
+beyond dropping those with an empty slot: extended summation makes each
+add its signed width x_b + t - x_a - s + 1 for slot(x_a + s, x_b + t), 0
+when empty, or 1 for a pin, so ``box_sum`` reads a level-2 box sum at two
 opposite corners.
 
-A fill family (patterns, tree chains and alpha) gives only slot forms:
+A fill family (patterns, tree chains and alpha) is built from slot forms:
 ``slots(level)`` is the tuple of its row choices above a level point x,
 each one form ((a, s), (b, t)) per entry above, meaning
 slot(x_a + s, x_b + t), and ``marks(level)`` names the choices of a family
@@ -38,21 +39,20 @@ that marks them.  Rows, reach and stencil are derived from the forms here,
 once.  ``form_rows`` is the one evaluator and the family's row generator;
 outside this module only ``labelings._pin_options``, whose pinned states
 are not plain slots, and the references the tests keep read a form.
-``sweep`` is a fill family's one grid path (tree-sequence counts and
-alpha): the points missing from its top table go to ``fill``, which takes
-the same recursion a box at a time and writes every level it fills into the
-family's tables, and the others to its point step.  Extended summation
-makes the signed sum over a slot F(x_b + t) - F(x_a + s - 1), with F the
-padded prefix table of the level below (``prefix_table``), whatever the
-order of the two ends, so a level's values are signed sums of F at a fixed
-set of corners, its stencil (``_stencil``: the differences multiplied out
-over the coordinates and summed over the choices, equal corners
-cancelling).  The members of each slot at every point of a box give the box
-of the level below that it reaches (``_reach``).  ``fill`` owns the rule
-for when a fill beats the memoized step, alpha's cut at n = 6
-(FILL_MAX_CORNERS) included, and fills the levels bottom-up from the
-all-ones level 1, evaluating each stencil over a whole box
-(``corner_sums``).
+``Family.sweep`` is a fill family's one grid path: the points missing from
+its top table go to ``fill``, which takes the same recursion a box at a
+time and writes every level it fills into the family's tables, and the
+others to its point step ``Family.count``.  Extended summation makes the
+signed sum over a slot F(x_b + t) - F(x_a + s - 1), with F the padded
+prefix table of the level below (``prefix_table``), whatever the order of
+the two ends, so a level's values are signed sums of F at a fixed set of
+corners, its stencil (``_stencil``: the differences multiplied out over
+the coordinates and summed over the choices, equal corners cancelling).
+The members of each slot at every point of a box give the box of the level
+below that it reaches (``_reach``).  ``fill`` owns the rule for when a fill
+beats the memoized step, alpha's cut at n = 6 (FILL_MAX_CORNERS) included,
+and fills the levels bottom-up from the all-ones level 1, evaluating each
+stencil over a whole box (``corner_sums``).
 """
 
 from dataclasses import dataclass
@@ -110,57 +110,104 @@ def bottom_row(n, k):
     return k
 
 
-def box_sum(tables, count, level, box):
-    """Sum of the level-``level`` count over product(*box): at level 1,
-    where every count is 1, the product of the range lengths; at level 2,
-    where the count is affine in its row, the box size times the mean of the
-    counts at two opposite corners; above, the entries of
-    ``tables[level]``, at C speed when all are present, with
-    ``count(level, v)`` computing (and storing) each missing one."""
-    if level == 1:
-        return prod(map(len, box))
-    if level == 2:
-        x, y = box
-        return (len(x) * len(y)
-                * (count(2, (x[0], y[0])) + count(2, (x[-1], y[-1]))) // 2)
-    table = tables[level]
-    try:
-        return sum(map(table.__getitem__, product(*box)))
-    except KeyError:
-        pass
-    get = table.get
-    total = 0
-    for v in product(*box):
-        value = get(v)
-        total += count(level, v) if value is None else value
-    return total
+class Family:
+    """One counted family: its rows, its memo tables and the memoized step.
 
-
-def row_count(rows, tables, n, v):
-    """Signed total above row v of length n, memoized in ``tables[n]``; a
-    family with one table for every row length passes it at each index.
-
-    Each choice from rows(v) without an empty slot adds its sign, flipped
-    once per inverted slot, times the level n-1 count summed over the
-    members of its slots (``box_sum``), which calls back here only for
-    missing entries.
+    Built from slot forms (and ``marks``), its rows are ``form_rows`` over
+    them, or else from a row generator ``rows``.  With ``levels`` it keeps
+    a table per level and counts from the last (tree sequences); without,
+    one ``table`` for every row length, a key's length being its level.
     """
-    if n == 1:
-        return 1
-    total = tables[n].get(v)
-    if total is not None:
+
+    def __init__(self, slots=None, marks=None, rows=None, levels=None):
+        self.slots = slots
+        self.rows = (partial(form_rows, slots, marks=marks) if rows is None
+                     else rows)
+        self.levels = levels
+        if levels is None:
+            self.table = {}
+            self.tables = [self.table]
+        else:
+            self.tables = [None] + [{} for _ in range(levels)]
+
+    def _top(self, n):
+        """The table of the rows of length n counted from; a family with
+        one table lists it at every length up to n."""
+        if self.levels is None:
+            self.tables += [self.table] * (n + 1 - len(self.tables))
+        elif n != self.levels:
+            raise ValueError("k must have length %d" % self.levels)
+        return self.tables[n]
+
+    def count(self, k):
+        """The count above the bottom row k."""
+        k = tuple(k)
+        self._top(len(k))
+        return self.row_count(len(k), k)
+
+    __call__ = count
+
+    def row_count(self, n, v):
+        """Signed total above row v of length n, memoized in the level-n
+        table.
+
+        Each choice from rows(v) without an empty slot adds its sign,
+        flipped once per inverted slot, times the level n-1 count summed
+        over the members of its slots (``box_sum``), which calls back here
+        only for missing entries.
+        """
+        if n == 1:
+            return 1
+        table = self.tables[n]
+        total = table.get(v)
+        if total is not None:
+            return total
+        total = 0
+        for _, sign, slots in self.rows(v):
+            if None in slots:
+                continue
+            box, inverted = zip(*slots)
+            if inverted.count(True) % 2:
+                sign = -sign
+            total += sign * self.box_sum(n - 1, box)
+        table[v] = total
         return total
-    fill = partial(row_count, rows, tables)
-    total = 0
-    for _, sign, slots in rows(v):
-        if None in slots:
-            continue
-        box, inverted = zip(*slots)
-        if inverted.count(True) % 2:
-            sign = -sign
-        total += sign * box_sum(tables, fill, n - 1, box)
-    tables[n][v] = total
-    return total
+
+    def box_sum(self, level, box):
+        """Sum of the level-``level`` count over product(*box): at level 1,
+        where every count is 1, the product of the range lengths; at level
+        2, where the count is affine in its row, the box size times the
+        mean of the counts at two opposite corners; above, the entries of
+        the level's table, at C speed when all are present, with
+        ``row_count`` computing (and storing) each missing one."""
+        if level == 1:
+            return prod(map(len, box))
+        if level == 2:
+            x, y = box
+            return (len(x) * len(y) * (self.row_count(2, (x[0], y[0]))
+                                       + self.row_count(2, (x[-1], y[-1])))
+                    // 2)
+        table = self.tables[level]
+        try:
+            return sum(map(table.__getitem__, product(*box)))
+        except KeyError:
+            pass
+        get = table.get
+        total = 0
+        for v in product(*box):
+            value = get(v)
+            total += self.row_count(level, v) if value is None else value
+        return total
+
+    def sweep(self, points):
+        """The counts at ``points``, in order: the points missing from the
+        top table go to ``fill``, and every point it leaves to ``count``."""
+        points = [tuple(k) for k in points]
+        top = self.levels or max(map(len, points), default=1)
+        table = self._top(top)
+        fill([k for k in points if k not in table], top, self.slots,
+             self.tables)
+        return [table[k] if k in table else self.count(k) for k in points]
 
 
 def row_walk(rows, k):
@@ -248,16 +295,6 @@ FILL_BUDGET = 250_000
 # dense box of 2^n points the fill's lead over the memoized step fell from
 # 5x at n = 5 to 1.4x at n = 7, and was a loss at n = 8.  Trees fill to 11.
 FILL_MAX_CORNERS = 1024
-
-
-def sweep(slots, tables, top, points, count):
-    """The level-``top`` values of a family at ``points``, in order: the
-    points missing from ``tables[top]`` go to ``fill``, and every point it
-    leaves to the family's point step ``count(k)``."""
-    points = [tuple(k) for k in points]
-    table = tables[top]
-    fill([k for k in points if k not in table], top, slots, tables)
-    return [table[k] if k in table else count(k) for k in points]
 
 
 def fill(points, top, slots, tables):

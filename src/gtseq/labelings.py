@@ -21,14 +21,14 @@ the tests hold the counters to an independent reading of each level.
 
 A tree-sequence labeling chain (T_1..T_n, l_1..l_n) fixes l_n = k and asks
 l_{i-1} to be admissible for (T_i, l_i); its sign is (-1)^{#inversions}
-times the product of the tree signs.  Its rows are ``form_rows`` over each
-level's forms (``_sequence_slots``): ``enumerate_sequences`` walks them
-(``intervals.row_walk``) and ``signed_count`` counts through them
-(``intervals.row_count``).  ``SequenceCounter.sweep`` fills the same memo
-tables for a whole grid at once through ``intervals.sweep``, which hands
-the points missing from the top table to ``intervals.fill``; the fill
-writes every level into the per-level memo, which later point calls and
-every family walk handed the counter read.
+times the product of the tree signs.  ``SequenceCounter`` is the
+``intervals.Family`` of each level's slot forms (``_sequence_slots``), one
+memo table per level, with the tree sign added: ``enumerate_sequences``
+walks the same rows (``intervals.row_walk``), ``signed_count`` is the
+counter's count, and ``SequenceCounter.sweep`` fills the same tables for a
+whole grid at once, handing the points missing from the top table to
+``intervals.fill``; the fill writes every level into the per-level memo,
+which later point calls and every family walk handed the counter read.
 
 The "weak" machinery pins selected edges to the labels of selected vertices
 (one pinned edge per chosen vertex, exclusions keeping the pin unique) and
@@ -62,8 +62,9 @@ One walk per pinned level (``_LevelWalk``) evaluates all the pinnings
 (``PinnedFamily``) or distinct-label filters (``FilteredFamily``) of one
 level m together, memoizing a tuple of their values: above m they share
 the plain step, and below m the plain counter they are handed, which every
-family of the tree sequence can share.  ``RestrictedCounter`` and
-``FilteredCounter`` are the one-member families.
+family of the tree sequence can share, through its public rows, box sums
+and level counts.  ``RestrictedCounter`` and ``FilteredCounter`` are the
+one-member families.
 """
 
 from collections import namedtuple
@@ -72,8 +73,7 @@ from functools import partial
 from itertools import product
 from operator import getitem, neg
 
-from .intervals import (bottom_row, box_sum, form_rows, row_count, row_walk,
-                        slot, sweep)
+from .intervals import Family, bottom_row, form_rows, row_walk, slot
 
 
 @dataclass(frozen=True)
@@ -142,46 +142,32 @@ def admissible_labelings(tree, k):
     return []
 
 
-class SequenceCounter:
+class SequenceCounter(Family):
     """Signed enumeration of labeling chains over one tree sequence.
 
-    The counter builds each level's slot forms (``_level_slots``) once, and
-    its rows are ``intervals.form_rows`` over them.  The level-i memo table,
-    keyed by the level-i vector, is shared across evaluation points and
-    filled one point at a time by ``__call__``, through
-    ``intervals.row_count``, or one box at a time by ``sweep``, through
-    ``intervals.sweep``.  ``_box`` is ``intervals.box_sum`` over them.
+    The ``intervals.Family`` of each level's slot forms (``_level_slots``),
+    built once, with one memo table per level, ``_memo[i]`` keyed by the
+    level-i vector and shared across evaluation points.  A call counts one
+    point (``Family.count``, which checks its length) and ``sweep`` a grid,
+    a box at a time where the fill takes it; both add the tree sign.
     """
 
     def __init__(self, seq):
         if seq.order < 1:
             raise ValueError("a tree sequence needs order at least 1")
+        super().__init__(_sequence_slots(seq).__getitem__, levels=seq.order)
         self.seq = seq
         self.tree_sign = seq.sign()
-        self._order = seq.order
-        self._forms = _sequence_slots(seq)
-        self._memo = [None] + [dict() for _ in range(seq.order)]
-        self._rows = partial(form_rows, self._forms.__getitem__)
-        self._box = partial(box_sum, self._memo, self._raw)
-
-    def _raw(self, level, values):
-        return row_count(self._rows, self._memo, level, values)
+        # the tables, under the name bench/tracer.py reads
+        self._memo = self.tables
 
     def __call__(self, k):
-        return self.tree_sign * self._count(tuple(k))
-
-    def _count(self, k):
-        if len(k) != self._order:
-            raise ValueError("k must have length %d" % self._order)
-        return self._raw(self._order, k)
+        return self.tree_sign * self.count(k)
 
     def sweep(self, points):
-        """The signed counts at ``points``, in order, with ``_count``, the
-        count before the tree sign, as the point step."""
+        """The signed counts at ``points``, in order."""
         sign = self.tree_sign
-        return [sign * total for total in sweep(
-            self._forms.__getitem__, self._memo, self._order, points,
-            self._count)]
+        return [sign * total for total in super().sweep(points)]
 
 
 def signed_count(seq, k):
@@ -481,7 +467,7 @@ class _LevelWalk:
             plain = SequenceCounter(seq)
         elif plain.seq != seq:
             raise ValueError("plain counter is for another tree sequence")
-        self.m, self._plain, self._forms = m, plain, plain._forms
+        self.m, self._plain, self._forms = m, plain, plain.slots(m)
         self.seq, self.tree_sign, self._order = seq, plain.tree_sign, seq.order
         self._memo = {level: {} for level in range(m, seq.order + 1)}
         self._zeros = (0,) * members
@@ -494,7 +480,7 @@ class _LevelWalk:
                 entry = self._transition(values)
             else:
                 entry = self._zeros
-                for _, _, slots in self._plain._rows(values):
+                for _, _, slots in self._plain.rows(values):
                     box, inverted = zip(*slots)
                     entry = self._box(level - 1, box)
                     if inverted.count(True) % 2:
@@ -539,8 +525,8 @@ class PinnedFamily(_LevelWalk):
     def _transition(self, values):
         """Per member, the sum over its plan of the signed weight times the
         level m-1 count summed over the slot box."""
-        odd, options, bits = _pin_options(self._forms[self.m], values)
-        box, below = self._plain._box, self.m - 1
+        odd, options, bits = _pin_options(self._forms, values)
+        box, below = self._plain.box_sum, self.m - 1
         totals = []
         for plan in self._plans:
             total = 0
@@ -584,10 +570,10 @@ class FilteredFamily(_LevelWalk):
     def _transition(self, values):
         """Each level m-1 labeling's count, added to every member whose
         pairs it keeps apart."""
-        below, level = self._plain._raw, self.m - 1
+        below, level = self._plain.row_count, self.m - 1
         members = list(enumerate(self.pair_lists))
         totals = list(self._zeros)
-        for _, _, slots in self._plain._rows(values):
+        for _, _, slots in self._plain.rows(values):
             box, inverted = zip(*slots)
             for l in product(*box):
                 count = below(level, l)

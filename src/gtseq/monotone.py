@@ -11,16 +11,19 @@ generalized interval
 
 with the interval sign standing in for the extended summation convention.
 
-``alpha`` takes that recursion one point at a time, memoized in
-``_alpha_memo``.  ``alpha_function(n)``, the lattice function the operator
-routes and properties apply operators to, sweeps points through
-``intervals.sweep``, which fills that memo a box at a time when that beats
-the memoized step.  Both read the one statement of the star rule,
-``_alpha_slots``: per row length m, the 2^(m-1) star choices as slot forms.
-Their 4^(m-1) corner products cancel down to 2, 6, 16, 44 and 120 terms for
-rows of length 2..6; the fill's cap on those products stops it at n = 6.
-Above it, for the points the fill leaves, and for ``alpha`` itself (and so
-``count alpha``), the memoized step runs.
+Alpha is one ``intervals.Family``, ``EXTENSIONS[1]``, built from the one
+statement of the star rule, ``_alpha_slots``: per row length m, the
+2^(m-1) star choices as slot forms.  ``alpha`` is its count, the recursion
+one point at a time, memoized in the family's one table.
+``alpha_function(n)``, the lattice function the operator routes and
+properties apply operators to, is the family itself: ``apply_at`` hands
+every point an operator reaches to its ``sweep``, which fills that table a
+box at a time when that beats the memoized step, so alpha's values are
+stored once.  The 4^(m-1) corner products of a row's star choices cancel
+down to 2, 6, 16, 44 and 120 terms for rows of length 2..6; the fill's cap
+on those products stops it at n = 6.  Above it, for the points the fill
+leaves, and for ``alpha`` itself (and so ``count alpha``), the memoized
+step runs.
 
 Four object-level extensions realize the same polynomial as signed
 enumerations.  Variant 1 uses the left pins above, so its count is alpha.
@@ -29,17 +32,17 @@ marks interior entries whose two upper neighbours ("parents") collapse onto
 them.  Variant 4 assigns an arrow to every entry; the arrows of a row
 tighten the intervals of the row above it.
 
-Each variant has one row generator, ``_rows_1`` to ``_rows_4``, in the
-protocol of ``intervals``.  Variant 1's is ``intervals.form_rows`` over
-``_alpha_slots``, decorated with its star sets (``_alpha_marks``).
-Variants 2 to 4 are object models held to alpha, their slots built once
-per row; variant 4, like variant 1, yields only choices that hold objects.
-The object stream (``enumerate_extension``) is ``intervals.row_walk`` over
-the generator, with the decorations turned into the triangle's marks; the
-memoized count (``alpha`` and ``extension_signed_count``) is
-``intervals.row_count`` over it, in the variant's memo table.  The relaxed
-variant 3 is ``_rows_3`` over all subsets of specials, counted through a
-table local to the call.
+Each variant is one family of ``EXTENSIONS``.  Variant 1's is alpha's,
+its rows ``intervals.form_rows`` over ``_alpha_slots``, decorated with its
+star sets (``_alpha_marks``).  Variants 2 to 4 are object models held to
+alpha, built from their row generators ``_rows_2`` to ``_rows_4``, their
+slots built once per row; variant 4, like variant 1, yields only choices
+that hold objects.  The object stream (``enumerate_extension``) is
+``intervals.row_walk`` over the family's rows, with the decorations turned
+into the triangle's marks; the memoized count (``alpha`` and
+``extension_signed_count``) is the family's count.  The relaxed variant 3
+is ``_rows_3`` over all subsets of specials, counted by a family built
+afresh for each call.
 
 The stream-against-count check therefore tests the walk, not the rows.
 The independent routes share nothing with the generators: the monotone
@@ -57,7 +60,7 @@ from functools import lru_cache, partial
 from itertools import combinations, product
 from operator import add, getitem
 
-from .intervals import bottom_row, form_rows, row_count, row_walk, slot, sweep
+from .intervals import Family, bottom_row, row_walk, slot
 from .operators import (LatticeFunction, apply_at, apply_operator, delta,
                         elementary_symmetric, identity, shift, small_delta,
                         v_operator)
@@ -67,20 +70,16 @@ from .patterns import swap_shift
 LEFT, RIGHT, BOTH = "<-", "->", "<->"
 ARROWS = (LEFT, RIGHT, BOTH)
 
-_alpha_memo = {}
-
 
 def alpha(n, k):
     """Polynomial extension of the monotone triangle count, exact on Z^n."""
-    return row_count(_rows_1, [_alpha_memo] * (n + 1), n, bottom_row(n, k))
+    return EXTENSIONS[1].count(bottom_row(n, k))
 
 
 def alpha_function(n):
-    """alpha(n, .) as a lattice function swept by ``intervals.sweep`` over
-    ``_alpha_memo``, one table for every row length."""
-    return LatticeFunction(n, lambda k: alpha(n, k), sweep=partial(
-        sweep, _alpha_slots, [_alpha_memo] * (n + 1), n,
-        count=partial(alpha, n)))
+    """alpha(n, .) as a lattice function: the alpha family, whose ``sweep``
+    takes every point an operator reaches at once."""
+    return EXTENSIONS[1]
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +95,8 @@ def _alpha_slots(m):
     per star set of ``_alpha_marks(m)`` and in its order.  Entry q of the
     row above is pinned to v_q when starred, ranges over
     [v_q + 1, v_{q+1} - 1] (tight) when entry q + 1 is starred, and over
-    [v_q + 1, v_{q+1}] (free) otherwise."""
+    [v_q + 1, v_{q+1}] (free) otherwise.  An empty free slot leaves the
+    tight one, [v_q + 1, v_q - 1], inverted and inhabited."""
     forms = [(((q, 0), (q, 0)), ((q, 1), (q + 1, -1)), ((q, 1), (q + 1, 0)))
              for q in range(1, m)]
     return tuple(tuple(pin if q in stars else tight if q + 1 in stars else free
@@ -193,13 +193,6 @@ class ExtTriangle:
 # in row r per kind of mark; variant 4 gives (m, arrows) instead.
 
 
-def _rows_1(v):
-    """Variant 1, the rows of alpha: the inhabited star choices of
-    ``_alpha_slots``, decorated with their star sets.  An empty free slot
-    leaves the tight one, [v_q + 1, v_q - 1], inverted and inhabited."""
-    return form_rows(_alpha_slots, v, _alpha_marks)
-
-
 def _rows_2(v):
     """Variant 2: entry q of the row above is pinned to its left parent
     v_{q-1} or to its right parent v_q, or ranges over [v_{q-1} + 1, v_q - 1];
@@ -268,10 +261,18 @@ def _rows_4(v):
         yield (m, arrows), (-1) ** arrows.count(BOTH), picked
 
 
-def _rows_of(variant):
+# One family per variant; variant 1's is alpha's.
+EXTENSIONS = {1: Family(_alpha_slots, _alpha_marks), 2: Family(rows=_rows_2),
+              3: Family(rows=_rows_3), 4: Family(rows=_rows_4)}
+# the families' tables, under the names bench/tracer.py reads
+_alpha_memo = EXTENSIONS[1].table
+_ext_memos = {variant: family.table for variant, family in EXTENSIONS.items()}
+
+
+def _extension(variant):
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1, 2, 3 or 4")
-    return (_rows_1, _rows_2, _rows_3, _rows_4)[variant - 1]
+    return EXTENSIONS[variant]
 
 
 def _check_bounds(rows, k, n):
@@ -289,7 +290,7 @@ def enumerate_extension(variant, n, k):
     The arguments are checked by the call; the objects come lazily.
     """
     k = bottom_row(n, k)
-    return _triangles(variant, row_walk(_rows_of(variant), k), k)
+    return _triangles(variant, row_walk(_extension(variant).rows, k), k)
 
 
 def _triangles(variant, walk, k):
@@ -309,22 +310,18 @@ def _triangles(variant, walk, k):
         yield ExtTriangle(variant, rows, marks, inversions, sign)
 
 
-_ext_memos = {1: _alpha_memo, 2: {}, 3: {}, 4: {}}
-
-
 def extension_signed_count(variant, n, k):
     """Signed total of one extension, read from the same row generator as
-    its stream: the count of each row above is summed over the row's box
-    through the variant's memo table.  Variant 1 is alpha."""
-    return row_count(_rows_of(variant), [_ext_memos[variant]] * (n + 1), n,
-                     bottom_row(n, k))
+    its stream: the variant family's count, each row above summed over
+    the row's box through the family's table.  Variant 1 is alpha."""
+    return _extension(variant).count(bottom_row(n, k))
 
 
 def extension_three_relaxed(n, k):
-    """Variant 3 with adjacent specials permitted (same signed total); its
-    box sums go through a table local to the call."""
-    return row_count(partial(_rows_3, subsets=_subsets), [{}] * (n + 1), n,
-                     bottom_row(n, k))
+    """Variant 3 with adjacent specials permitted (same signed total),
+    counted by a family, and so a table, local to the call."""
+    return Family(rows=partial(_rows_3, subsets=_subsets)).count(
+        bottom_row(n, k))
 
 
 @lru_cache(maxsize=8)

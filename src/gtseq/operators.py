@@ -38,10 +38,10 @@ each operator once per arity and apply it to the whole grid.
 
 ``LatticeFunction`` wraps an integer-valued function on Z^arity with a memo
 table, so the operators applied to one function over one grid compute each
-point once between them.  Given a sweep function as well, its ``sweep``
-hands that function the points it has not memoized in one list, so a
-function computed a box at a time (alpha, ``monotone.alpha_function``)
-sees the whole reach of an operator at once.
+point once between them.  A function computed a box at a time keeps its
+own tables and has a ``sweep`` of its own (alpha's family,
+``monotone.alpha_function``), so it sees the whole reach of an operator at
+once and stores each value once.
 """
 
 import re
@@ -335,17 +335,12 @@ def v_inverse(arity, x, y, truncation=None):
 
 
 class LatticeFunction:
-    """Memoizing wrapper around an integer-valued function on Z^arity.
+    """Memoizing wrapper around an integer-valued function on Z^arity."""
 
-    ``sweep``, when given, computes the function at a list of points at
-    once; ``LatticeFunction.sweep`` hands it the points not yet memoized.
-    """
-
-    def __init__(self, arity, func, sweep=None):
+    def __init__(self, arity, func):
         self.arity = arity
         self.func = func
         self.memo = {}
-        self._sweep = sweep
 
     def __call__(self, point):
         point = tuple(point)
@@ -356,22 +351,6 @@ class LatticeFunction:
         except KeyError:
             value = self.memo[point] = self.func(point)
         return value
-
-    def sweep(self, points):
-        """The values at ``points``, in order; the distinct ones not yet
-        memoized go to the sweep function in one list, when there is one."""
-        points = [tuple(p) for p in points]
-        if self._sweep is None:
-            return list(map(self, points))
-        for p in points:
-            if len(p) != self.arity:
-                raise ValueError("point %r does not match arity %d"
-                                 % (p, self.arity))
-        memo = self.memo
-        missing = [p for p in dict.fromkeys(points) if p not in memo]
-        if missing:
-            memo.update(zip(missing, self._sweep(missing)))
-        return list(map(memo.__getitem__, points))
 
 
 def apply_at(op, f, points):

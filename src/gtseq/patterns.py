@@ -15,9 +15,9 @@ over a fixed bottom row equals the same product formula that counts labeling
 chains of tree sequences; the two pictures match row for row over the path
 trees (see pattern_to_chain).  ``_pattern_slots`` states the interval rule
 once, as the slot form ((q, 0), (q + 1, 0)) of entry q above a row, and
-the rows ``_rows`` are ``intervals.form_rows`` over it:
-``enumerate_patterns`` walks them (``intervals.row_walk``) and
-``signed_pattern_count`` counts through them (``intervals.row_count``).
+the pattern family ``_family`` is the ``intervals.Family`` of that form:
+``enumerate_patterns`` walks its rows (``intervals.row_walk``) and
+``signed_pattern_count`` is its count, memoized in its one table.
 ``intervals.interval`` stays the reference convention, used by
 ``validate_pattern`` and by the per-member recursion the tests hold the
 count to.
@@ -30,7 +30,7 @@ with value at most i in tableau row i + 1 - j.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intervals import bottom_row, form_rows, interval, row_count, row_walk
+from .intervals import Family, bottom_row, interval, row_walk
 
 
 @dataclass(frozen=True)
@@ -86,28 +86,24 @@ def _pattern_slots(m):
     return (tuple(((q, 0), (q + 1, 0)) for q in range(1, m)),)
 
 
-def _rows(v):
-    """The one choice of the row above v, from ``_pattern_slots``."""
-    return form_rows(_pattern_slots, v)
+_family = Family(_pattern_slots)
+# the family's table, under the name bench/tracer.py reads
+_count_memo = _family.table
 
 
 def enumerate_patterns(k):
     """All patterns with bottom row k, sorted by rows read top to bottom."""
     k = tuple(k)
-    walk = row_walk(_rows, bottom_row(len(k), k))
+    walk = row_walk(_family.rows, bottom_row(len(k), k))
     return sorted((Pattern(rows, inversions, sign)
                    for rows, _, inversions, sign in walk),
                   key=lambda p: p.rows)
 
 
-_count_memo = {}
-
-
 def signed_pattern_count(k):
     """Signed number of patterns with bottom row k, by a memoized recursion."""
     k = tuple(k)
-    n = len(k)
-    return row_count(_rows, [_count_memo] * (n + 1), n, bottom_row(n, k))
+    return _family.count(bottom_row(len(k), k))
 
 
 def pattern_to_chain(pattern):

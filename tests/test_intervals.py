@@ -9,7 +9,7 @@ import pytest
 from gtseq import intervals, labelings, monotone, patterns
 from gtseq.intervals import (
     FILL_MIN_POINTS,
-    box_sum,
+    Family,
     containment_dichotomy,
     fill,
     form_rows,
@@ -17,7 +17,6 @@ from gtseq.intervals import (
     left_anchored_identity,
     right_anchored_dichotomy,
     right_anchored_identity,
-    row_count,
     row_walk,
     slot,
 )
@@ -126,12 +125,13 @@ def test_row_protocol_on_a_synthetic_generator():
         assert decorations == ("top", "pair", "pinned")
         assert inversions == ((2, 2),)
         assert sign == -1
-    assert (row_count(_toy_rows, [{}] * 4, 3, k) == -7
+    assert (Family(rows=_toy_rows).count(k) == -7
             == sum(w[3] for w in walk))
 
 
 ROW_GENERATORS = pytest.mark.parametrize("rows", (
-    patterns._rows, monotone._rows_1, monotone._rows_2, monotone._rows_3,
+    patterns._family.rows, monotone.EXTENSIONS[1].rows, monotone._rows_2,
+    monotone._rows_3,
     partial(monotone._rows_3, subsets=monotone._subsets), monotone._rows_4,
     partial(form_rows,
             labelings._sequence_slots(basic_sequence(3)).__getitem__),
@@ -170,14 +170,16 @@ def test_level_two_box_sum_reads_two_corners(rows):
               for _ in range(30)]
     for box in boxes:
         reads = []
+        family = Family(rows=rows, levels=2)
 
         def count(level, v):
             reads.append((level, v))
-            return row_count(rows, [None, {}, {}], level, v)
+            return Family.row_count(family, level, v)
 
+        family.row_count = count
         want = sum(sign for v in product(*box)
                    for _, _, _, sign in row_walk(rows, v))
-        assert box_sum([None, {}, {}], count, 2, box) == want, box
+        assert family.box_sum(2, box) == want, box
         assert len(reads) <= 2 and {level for level, _ in reads} == {2}
 
 
@@ -185,11 +187,12 @@ def test_wide_rows_count_the_product_formula(monkeypatch):
     # each level-3 entry over a 30-wide box reads two level-2 corners
     k = (0, 30, 60, 90)
     want = product_formula(k)
-    monkeypatch.setattr(patterns, "_count_memo", {})
+    monkeypatch.setattr(patterns, "_family", Family(patterns._pattern_slots))
     assert patterns.signed_pattern_count(k) == want
     for seq in (basic_sequence(4), random_sequence(4, 7)):
         assert labelings.signed_count(seq, k) == want
-    monkeypatch.setattr(monotone, "_alpha_memo", {})
+    monkeypatch.setitem(monotone.EXTENSIONS, 1, Family(
+        monotone._alpha_slots, monotone._alpha_marks))
     assert monotone.alpha(4, k) == monotone.alpha_via_operator(
         4, k, "deltaDelta")
 
@@ -298,30 +301,31 @@ def test_fill_refuses_a_corner_counted_twice():
 
 def test_sweep_fills_the_pattern_family(fill_log):
     # signed patterns, stated as slot forms, through the one grid path:
-    # handed fresh tables, a cube fills every level (none at n = 1, where
-    # each point takes the point step), and a sparse list takes the step
-    for n in range(1, 5):
-        cube = list(product(range(-2, 3), repeat=n))
-        tables = [{} for _ in range(n + 1)]
-        stepped = []
+    # a fresh family's cube fills every level (none at n = 1, where each
+    # point takes the point step), and a sparse list takes the step
+    def family():
+        fresh = Family(patterns._pattern_slots)
 
         def count(k):
             stepped.append(k)
-            return row_count(patterns._rows, tables, n, k)
+            return Family.count(fresh, k)
 
+        fresh.count = count
+        return fresh
+
+    for n in range(1, 5):
+        cube = list(product(range(-2, 3), repeat=n))
+        stepped = []
         fill_log.clear()
-        assert (intervals.sweep(patterns._pattern_slots, tables, n, cube,
-                                count)
+        assert (family().sweep(cube)
                 == [patterns.signed_pattern_count(k) for k in cube]), n
         assert fill_log == [list(range(2, n + 1))]
         assert stepped == ([] if n > 1 else cube)
         # every fourth point of the cube is under half of its box
         sparse = [k for k in cube if sum(k) % 4 == 0]
-        tables = [{} for _ in range(n + 1)]
         stepped.clear()
         fill_log.clear()
-        assert (intervals.sweep(patterns._pattern_slots, tables, n, sparse,
-                                count)
+        assert (family().sweep(sparse)
                 == [patterns.signed_pattern_count(k) for k in sparse]), n
         assert fill_log == [[]]
         assert stepped == sparse

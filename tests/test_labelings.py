@@ -321,7 +321,7 @@ def _label_sensitive_transition(counter, k):
         assert level == counter.m - 1
         return sum(map(_label_sensitive, product(*slots)))
 
-    counter._plain = SimpleNamespace(_box=box)
+    counter._plain = SimpleNamespace(box_sum=box)
     (total,) = counter._transition(k)
     return total
 
@@ -584,7 +584,8 @@ def test_sweep_refuses_a_reach_over_the_budget(monkeypatch, fill_log):
         return [tuple(x + gap * q for q, x in enumerate(k)) for k in unit]
 
     counter = SequenceCounter(random_sequence(4, 11))
-    monkeypatch.setattr(SequenceCounter, "_raw", _refuse_the_memoized_step)
+    monkeypatch.setattr(SequenceCounter, "row_count",
+                        _refuse_the_memoized_step)
     with pytest.raises(AssertionError, match="memoized step"):
         counter.sweep(spaced(1000))
     assert fill_log == [[]]
@@ -630,7 +631,8 @@ def test_sweep_fills_order_seven(monkeypatch, fill_log):
     points = [tuple(x + 3 * q for q, x in enumerate(k))
               for k in product(range(2), repeat=7)]
     counter = SequenceCounter(basic_sequence(7))
-    monkeypatch.setattr(SequenceCounter, "_raw", _refuse_the_memoized_step)
+    monkeypatch.setattr(SequenceCounter, "row_count",
+                        _refuse_the_memoized_step)
     assert counter.sweep(points) == list(map(product_formula, points))
     assert fill_log == [list(range(2, 8))]
 

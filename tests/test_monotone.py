@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pytest
 
 from gtseq import intervals, monotone, verify
-from gtseq.intervals import FILL_BUDGET, interval, row_count
+from gtseq.intervals import FILL_BUDGET, Family, interval
 from gtseq.monotone import (
     PAIR_PRODUCTS,
     alpha,
@@ -104,13 +104,13 @@ def test_alpha_matches_per_member_reference(k):
 
 def test_pruned_row_generators_yield_only_inhabited_choices():
     # variants 1 and 4 drop a choice as soon as one of its slots is empty
-    for rows in (monotone._rows_1, monotone._rows_4):
+    for rows in (monotone.EXTENSIONS[1].rows, monotone._rows_4):
         for m in (1, 2, 3, 4):
             for v in product(range(-2, 3), repeat=m):
                 assert all(None not in slots for _, _, slots in rows(v)), v
     # above (0, 0, 5) entry 1's free slot [1, 0] is empty, but a star on
     # entry 2 leaves it the tight slot [1, -1], the inverted {0}
-    assert list(monotone._rows_1((0, 0, 5))) == [
+    assert list(monotone.EXTENSIONS[1].rows((0, 0, 5))) == [
         ((2, (1,)), 1, [(range(0, 1), False), (range(1, 6), False)]),
         ((2, (2,)), 1, [(range(0, 1), True), (range(0, 1), False)]),
         ((2, (1, 2)), 1, [(range(0, 1), False), (range(0, 1), False)])]
@@ -118,11 +118,11 @@ def test_pruned_row_generators_yield_only_inhabited_choices():
     built = []
 
     def counted(v):
-        for choice in monotone._rows_1(v):
+        for choice in monotone.EXTENSIONS[1].rows(v):
             built.append(choice)
             yield choice
 
-    assert row_count(counted, [{}] * 9, 8, tuple(range(1, 9))) == 10850216
+    assert Family(rows=counted).count(tuple(range(1, 9))) == 10850216
     assert len(built) == 1588
 
 
@@ -380,6 +380,20 @@ def test_alpha_stencil_sizes_frozen():
             for m in range(2, 7)] == [2, 6, 16, 44, 120]
 
 
+def _cold_alpha(monkeypatch, slots=monotone._alpha_slots):
+    """A fresh alpha family, with these slot forms, in place of the live
+    one for the rest of the test."""
+    family = Family(slots, monotone._alpha_marks)
+    monkeypatch.setitem(monotone.EXTENSIONS, 1, family)
+    return family
+
+
+def _memoized_alpha():
+    """Alpha by the memoized step alone: the alpha rows in a family of
+    their own, which has no slot forms to fill from."""
+    return Family(rows=monotone.EXTENSIONS[1].rows)
+
+
 def _fill_boxes(n, rng):
     """Boxes of bottom rows: ties (equal overlapping ranges), decreasing
     rows (inversions everywhere), gaps of 3 or 4 between entries, boxes
@@ -400,13 +414,12 @@ def test_alpha_fill_matches_the_memoized_step(monkeypatch, fill_log, n):
     # every box fills, down to the one-point ones, when one point suffices
     monkeypatch.setattr(intervals, "FILL_MIN_POINTS", 1)
     rng = random.Random(n)
-    reference = {}
+    reference = _memoized_alpha()
     for box in _fill_boxes(n, rng):
-        monkeypatch.setattr(monotone, "_alpha_memo", {})
+        filled = _cold_alpha(monkeypatch).table
         fill_log.clear()
         top = list(product(*box))
         monotone.alpha_function(n).sweep(top)
-        filled = monotone._alpha_memo
         if n == 1:
             # rows of length 1 count 1 and are not stored
             assert filled == {}
@@ -415,19 +428,16 @@ def test_alpha_fill_matches_the_memoized_step(monkeypatch, fill_log, n):
         below = [k for k in filled if len(k) < n]
         # the whole box, and a sample of the rows below it that it reached
         for k in top + rng.sample(below, min(len(below), 200)):
-            assert filled[k] == row_count(monotone._rows_1,
-                                          [reference] * (len(k) + 1),
-                                          len(k), k), (box, k)
+            assert filled[k] == reference.count(k), (box, k)
 
 
 def test_alpha_sweep_matches_point_calls_through_apply_at(monkeypatch,
                                                           fill_log):
     rng = random.Random(5)
-    reference = {}
+    reference = _memoized_alpha()
     for n in (2, 3, 4, 5):
-        monkeypatch.setattr(monotone, "_alpha_memo", {})
-        plain = LatticeFunction(n, lambda k: row_count(
-            monotone._rows_1, [reference] * (n + 1), n, k))
+        _cold_alpha(monkeypatch)
+        plain = LatticeFunction(n, reference.count)
         for _ in range(4):
             op = identity(n)
             for _ in range(rng.randint(1, 4)):
@@ -444,12 +454,11 @@ def test_alpha_sweep_matches_point_calls_through_apply_at(monkeypatch,
 
 
 def test_alpha_sweep_keeps_the_memoized_step(monkeypatch, fill_log):
-    monkeypatch.setattr(monotone, "_alpha_memo", {})
-    reference = {}
+    _cold_alpha(monkeypatch)
+    reference = _memoized_alpha()
 
     def want(n, points):
-        return [row_count(monotone._rows_1, [reference] * (n + 1), n, k)
-                for k in points]
+        return list(map(reference.count, points))
 
     # a sparse reach: a difference 100000 wide, at one point and on a grid
     far = shift(2, 0, 100000) - identity(2)
@@ -468,13 +477,13 @@ def test_alpha_sweep_keeps_the_memoized_step(monkeypatch, fill_log):
 
 
 def test_alpha_sweep_fills_only_new_points(monkeypatch, fill_log):
-    monkeypatch.setattr(monotone, "_alpha_memo", {})
+    table = _cold_alpha(monkeypatch).table
     box = list(product(range(3), repeat=4))
     first = monotone.alpha_function(4).sweep(box)
-    assert len(monotone._alpha_memo) > len(box)
+    assert len(table) > len(box)
     assert fill_log == [[2, 3, 4]]
     fill_log.clear()
-    # a fresh lattice function, so only alpha's own memo knows the points
+    # only alpha's own memo knows the points
     assert monotone.alpha_function(4).sweep(box[::-1]) == first[::-1]
     assert not any(fill_log)
 
@@ -500,7 +509,8 @@ def test_alpha_fill_over_budget_is_refused():
 
 
 def _level_three_coefficient_flipped(monkeypatch):
-    """The stencil of rows of length 3 with the sign of one term flipped."""
+    """The stencil of rows of length 3 with the sign of one term flipped;
+    returns the alpha family's slot forms, which stay as they are."""
     real = intervals._stencil
 
     def stencil(choices):
@@ -510,11 +520,12 @@ def _level_three_coefficient_flipped(monkeypatch):
             terms = ((-coeff, corner), *rest)
         return terms
     monkeypatch.setattr(intervals, "_stencil", stencil)
+    return monotone._alpha_slots
 
 
 def _one_slot_limit_moved(monkeypatch):
-    """The star choices above rows of length 3 with the upper limit of one
-    slot of one choice raised by 1."""
+    """Alpha's slot forms, with the upper limit of one slot of one star
+    choice above rows of length 3 raised by 1."""
     real = monotone._alpha_slots
 
     def slots(m):
@@ -523,19 +534,19 @@ def _one_slot_limit_moved(monkeypatch):
             ((a, s), (b, t)), *others = choices[0]
             choices = ((((a, s), (b, t + 1)), *others),) + choices[1:]
         return choices
-    monkeypatch.setattr(monotone, "_alpha_slots", slots)
+    return slots
 
 
 @pytest.mark.parametrize("mutate", [_level_three_coefficient_flipped,
                                     _one_slot_limit_moved])
 def test_gates_catch_a_broken_alpha_fill(monkeypatch, mutate):
     # delta-n, e-rho and alpha-props read alpha through the fill; a fresh
-    # memo makes them fill it rather than read earlier values.  At n = 3
+    # family makes them fill it rather than read earlier values.  At n = 3
     # the broken rows of length 3 are still of low degree, so delta-n needs
     # n = 4 to see them.  The memoized step reads the same slot forms, so a
     # moved slot limit also shows in extensions-agree, which holds alpha to
     # both operator products on the product formula.
-    mutate(monkeypatch)
+    slots = mutate(monkeypatch)
     suites = [partial(suite, n_max=4, bound=1)
               for suite in (verify.suite_delta_n, verify.suite_e_rho,
                             verify.suite_alpha_props)]
@@ -543,6 +554,6 @@ def test_gates_catch_a_broken_alpha_fill(monkeypatch, mutate):
         suites.append(partial(verify.suite_extensions_agree, bound3=1,
                               lo4=0, hi4=1))
     for suite in suites:
-        monkeypatch.setattr(monotone, "_alpha_memo", {})
+        _cold_alpha(monkeypatch, slots)
         report = suite()
         assert report["violations"], (mutate.__name__, report["suite"])

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from gtseq import monotone
 from gtseq.operators import (
     MAX_PRODUCT_PAIRS,
     MAX_TRUNCATION,
@@ -190,28 +191,43 @@ def test_sparse_wide_stencil():
     assert len(calls) == 10
 
 
-def test_lattice_function_sweeps_only_new_points():
+def test_apply_at_hands_the_reach_to_a_sweep(monkeypatch):
     def g(k):
         return k[0] * 10 + k[1]
 
     handed = []
-    f = LatticeFunction(2, g, sweep=lambda points: handed.append(points)
-                        or [g(k) for k in points])
-    assert f((0, 0)) == 0
-    assert f.sweep([(0, 0), (1, 2), [1, 2], (3, 0)]) == [0, 12, 12, 30]
-    assert handed == [[(1, 2), (3, 0)]]
-    assert f.sweep([(3, 0), (0, 0)]) == [30, 0]
-    assert len(handed) == 1
-    with pytest.raises(ValueError):
-        f.sweep([(1, 2, 3)])
+
+    class Swept:
+        def sweep(self, points):
+            handed.append(points)
+            return list(map(g, points))
+
     # apply_at hands every point the stencil reaches to the sweep at once
-    handed.clear()
     op = delta(2, 0) * delta(2, 1)
-    assert apply_at(op, f, [(5, 5), (6, 5)]) == [0, 0]
+    assert apply_at(op, Swept(), [(5, 5), (6, 5)]) == [0, 0]
     assert len(handed) == 1
     assert sorted(handed[0]) == [(5, 5), (5, 6), (6, 5), (6, 6), (7, 5),
                                  (7, 6)]
     assert apply_at(op, LatticeFunction(2, g), [(5, 5)]) == [0]
+    # alpha's lattice function is its family, which keeps the values it
+    # sweeps in its own table; no LatticeFunction holds a second copy
+    made = []
+    init = LatticeFunction.__init__
+
+    def counted_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(LatticeFunction, "__init__", counted_init)
+    f = monotone.alpha_function(4)
+    assert f is monotone.EXTENSIONS[1] is monotone.alpha_function(3)
+    grid = list(product(range(3), repeat=4))
+    stepped = [tuple(x + (c == 0) for c, x in enumerate(k)) for k in grid]
+    assert apply_at(delta(4, 0), f, grid) == [
+        monotone.alpha(4, up) - monotone.alpha(4, k)
+        for k, up in zip(grid, stepped)]
+    assert made == []
+    assert all(k in monotone._alpha_memo for k in grid + stepped)
 
 
 def test_apply_rejects_point_of_wrong_length():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import pytest
 
 from gtseq import patterns, verify
-from gtseq.intervals import interval
+from gtseq.intervals import Family, interval
 from gtseq.operators import product_formula
 from gtseq.patterns import (
     enumerate_patterns,
@@ -144,12 +144,12 @@ def test_independence_catches_moved_upper_limit(monkeypatch):
             choice = (((a, s), (b, t + 1)), *others)
         return (choice,)
 
-    monkeypatch.setattr(patterns, "_pattern_slots", moved)
     for suite in (partial(verify.suite_independence, n_max=3, bound=1,
                           trees=1),
                   partial(verify.suite_shift_antisym, n_max=2, bound=1),
                   partial(verify.suite_decomposition, n=3, bound=1)):
-        monkeypatch.setattr(patterns, "_count_memo", {})
+        # a fresh pattern family of the moved forms for each suite
+        monkeypatch.setattr(patterns, "_family", Family(moved))
         report = suite()
         assert report["violations"], report["suite"]
 

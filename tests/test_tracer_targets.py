@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gtseq import monotone, patterns
 from gtseq.trees import basic_sequence, basic_tree
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -64,6 +65,39 @@ def test_tracer_module_memos_resolve(tracer):
         if key is not None:
             table = table[key]
         assert isinstance(table, dict), label
+
+
+# One cold count per module memo table the tracer reads.
+MODULE_COUNTS = {
+    "patterns._count_memo": lambda: patterns.signed_pattern_count((0, 2, 4)),
+    "monotone._alpha_memo": lambda: monotone.alpha(3, (0, 2, 4)),
+    "monotone._strict_memo":
+        lambda: monotone.strict_row_patterns(3, (0, 2, 4)),
+    "monotone._ext_memos[2]":
+        lambda: monotone.extension_signed_count(2, 3, (0, 2, 4)),
+    "monotone._ext_memos[3]":
+        lambda: monotone.extension_signed_count(3, 3, (0, 2, 4)),
+    "monotone._ext_memos[4]":
+        lambda: monotone.extension_signed_count(4, 3, (0, 2, 4)),
+}
+
+
+def test_tracer_module_memos_are_the_live_tables(tracer):
+    # a name left bound to an orphaned dict would read 0 entries in the
+    # bench without an error, so each table must fill from one cold count
+    assert set(tracer.MODULE_MEMOS) == set(MODULE_COUNTS)
+    for label, (module_name, attr, key) in tracer.MODULE_MEMOS.items():
+        table = getattr(_gtseq_module(module_name), attr)
+        if key is not None:
+            table = table[key]
+        table.clear()
+        MODULE_COUNTS[label]()
+        assert table, label
+    assert patterns._count_memo is patterns._family.table
+    assert monotone._alpha_memo is monotone.EXTENSIONS[1].table
+    for variant in (2, 3, 4):
+        assert (monotone._ext_memos[variant]
+                is monotone.EXTENSIONS[variant].table)
 
 
 def test_tracer_instance_memos_resolve(tracer):

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from gtseq import monotone, verify
+from gtseq.intervals import Family
 from gtseq.monotone import PAIR_PRODUCTS
 from gtseq.operators import product_formula
 
@@ -71,14 +72,9 @@ def test_extensions_agree_catches_wrong_variant_one_stream(monkeypatch):
 @pytest.mark.parametrize("variant", (2, 3, 4, "relaxed"))
 def test_extensions_agree_catches_moved_upper_limit(monkeypatch, variant):
     relaxed = variant == "relaxed"
-    name = "_rows_3" if relaxed else "_rows_%d" % variant
-    real = getattr(monotone, name)
+    real = monotone._rows_3 if relaxed else monotone.EXTENSIONS[variant].rows
 
     def moved(v, **kwargs):
-        # the relaxed count passes its subsets; variant 3 uses the default
-        if ("subsets" in kwargs) != relaxed:
-            yield from real(v, **kwargs)
-            return
         for decoration, sign, slots in real(v, **kwargs):
             slots = list(slots)
             for q, found in enumerate(slots):
@@ -89,11 +85,13 @@ def test_extensions_agree_catches_moved_upper_limit(monkeypatch, variant):
                     break
             yield decoration, sign, slots
 
-    monkeypatch.setattr(monotone, name, moved)
-    if not relaxed:
-        # a fresh memo, so that the moved rows are counted and the shared
-        # table is left as it was
-        monkeypatch.setitem(monotone._ext_memos, variant, {})
+    if relaxed:
+        # the relaxed count builds its family from _rows_3 at each call
+        monkeypatch.setattr(monotone, "_rows_3", moved)
+    else:
+        # a fresh family of the moved rows, so that they are counted and
+        # the live family is left as it was
+        monkeypatch.setitem(monotone.EXTENSIONS, variant, Family(rows=moved))
     rep = verify.suite_extensions_agree(bound3=1, lo4=0, hi4=1)
     want = ("extensionThreeRelaxed", None) if relaxed else ("extension",
                                                             variant)
