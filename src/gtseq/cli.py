@@ -110,10 +110,7 @@ def _count_patterns(args):
 
 def _count_alpha(args):
     from .monotone import alpha
-    n = args.n if args.n is not None else len(args.k)
-    if n != len(args.k):
-        raise UsageError("--n disagrees with the length of --k")
-    return alpha(n, args.k)
+    return alpha(len(args.k), args.k)
 
 
 def _count_paths(args):
@@ -134,6 +131,8 @@ COUNTS = {
 
 
 def cmd_count(args):
+    if args.n not in (None, len(args.k)):
+        raise UsageError("--n disagrees with the length of --k")
     print(COUNTS[args.what](args))
     return 0
 
@@ -324,23 +323,23 @@ def cmd_convert(args):
 
 # --- apply -------------------------------------------------------------------
 
-def _product_function(n):
-    from .operators import LatticeFunction, product_formula
-    return LatticeFunction(n, product_formula)
+def _product_function():
+    from .operators import product_formula
+    return product_formula
 
 
-def _patterns_function(n):
-    from .operators import LatticeFunction
-    from .patterns import signed_pattern_count
-    return LatticeFunction(n, signed_pattern_count)
+def _patterns_function():
+    from .patterns import PATTERN_FAMILY
+    return PATTERN_FAMILY
 
 
-def _alpha_function(n):
-    from .monotone import alpha_function
-    return alpha_function(n)
+def _alpha_function():
+    from .monotone import EXTENSIONS
+    return EXTENSIONS[1]
 
 
-# function name -> its lattice function of order n
+# function name -> its lattice function, loaded when applied: a counted
+# family as itself, so that apply_at sweeps every point it reaches
 FUNCTIONS = {
     "product": _product_function,
     "patterns": _patterns_function,
@@ -350,9 +349,8 @@ FUNCTIONS = {
 
 def cmd_apply(args):
     from .operators import parse_operator
-    n = len(args.at)
-    f = FUNCTIONS[args.function](n)
-    print(parse_operator(args.operator, n).apply(f, args.at))
+    f = FUNCTIONS[args.function]()
+    print(parse_operator(args.operator, len(args.at)).apply(f, args.at))
     return 0
 
 

@@ -14,21 +14,23 @@ and it is what makes telescoping identities hold for all integer bounds.
 Patterns, tree-sequence labeling chains and the monotone-triangle
 extensions are built alike: each entry of the row above a row v ranges
 over one such interval, its slot, and each inverted slot flips the sign.
-Each counted family is one ``Family``: its row generator, its memo tables
-and the memoized step over them.  The rows are ``rows(v)`` giving, per
-choice of the row above v, (decoration, sign, slots): the family's mark of
-the choice, its sign, and one slot per entry above, a ``slot(lo, hi)``
-result (members, inverted), a pin ((x,), False), or None when empty.  The
-choices above a one-entry row have no slots and do not depend on its
-entry.  ``row_walk`` streams the objects and ``Family.row_count`` sums the
-memoized count of each box through ``Family.box_sum``: a choice holding
-None has no objects, and each inverted slot flips its sign.  So a check of
-the stream against the count tests the walk, not the rows; ``interval``
-stays the reference the rows are held to.  The count above a row x of
-length 2 must be affine in x, as it is when its choices do not depend on x
-beyond dropping those with an empty slot: extended summation makes each
-add its signed width x_b + t - x_a - s + 1 for slot(x_a + s, x_b + t), 0
-when empty, or 1 for a pin, so ``box_sum`` reads a level-2 box sum at two
+Each counted family is one ``Family``: its row generator, one table per
+family (keyed by rows of every length, a key's length being its level) and
+the memoized step over it, so a family's memo size is
+``len(family.table)``.  The rows are ``rows(v)`` giving, per choice of the
+row above v, (decoration, sign, slots): the family's mark of the choice,
+its sign, and one slot per entry above, a ``slot(lo, hi)`` result
+(members, inverted), a pin ((x,), False), or None when empty.  The choices
+above a one-entry row have no slots and do not depend on its entry.
+``row_walk`` streams the objects and ``Family.row_count`` sums the memoized
+count of each box through ``Family.box_sum``: a choice holding None has no
+objects, and each inverted slot flips its sign.  So a check of the stream
+against the count tests the walk, not the rows; ``interval`` stays the
+reference the rows are held to.  The count above a row x of length 2
+must be affine in x, as it is when its choices do not depend on x beyond
+dropping those with an empty slot: extended summation makes each add its
+signed width x_b + t - x_a - s + 1 for slot(x_a + s, x_b + t), 0 when
+empty, or 1 for a pin, so ``box_sum`` reads a level-2 box sum at two
 opposite corners.
 
 A fill family (patterns, tree chains and alpha) is built from slot forms:
@@ -40,19 +42,19 @@ once.  ``form_rows`` is the one evaluator and the family's row generator;
 outside this module only ``labelings._pin_options``, whose pinned states
 are not plain slots, and the references the tests keep read a form.
 ``Family.sweep`` is a fill family's one grid path: the points missing from
-its top table go to ``fill``, which takes the same recursion a box at a
-time and writes every level it fills into the family's tables, and the
-others to its point step ``Family.count``.  Extended summation makes the
-signed sum over a slot F(x_b + t) - F(x_a + s - 1), with F the padded
-prefix table of the level below (``prefix_table``), whatever the order of
-the two ends, so a level's values are signed sums of F at a fixed set of
-corners, its stencil (``_stencil``: the differences multiplied out over
-the coordinates and summed over the choices, equal corners cancelling).
-The members of each slot at every point of a box give the box of the level
-below that it reaches (``_reach``).  ``fill`` owns the rule for when a fill
-beats the memoized step, alpha's cut at n = 6 (FILL_MAX_CORNERS) included,
-and fills the levels bottom-up from the all-ones level 1, evaluating each
-stencil over a whole box (``corner_sums``).
+its table go to ``fill``, which takes the same recursion a box at a time
+and writes every level it fills into that table, and the others to its
+point step ``Family.count``.  Extended summation makes the signed sum over
+a slot F(x_b + t) - F(x_a + s - 1), with F the padded prefix table of the
+level below (``prefix_table``), whatever the order of the two ends, so a
+level's values are signed sums of F at a fixed set of corners, its
+stencil (``_stencil``: the differences multiplied out over the coordinates
+and summed over the choices, equal corners cancelling).  The members of
+each slot at every point of a box give the box of the level below that it
+reaches (``_reach``).  ``fill`` owns the rule for when a fill beats the
+memoized step, alpha's cut at n = 6 (FILL_MAX_CORNERS) included, and fills
+the levels bottom-up from the all-ones level 1, evaluating each stencil
+over a whole box (``corner_sums``).
 """
 
 from dataclasses import dataclass
@@ -111,45 +113,29 @@ def bottom_row(n, k):
 
 
 class Family:
-    """One counted family: its rows, its memo tables and the memoized step.
+    """One counted family: its rows, its one memo table and the memoized
+    step over it.
 
     Built from slot forms (and ``marks``), its rows are ``form_rows`` over
-    them, or else from a row generator ``rows``.  With ``levels`` it keeps
-    a table per level and counts from the last (tree sequences); without,
-    one ``table`` for every row length, a key's length being its level.
+    them, or else from a row generator ``rows``.  Its ``table`` holds the
+    counts of every level, a key's length being its level.
     """
 
-    def __init__(self, slots=None, marks=None, rows=None, levels=None):
+    def __init__(self, slots=None, marks=None, rows=None):
         self.slots = slots
         self.rows = (partial(form_rows, slots, marks=marks) if rows is None
                      else rows)
-        self.levels = levels
-        if levels is None:
-            self.table = {}
-            self.tables = [self.table]
-        else:
-            self.tables = [None] + [{} for _ in range(levels)]
-
-    def _top(self, n):
-        """The table of the rows of length n counted from; a family with
-        one table lists it at every length up to n."""
-        if self.levels is None:
-            self.tables += [self.table] * (n + 1 - len(self.tables))
-        elif n != self.levels:
-            raise ValueError("k must have length %d" % self.levels)
-        return self.tables[n]
+        self.table = {}
 
     def count(self, k):
         """The count above the bottom row k."""
         k = tuple(k)
-        self._top(len(k))
         return self.row_count(len(k), k)
 
     __call__ = count
 
     def row_count(self, n, v):
-        """Signed total above row v of length n, memoized in the level-n
-        table.
+        """Signed total above row v of length n, memoized in the table.
 
         Each choice from rows(v) without an empty slot adds its sign,
         flipped once per inverted slot, times the level n-1 count summed
@@ -158,7 +144,7 @@ class Family:
         """
         if n == 1:
             return 1
-        table = self.tables[n]
+        table = self.table
         total = table.get(v)
         if total is not None:
             return total
@@ -178,8 +164,8 @@ class Family:
         where every count is 1, the product of the range lengths; at level
         2, where the count is affine in its row, the box size times the
         mean of the counts at two opposite corners; above, the entries of
-        the level's table, at C speed when all are present, with
-        ``row_count`` computing (and storing) each missing one."""
+        the table, at C speed when all are present, with ``row_count``
+        computing (and storing) each missing one."""
         if level == 1:
             return prod(map(len, box))
         if level == 2:
@@ -187,7 +173,7 @@ class Family:
             return (len(x) * len(y) * (self.row_count(2, (x[0], y[0]))
                                        + self.row_count(2, (x[-1], y[-1])))
                     // 2)
-        table = self.tables[level]
+        table = self.table
         try:
             return sum(map(table.__getitem__, product(*box)))
         except KeyError:
@@ -201,12 +187,10 @@ class Family:
 
     def sweep(self, points):
         """The counts at ``points``, in order: the points missing from the
-        top table go to ``fill``, and every point it leaves to ``count``."""
+        table go to ``fill``, and every point it leaves to ``count``."""
         points = [tuple(k) for k in points]
-        top = self.levels or max(map(len, points), default=1)
-        table = self._top(top)
-        fill([k for k in points if k not in table], top, self.slots,
-             self.tables)
+        table = self.table
+        fill([k for k in points if k not in table], self.slots, table)
         return [table[k] if k in table else self.count(k) for k in points]
 
 
@@ -297,24 +281,26 @@ FILL_BUDGET = 250_000
 FILL_MAX_CORNERS = 1024
 
 
-def fill(points, top, slots, tables):
-    """Fill levels 2..``top`` of a family over the boxes that the bounding
-    box of the level-``top`` ``points`` reaches, bottom-up from the all-ones
-    level 1, writing each level's values into ``tables[level]``; return
-    whether it filled.
+def fill(points, slots, table):
+    """Fill levels 2..top of a family over the boxes that the bounding box
+    of the ``points``, of length top, reaches, bottom-up from the all-ones
+    level 1, writing each level's values into the family's one ``table``;
+    return whether it filled.
 
     ``slots`` are the family's slot forms, from which the fill derives the
     box of the level below that a box reaches (``_reach``) and each level's
     stencil (``_stencil``).  It fills nothing, leaving the points to the
     memoized step, unless they are at least FILL_MIN_POINTS distinct
-    vectors of length top making up at least half of their bounding box,
-    no level's stencil expands more than FILL_MAX_CORNERS corner products,
-    and the reached boxes hold at most FILL_BUDGET cells; with top = 1
-    there is no level to fill.
+    vectors of one length top making up at least half of their bounding
+    box, no level's stencil expands more than FILL_MAX_CORNERS corner
+    products, and the reached boxes hold at most FILL_BUDGET cells; with
+    top = 1 there is no level to fill.
     """
     distinct = set(points)
-    if (top < 2 or len(distinct) < FILL_MIN_POINTS
-            or any(len(k) != top for k in distinct)):
+    if len(distinct) < FILL_MIN_POINTS:
+        return False
+    top = len(points[0])
+    if top < 2 or any(len(k) != top for k in distinct):
         return False
     boxes = [[range(min(column), max(column) + 1)
               for column in zip(*distinct)]]
@@ -344,7 +330,7 @@ def fill(points, top, slots, tables):
         terms = [(coeff, tuple(map(list.index, reads, corner)))
                  for coeff, corner in stencil]
         values = corner_sums(prefix, columns, terms, prod(map(len, box)))
-        tables[level].update(zip(product(*box), values))
+        table.update(zip(product(*box), values))
         if level < top:
             prefix = prefix_table(values, list(map(len, box)))
     return True

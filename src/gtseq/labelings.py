@@ -22,13 +22,13 @@ the tests hold the counters to an independent reading of each level.
 A tree-sequence labeling chain (T_1..T_n, l_1..l_n) fixes l_n = k and asks
 l_{i-1} to be admissible for (T_i, l_i); its sign is (-1)^{#inversions}
 times the product of the tree signs.  ``SequenceCounter`` is the
-``intervals.Family`` of each level's slot forms (``_sequence_slots``), one
-memo table per level, with the tree sign added: ``enumerate_sequences``
-walks the same rows (``intervals.row_walk``), ``signed_count`` is the
-counter's count, and ``SequenceCounter.sweep`` fills the same tables for a
-whole grid at once, handing the points missing from the top table to
-``intervals.fill``; the fill writes every level into the per-level memo,
-which later point calls and every family walk handed the counter read.
+``intervals.Family`` of each level's slot forms (``_sequence_slots``), with
+the tree sign added and one table per family, a key's length being its
+level: ``enumerate_sequences`` walks the same rows (``intervals.row_walk``),
+``signed_count`` is the counter's count, and ``SequenceCounter.sweep``
+fills the same table for a whole grid at once, handing the points missing
+from it to ``intervals.fill``; the fill writes every level into it, and
+later point calls and every family walk handed the counter read it.
 
 The "weak" machinery pins selected edges to the labels of selected vertices
 (one pinned edge per chosen vertex, exclusions keeping the pin unique) and
@@ -60,11 +60,11 @@ same weights and value lists without records, split by what they depend on:
 
 One walk per pinned level (``_LevelWalk``) evaluates all the pinnings
 (``PinnedFamily``) or distinct-label filters (``FilteredFamily``) of one
-level m together, memoizing a tuple of their values: above m they share
-the plain step, and below m the plain counter they are handed, which every
-family of the tree sequence can share, through its public rows, box sums
-and level counts.  ``RestrictedCounter`` and ``FilteredCounter`` are the
-one-member families.
+level m together, memoizing a tuple of their values in one table: above m
+they share the plain step, and below m the plain counter they are handed,
+which every family of the tree sequence can share, through its public
+rows, box sums and level counts.  ``RestrictedCounter`` and
+``FilteredCounter`` are the one-member families.
 """
 
 from collections import namedtuple
@@ -127,12 +127,6 @@ def inversion_edges(tree, k):
     return None
 
 
-def _incidence(n, edges):
-    """vertex -> names of its incident edges, ascending."""
-    return [()] + [tuple(name for name, t, h in edges if v == t or v == h)
-                   for v in range(1, n + 1)]
-
-
 def admissible_labelings(tree, k):
     """All admissible labelings of (tree, k), lexicographic in l."""
     for _, _, slots in _tree_rows(tree, k):
@@ -146,28 +140,30 @@ class SequenceCounter(Family):
     """Signed enumeration of labeling chains over one tree sequence.
 
     The ``intervals.Family`` of each level's slot forms (``_level_slots``),
-    built once, with one memo table per level, ``_memo[i]`` keyed by the
-    level-i vector and shared across evaluation points.  A call counts one
-    point (``Family.count``, which checks its length) and ``sweep`` a grid,
-    a box at a time where the fill takes it; both add the tree sign.
+    built once, with one table per family, keyed by the level vectors of
+    every level and shared across evaluation points.  A call counts one
+    point and ``sweep`` a grid, a box at a time where the fill takes it;
+    both check the length of each point and add the tree sign.
     """
 
     def __init__(self, seq):
         if seq.order < 1:
             raise ValueError("a tree sequence needs order at least 1")
-        super().__init__(_sequence_slots(seq).__getitem__, levels=seq.order)
+        super().__init__(_sequence_slots(seq).__getitem__)
         self.seq = seq
         self.tree_sign = seq.sign()
-        # the tables, under the name bench/tracer.py reads
-        self._memo = self.tables
+        # the table as bench/tracer.py reads it: at index order, and once
+        # in the entries from index 1
+        self._memo = ((),) * seq.order + (self.table,)
 
     def __call__(self, k):
-        return self.tree_sign * self.count(k)
+        return self.tree_sign * self.count(bottom_row(self.seq.order, k))
 
     def sweep(self, points):
         """The signed counts at ``points``, in order."""
-        sign = self.tree_sign
-        return [sign * total for total in super().sweep(points)]
+        order, sign = self.seq.order, self.tree_sign
+        return [sign * total for total in super().sweep(
+            [bottom_row(order, k) for k in points])]
 
 
 def signed_count(seq, k):
@@ -221,15 +217,16 @@ class WeakWitness:
 PinTerm = namedtuple("PinTerm", ["assignment", "slots", "choices", "weight"])
 
 
-def _vertex_assignments(edges, incident, R):
+def _vertex_assignments(edges, R):
     """Vertex mode: each r in R pins one incident edge; labels of R are
     excluded from the free edges."""
     marked = frozenset(R)
-    for choice in product(*(incident[r] for r in R)):
+    incident = [[name for name, t, h in edges if r in (t, h)] for r in R]
+    for choice in product(*incident):
         yield tuple(zip(R, choice)), marked
 
 
-def _edge_assignments(edges, incident, R):
+def _edge_assignments(edges, R):
     """Edge mode: each edge in R is pinned by one endpoint, injectively;
     labels of the chosen endpoints are excluded from the free edges."""
     for targets in product(*(edges[e - 1][1:] for e in R)):
@@ -431,10 +428,8 @@ def weak_admissible_witnesses(tree, k, R):
     """
     R = _pin_set(R, "vertex", tree.n)
     edges = _edge_triples(tree)
-    incident = _incidence(tree.n, edges)
     return _witness_records(
-        _pin_terms(edges, tuple(k), _vertex_assignments(edges, incident, R)),
-        0)
+        _pin_terms(edges, tuple(k), _vertex_assignments(edges, R)), 0)
 
 
 def edge_admissible_witnesses(tree, k, edge_set):
@@ -445,8 +440,7 @@ def edge_admissible_witnesses(tree, k, edge_set):
     edge_set = _pin_set(edge_set, "edge", tree.n)
     edges = _edge_triples(tree)
     return _witness_records(
-        _pin_terms(edges, tuple(k), _edge_assignments(edges, None, edge_set)),
-        1)
+        _pin_terms(edges, tuple(k), _edge_assignments(edges, edge_set)), 1)
 
 
 class _LevelWalk:
@@ -456,8 +450,9 @@ class _LevelWalk:
     Level m is ``_transition``, every member's value at once.  Above m all
     members take the same plain step, taken once on the tuples column-wise,
     so each entry is still its own member's count.  Below m the transition
-    reads ``plain`` (a fresh ``SequenceCounter`` when None).  The walk's own
-    memos are not ``SequenceCounter`` memos, which bench/tracer.py counts.
+    reads ``plain`` (a fresh ``SequenceCounter`` when None).  The walk's one
+    table, keyed by the vectors of levels m and up, is not a
+    ``SequenceCounter`` table, which bench/tracer.py counts.
     """
 
     def __init__(self, seq, m, plain, members):
@@ -469,11 +464,11 @@ class _LevelWalk:
             raise ValueError("plain counter is for another tree sequence")
         self.m, self._plain, self._forms = m, plain, plain.slots(m)
         self.seq, self.tree_sign, self._order = seq, plain.tree_sign, seq.order
-        self._memo = {level: {} for level in range(m, seq.order + 1)}
+        self._memo = {}
         self._zeros = (0,) * members
 
     def _raw(self, level, values):
-        memo = self._memo[level]
+        memo = self._memo
         entry = memo.get(values)
         if entry is None:
             if level == self.m:
@@ -491,7 +486,7 @@ class _LevelWalk:
     def _box(self, level, ranges):
         """Member-wise sums of the level-``level`` tuples over
         product(*ranges), computing only the missing ones."""
-        memo = self._memo[level]
+        memo = self._memo
         try:
             entries = list(map(memo.__getitem__, product(*ranges)))
         except KeyError:
@@ -519,8 +514,8 @@ class PinnedFamily(_LevelWalk):
         self.sets = [_pin_set(R, mode, m) for R in sets]
         self.mode = mode
         edges = _edge_triples(seq.tree(m))
-        self._plans = [_compile_plan(edges, self.ASSIGNMENTS[mode](
-            edges, _incidence(m, edges), R)) for R in self.sets]
+        self._plans = [_compile_plan(edges, self.ASSIGNMENTS[mode](edges, R))
+                       for R in self.sets]
 
     def _transition(self, values):
         """Per member, the sum over its plan of the signed weight times the

@@ -14,12 +14,11 @@ with the interval sign standing in for the extended summation convention.
 Alpha is one ``intervals.Family``, ``EXTENSIONS[1]``, built from the one
 statement of the star rule, ``_alpha_slots``: per row length m, the
 2^(m-1) star choices as slot forms.  ``alpha`` is its count, the recursion
-one point at a time, memoized in the family's one table.
-``alpha_function(n)``, the lattice function the operator routes and
-properties apply operators to, is the family itself: ``apply_at`` hands
-every point an operator reaches to its ``sweep``, which fills that table a
-box at a time when that beats the memoized step, so alpha's values are
-stored once.  The 4^(m-1) corner products of a row's star choices cancel
+one point at a time, memoized in the family's one table.  The operator
+routes and properties apply operators to the family itself: ``apply_at``
+hands every point an operator reaches to its ``sweep``, which fills that
+table a box at a time when that beats the memoized step, so alpha's values
+are stored once.  The 4^(m-1) corner products of a row's star choices cancel
 down to 2, 6, 16, 44 and 120 terms for rows of length 2..6; the fill's cap
 on those products stops it at n = 6.  Above it, for the points the fill
 leaves, and for ``alpha`` itself (and so ``count alpha``), the memoized
@@ -41,8 +40,8 @@ that hold objects.  The object stream (``enumerate_extension``) is
 ``intervals.row_walk`` over the family's rows, with the decorations turned
 into the triangle's marks; the memoized count (``alpha`` and
 ``extension_signed_count``) is the family's count.  The relaxed variant 3
-is ``_rows_3`` over all subsets of specials, counted by a family built
-afresh for each call.
+is ``_rows_3`` over all subsets of specials, the family
+``EXTENSIONS["relaxed"]``.
 
 The stream-against-count check therefore tests the walk, not the rows.
 The independent routes share nothing with the generators: the monotone
@@ -74,12 +73,6 @@ ARROWS = (LEFT, RIGHT, BOTH)
 def alpha(n, k):
     """Polynomial extension of the monotone triangle count, exact on Z^n."""
     return EXTENSIONS[1].count(bottom_row(n, k))
-
-
-def alpha_function(n):
-    """alpha(n, .) as a lattice function: the alpha family, whose ``sweep``
-    takes every point an operator reaches at once."""
-    return EXTENSIONS[1]
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +256,8 @@ def _rows_4(v):
 
 # One family per variant; variant 1's is alpha's.
 EXTENSIONS = {1: Family(_alpha_slots, _alpha_marks), 2: Family(rows=_rows_2),
-              3: Family(rows=_rows_3), 4: Family(rows=_rows_4)}
+              3: Family(rows=_rows_3), 4: Family(rows=_rows_4),
+              "relaxed": Family(rows=partial(_rows_3, subsets=_subsets))}
 # the families' tables, under the names bench/tracer.py reads
 _alpha_memo = EXTENSIONS[1].table
 _ext_memos = {variant: family.table for variant, family in EXTENSIONS.items()}
@@ -318,10 +312,8 @@ def extension_signed_count(variant, n, k):
 
 
 def extension_three_relaxed(n, k):
-    """Variant 3 with adjacent specials permitted (same signed total),
-    counted by a family, and so a table, local to the call."""
-    return Family(rows=partial(_rows_3, subsets=_subsets)).count(
-        bottom_row(n, k))
+    """Variant 3 with adjacent specials permitted (same signed total)."""
+    return EXTENSIONS["relaxed"].count(bottom_row(n, k))
 
 
 @lru_cache(maxsize=8)
@@ -396,16 +388,15 @@ def _matrix_point(n):
 
 def refined_via_first(n, i):
     """(-1)^(i-1) Delta^(i-1) in the first coordinate, at the short point."""
-    f = alpha_function(n)
     op = delta(n, 0) ** (i - 1)
-    return (-1) ** (i - 1) * apply_operator(op, f, _vector_point_first(n))
+    return (-1) ** (i - 1) * apply_operator(op, EXTENSIONS[1],
+                                            _vector_point_first(n))
 
 
 def refined_via_last(n, i):
     """delta^(i-1) in the last coordinate at its short point."""
-    f = alpha_function(n)
     op = small_delta(n, n - 1) ** (i - 1)
-    return apply_operator(op, f, _vector_point_last(n))
+    return apply_operator(op, EXTENSIONS[1], _vector_point_last(n))
 
 
 def refined_direct(n):
@@ -429,9 +420,9 @@ def doubly_refined_entry(n, i, j):
     """Operator route for the doubly refined count, any i, j >= 1."""
     if n == 1:
         return 1 if i == j == 1 else 0
-    f = alpha_function(n)
     op = (delta(n, 0) ** (i - 1)) * (small_delta(n, n - 1) ** (j - 1))
-    return (-1) ** (i - 1) * apply_operator(op, f, _matrix_point(n))
+    return (-1) ** (i - 1) * apply_operator(op, EXTENSIONS[1],
+                                            _matrix_point(n))
 
 
 def doubly_refined_direct(n):
@@ -543,7 +534,7 @@ def _property_residuals(prop, n, grid):
     """
     if prop == "P3":
         return [[property_three_residual(n, k)] for k in grid]
-    f = alpha_function(n)
+    f = EXTENSIONS[1]
     if prop == "P1":
         columns = []
         for i in range(1, n):

@@ -36,12 +36,13 @@ goes to it in one list; otherwise f is called once per reached point.
 ``apply_operator`` is its one-point case.  Callers that sweep a grid build
 each operator once per arity and apply it to the whole grid.
 
-``LatticeFunction`` wraps an integer-valued function on Z^arity with a memo
-table, so the operators applied to one function over one grid compute each
-point once between them.  A function computed a box at a time keeps its
-own tables and has a ``sweep`` of its own (alpha's family,
-``monotone.alpha_function``), so it sees the whole reach of an operator at
-once and stores each value once.
+``LatticeFunction`` wraps an integer-valued function on Z^arity (the
+product formula) with a memo table, so the operators applied to one
+function over one grid compute each point once between them.  A counted
+family (``patterns.PATTERN_FAMILY``, alpha's ``monotone.EXTENSIONS[1]``)
+is handed to ``apply_at`` as itself: with one table per family and a
+``sweep`` of its own, it sees the whole reach of an operator at once and
+stores each value once.
 """
 
 import re
@@ -439,7 +440,7 @@ class OperatorParseError(ValueError):
 
 def parse_operator(text, arity):
     """Parse the operator mini-language into an OperatorExpression."""
-    expr, pos = _parse_product(text, 0, arity, top=True)
+    expr, pos = _parse_product(text, 0, arity)
     if text[pos:].strip():
         raise OperatorParseError("trailing input %r" % text[pos:])
     return expr
@@ -452,7 +453,7 @@ def _coord(num, arity):
     return c
 
 
-def _parse_product(text, pos, arity, top=False):
+def _parse_product(text, pos, arity):
     result = None
     while True:
         m = _TOKEN.match(text, pos)

@@ -15,9 +15,11 @@ over a fixed bottom row equals the same product formula that counts labeling
 chains of tree sequences; the two pictures match row for row over the path
 trees (see pattern_to_chain).  ``_pattern_slots`` states the interval rule
 once, as the slot form ((q, 0), (q + 1, 0)) of entry q above a row, and
-the pattern family ``_family`` is the ``intervals.Family`` of that form:
-``enumerate_patterns`` walks its rows (``intervals.row_walk``) and
-``signed_pattern_count`` is its count, memoized in its one table.
+the pattern family ``PATTERN_FAMILY`` is the ``intervals.Family`` of that
+form, with one table per family: ``enumerate_patterns`` walks its rows
+(``intervals.row_walk``), ``signed_pattern_count`` is its count, and the
+operator routes hand it to ``operators.apply_at`` as itself, whose
+``sweep`` stores every value it reaches in that one table.
 ``intervals.interval`` stays the reference convention, used by
 ``validate_pattern`` and by the per-member recursion the tests hold the
 count to.
@@ -86,15 +88,16 @@ def _pattern_slots(m):
     return (tuple(((q, 0), (q + 1, 0)) for q in range(1, m)),)
 
 
-_family = Family(_pattern_slots)
-# the family's table, under the name bench/tracer.py reads
-_count_memo = _family.table
+PATTERN_FAMILY = Family(_pattern_slots)
+# the family and its table, under the names bench/tracer.py and its tests
+# read
+_family, _count_memo = PATTERN_FAMILY, PATTERN_FAMILY.table
 
 
 def enumerate_patterns(k):
     """All patterns with bottom row k, sorted by rows read top to bottom."""
     k = tuple(k)
-    walk = row_walk(_family.rows, bottom_row(len(k), k))
+    walk = row_walk(PATTERN_FAMILY.rows, bottom_row(len(k), k))
     return sorted((Pattern(rows, inversions, sign)
                    for rows, _, inversions, sign in walk),
                   key=lambda p: p.rows)
@@ -103,7 +106,7 @@ def enumerate_patterns(k):
 def signed_pattern_count(k):
     """Signed number of patterns with bottom row k, by a memoized recursion."""
     k = tuple(k)
-    return _family.count(bottom_row(len(k), k))
+    return PATTERN_FAMILY.count(bottom_row(len(k), k))
 
 
 def pattern_to_chain(pattern):

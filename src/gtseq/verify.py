@@ -68,7 +68,7 @@ from operator import sub
 from .intervals import (containment_dichotomy, left_anchored_identity,
                         right_anchored_dichotomy, right_anchored_identity)
 from .labelings import FilteredFamily, PinnedFamily, SequenceCounter
-from .monotone import (alpha, alpha_function, alpha_operator,
+from .monotone import (EXTENSIONS, alpha, alpha_operator,
                        check_alpha_property, doubly_refined_asm,
                        doubly_refined_identity_residuals,
                        enumerate_extension, extension_signed_count,
@@ -78,8 +78,8 @@ from .operators import (LatticeFunction, apply_at, binomial_determinants,
                         delta, elementary_symmetric, product_formula,
                         small_delta)
 from .paths import count_nonintersecting, signed_families
-from .patterns import (shift_decomposition_counts, signed_pattern_count,
-                       swap_shift)
+from .patterns import (PATTERN_FAMILY, shift_decomposition_counts,
+                       signed_pattern_count, swap_shift)
 from .trees import basic_sequence, random_sequence
 
 
@@ -285,8 +285,7 @@ def _annihilated(n, bound, ops):
     one call per operator and count; yields per point the records of the
     operators that do not kill a count there."""
     grid = list(_cube(bound, n))
-    functions = (("signedCount", LatticeFunction(n, signed_pattern_count)),
-                 ("alpha", alpha_function(n)))
+    functions = (("signedCount", PATTERN_FAMILY), ("alpha", EXTENSIONS[1]))
     swept = [(fname, fields, apply_at(op, f, grid))
              for fname, f in functions for fields, op in ops]
     for i, k in enumerate(grid):

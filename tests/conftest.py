@@ -27,9 +27,9 @@ def fill_log(monkeypatch):
     log = []
     real = intervals.fill
 
-    def fill(points, top, slots, tables):
-        filled = real(points, top, slots, tables)
-        log.append(list(range(2, top + 1)) if filled else [])
+    def fill(points, slots, table):
+        filled = real(points, slots, table)
+        log.append(list(range(2, len(points[0]) + 1)) if filled else [])
         return filled
 
     monkeypatch.setattr(intervals, "fill", fill)

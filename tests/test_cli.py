@@ -40,6 +40,14 @@ def test_count_alpha_length_mismatch(capsys):
     assert "disagrees" in err
 
 
+@pytest.mark.parametrize("what", ("gtseq", "patterns"))
+def test_count_rejects_n_that_disagrees_with_k(capsys, what):
+    # every count, not only alpha's, checks --n against --k
+    code, out, err = run(capsys, "count", what, "--n", "5", "--k", "0,1,2")
+    assert (code, out) == (2, "")
+    assert "disagrees" in err
+
+
 def test_count_negative_k_equals_form(capsys):
     code, out, _ = run(capsys, "count", "det", "--k=-1,0,2")
     assert (code, out.strip()) == (0, "15")

@@ -130,9 +130,9 @@ def test_row_protocol_on_a_synthetic_generator():
 
 
 ROW_GENERATORS = pytest.mark.parametrize("rows", (
-    patterns._family.rows, monotone.EXTENSIONS[1].rows, monotone._rows_2,
-    monotone._rows_3,
-    partial(monotone._rows_3, subsets=monotone._subsets), monotone._rows_4,
+    patterns.PATTERN_FAMILY.rows, monotone.EXTENSIONS[1].rows,
+    monotone._rows_2, monotone._rows_3, monotone.EXTENSIONS["relaxed"].rows,
+    monotone._rows_4,
     partial(form_rows,
             labelings._sequence_slots(basic_sequence(3)).__getitem__),
     partial(form_rows,
@@ -170,7 +170,7 @@ def test_level_two_box_sum_reads_two_corners(rows):
               for _ in range(30)]
     for box in boxes:
         reads = []
-        family = Family(rows=rows, levels=2)
+        family = Family(rows=rows)
 
         def count(level, v):
             reads.append((level, v))
@@ -187,7 +187,8 @@ def test_wide_rows_count_the_product_formula(monkeypatch):
     # each level-3 entry over a 30-wide box reads two level-2 corners
     k = (0, 30, 60, 90)
     want = product_formula(k)
-    monkeypatch.setattr(patterns, "_family", Family(patterns._pattern_slots))
+    monkeypatch.setattr(patterns, "PATTERN_FAMILY",
+                        Family(patterns._pattern_slots))
     assert patterns.signed_pattern_count(k) == want
     for seq in (basic_sequence(4), random_sequence(4, 7)):
         assert labelings.signed_count(seq, k) == want
@@ -234,22 +235,23 @@ def _toy_slots(level):
     return (tuple(((q, 0), (q + 1, 0)) for q in range(1, level)),)
 
 
-def _toy_fill(points, top=2):
-    """The top level's values by point, or None when nothing is filled."""
-    tables = [{} for _ in range(top + 1)]
-    if not fill(points, top, _toy_slots, tables):
-        assert not any(tables)
+def _toy_fill(points):
+    """The filled table, holding the top level's values by point, or None
+    when nothing is filled."""
+    table = {}
+    if not fill(points, _toy_slots, table):
+        assert not table
         return None
-    assert [level for level, table in enumerate(tables) if table] == list(
-        range(2, top + 1))
-    return tables[top]
+    # every level from 2 to the top, and no other
+    assert {len(k) for k in table} == set(range(2, len(points[0]) + 1))
+    return table
 
 
 def test_fill_of_a_toy_family_gives_the_product_formula():
     for top, points in ((2, list(product(range(4), repeat=2))),
                         (3, list(product(range(-2, 2), repeat=3))),
                         (4, list(product(range(-1, 2), repeat=4)))):
-        filled = _toy_fill(points, top)
+        filled = _toy_fill(points)
         assert all(filled[k] == product_formula(k) for k in points), top
 
 
@@ -285,9 +287,10 @@ def test_fill_stays_within_the_budget(monkeypatch):
 
 def test_fill_needs_a_level_above_the_ones():
     line = [(x,) for x in range(20)]
-    assert _toy_fill(line, top=1) is None
-    # and points of the top level's length
-    assert _toy_fill(list(product(range(4), repeat=2)), top=3) is None
+    assert _toy_fill(line) is None
+    # and points of one length
+    square = list(product(range(4), repeat=2))
+    assert _toy_fill(square + [k + (0,) for k in square]) is None
 
 
 def test_fill_refuses_a_corner_counted_twice():
@@ -295,8 +298,7 @@ def test_fill_refuses_a_corner_counted_twice():
     # choices sum a corner twice must not be filled with a wrong value
     twice = _toy_slots(2) * 2
     with pytest.raises(ValueError, match="coefficient"):
-        fill(list(product(range(4), repeat=2)), 2, lambda level: twice,
-             [{}, {}, {}])
+        fill(list(product(range(4), repeat=2)), lambda level: twice, {})
 
 
 def test_sweep_fills_the_pattern_family(fill_log):

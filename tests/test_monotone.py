@@ -419,7 +419,7 @@ def test_alpha_fill_matches_the_memoized_step(monkeypatch, fill_log, n):
         filled = _cold_alpha(monkeypatch).table
         fill_log.clear()
         top = list(product(*box))
-        monotone.alpha_function(n).sweep(top)
+        monotone.EXTENSIONS[1].sweep(top)
         if n == 1:
             # rows of length 1 count 1 and are not stored
             assert filled == {}
@@ -448,7 +448,7 @@ def test_alpha_sweep_matches_point_calls_through_apply_at(monkeypatch,
             corner = [rng.randint(-4, 4) for _ in range(n)]
             points = [tuple(x + rng.randint(0, 2) for x in corner)
                       for _ in range(rng.randint(1, 30))]
-            assert (apply_at(op, monotone.alpha_function(n), points)
+            assert (apply_at(op, monotone.EXTENSIONS[1], points)
                     == apply_at(op, plain, points)), (n, op, points)
     assert any(fill_log)
 
@@ -463,28 +463,28 @@ def test_alpha_sweep_keeps_the_memoized_step(monkeypatch, fill_log):
     # a sparse reach: a difference 100000 wide, at one point and on a grid
     far = shift(2, 0, 100000) - identity(2)
     grid = list(product(range(4), repeat=2))
-    assert apply_at(far, monotone.alpha_function(2), [(0, 1)]) == [-100000]
-    assert apply_at(far, monotone.alpha_function(2), grid) == [-100000] * 16
+    assert apply_at(far, monotone.EXTENSIONS[1], [(0, 1)]) == [-100000]
+    assert apply_at(far, monotone.EXTENSIONS[1], grid) == [-100000] * 16
     # a checkerboard (62 of 125 points) and every second point of a cube
     for points in ([k for k in product(range(5), repeat=3) if sum(k) % 2],
                    list(product(range(0, 7, 2), repeat=3))):
-        assert monotone.alpha_function(3).sweep(points) == want(3, points)
+        assert monotone.EXTENSIONS[1].sweep(points) == want(3, points)
     # n = 7 and above
     cube = [tuple(q + x for q, x in enumerate(k))
             for k in product(range(2), repeat=7)]
-    assert monotone.alpha_function(7).sweep(cube) == want(7, cube)
+    assert monotone.EXTENSIONS[1].sweep(cube) == want(7, cube)
     assert not any(fill_log)
 
 
 def test_alpha_sweep_fills_only_new_points(monkeypatch, fill_log):
     table = _cold_alpha(monkeypatch).table
     box = list(product(range(3), repeat=4))
-    first = monotone.alpha_function(4).sweep(box)
+    first = monotone.EXTENSIONS[1].sweep(box)
     assert len(table) > len(box)
     assert fill_log == [[2, 3, 4]]
     fill_log.clear()
     # only alpha's own memo knows the points
-    assert monotone.alpha_function(4).sweep(box[::-1]) == first[::-1]
+    assert monotone.EXTENSIONS[1].sweep(box[::-1]) == first[::-1]
     assert not any(fill_log)
 
 
@@ -498,7 +498,7 @@ def test_alpha_fill_over_budget_is_refused():
         return [tuple(x + gap * q for q, x in enumerate(k)) for k in unit]
 
     def filled(points):
-        return intervals.fill(points, 5, monotone._alpha_slots, [{}] * 6)
+        return intervals.fill(points, monotone._alpha_slots, {})
 
     assert filled(spaced(2))
     assert not filled(spaced(1000))

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from gtseq import monotone
+from gtseq import cli, monotone, patterns, verify
+from gtseq.intervals import Family
 from gtseq.operators import (
     MAX_PRODUCT_PAIRS,
     MAX_TRUNCATION,
@@ -191,6 +192,19 @@ def test_sparse_wide_stencil():
     assert len(calls) == 10
 
 
+def _lattice_functions_made(monkeypatch):
+    """The LatticeFunction instances built from now on, as a list."""
+    made = []
+    init = LatticeFunction.__init__
+
+    def counted_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(LatticeFunction, "__init__", counted_init)
+    return made
+
+
 def test_apply_at_hands_the_reach_to_a_sweep(monkeypatch):
     def g(k):
         return k[0] * 10 + k[1]
@@ -209,18 +223,10 @@ def test_apply_at_hands_the_reach_to_a_sweep(monkeypatch):
     assert sorted(handed[0]) == [(5, 5), (5, 6), (6, 5), (6, 6), (7, 5),
                                  (7, 6)]
     assert apply_at(op, LatticeFunction(2, g), [(5, 5)]) == [0]
-    # alpha's lattice function is its family, which keeps the values it
-    # sweeps in its own table; no LatticeFunction holds a second copy
-    made = []
-    init = LatticeFunction.__init__
-
-    def counted_init(self, *args):
-        made.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(LatticeFunction, "__init__", counted_init)
-    f = monotone.alpha_function(4)
-    assert f is monotone.EXTENSIONS[1] is monotone.alpha_function(3)
+    # alpha's family keeps the values it sweeps in its own table; no
+    # LatticeFunction holds a second copy
+    made = _lattice_functions_made(monkeypatch)
+    f = monotone.EXTENSIONS[1]
     grid = list(product(range(3), repeat=4))
     stepped = [tuple(x + (c == 0) for c, x in enumerate(k)) for k in grid]
     assert apply_at(delta(4, 0), f, grid) == [
@@ -228,6 +234,27 @@ def test_apply_at_hands_the_reach_to_a_sweep(monkeypatch):
         for k, up in zip(grid, stepped)]
     assert made == []
     assert all(k in monotone._alpha_memo for k in grid + stepped)
+
+
+def test_apply_at_sweeps_the_pattern_family(monkeypatch):
+    # the pattern family, too, is handed to apply_at as itself, and keeps
+    # every point it reaches in its one table
+    made = _lattice_functions_made(monkeypatch)
+    monkeypatch.setattr(patterns, "PATTERN_FAMILY",
+                        Family(patterns._pattern_slots))
+    f = patterns.PATTERN_FAMILY
+    grid = list(product(range(-2, 2), repeat=3))
+    stepped = [tuple(x - (c == 2) for c, x in enumerate(k)) for k in grid]
+    assert apply_at(small_delta(3, 2), f, grid) == [
+        product_formula(k) - product_formula(down)
+        for k, down in zip(grid, stepped)]
+    assert all(k in f.table for k in grid + stepped)
+    # nor do the suites and the command that apply operators to it
+    assert not verify.suite_delta_n(n_max=3, bound=1)["violations"]
+    assert not verify.suite_e_rho(n_max=3, bound=1)["violations"]
+    assert cli.main(["apply", "--operator", "D k1", "--function",
+                     "patterns", "--at", "0,2"]) == 0
+    assert made == []
 
 
 def test_apply_rejects_point_of_wrong_length():

@@ -149,7 +149,7 @@ def test_independence_catches_moved_upper_limit(monkeypatch):
                   partial(verify.suite_shift_antisym, n_max=2, bound=1),
                   partial(verify.suite_decomposition, n=3, bound=1)):
         # a fresh pattern family of the moved forms for each suite
-        monkeypatch.setattr(patterns, "_family", Family(moved))
+        monkeypatch.setattr(patterns, "PATTERN_FAMILY", Family(moved))
         report = suite()
         assert report["violations"], report["suite"]
 

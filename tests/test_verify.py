@@ -71,11 +71,10 @@ def test_extensions_agree_catches_wrong_variant_one_stream(monkeypatch):
 
 @pytest.mark.parametrize("variant", (2, 3, 4, "relaxed"))
 def test_extensions_agree_catches_moved_upper_limit(monkeypatch, variant):
-    relaxed = variant == "relaxed"
-    real = monotone._rows_3 if relaxed else monotone.EXTENSIONS[variant].rows
+    real = monotone.EXTENSIONS[variant].rows
 
-    def moved(v, **kwargs):
-        for decoration, sign, slots in real(v, **kwargs):
+    def moved(v):
+        for decoration, sign, slots in real(v):
             slots = list(slots)
             for q, found in enumerate(slots):
                 if found is not None:
@@ -85,16 +84,12 @@ def test_extensions_agree_catches_moved_upper_limit(monkeypatch, variant):
                     break
             yield decoration, sign, slots
 
-    if relaxed:
-        # the relaxed count builds its family from _rows_3 at each call
-        monkeypatch.setattr(monotone, "_rows_3", moved)
-    else:
-        # a fresh family of the moved rows, so that they are counted and
-        # the live family is left as it was
-        monkeypatch.setitem(monotone.EXTENSIONS, variant, Family(rows=moved))
+    # a fresh family of the moved rows, so that they are counted and the
+    # live family is left as it was
+    monkeypatch.setitem(monotone.EXTENSIONS, variant, Family(rows=moved))
     rep = verify.suite_extensions_agree(bound3=1, lo4=0, hi4=1)
-    want = ("extensionThreeRelaxed", None) if relaxed else ("extension",
-                                                            variant)
+    want = (("extensionThreeRelaxed", None) if variant == "relaxed"
+            else ("extension", variant))
     assert rep["violations"]
     assert all((v["check"], v.get("variant")) == want
                for v in rep["violations"])
@@ -327,10 +322,8 @@ BROKEN_SUITES = {
                      dict(n_max=2, bound=1, trees=2)),
     "shift-antisym": ("product_formula", _off_at_zero_sum,
                       dict(n_max=3, bound=1)),
-    "delta-n": ("signed_pattern_count", _off_at_zero_sum,
-                dict(n_max=2, bound=1)),
-    "e-rho": ("signed_pattern_count", _off_at_zero_sum,
-              dict(n_max=2, bound=1)),
+    "delta-n": ("PATTERN_FAMILY", _off_at_zero_sum, dict(n_max=2, bound=1)),
+    "e-rho": ("PATTERN_FAMILY", _off_at_zero_sum, dict(n_max=2, bound=1)),
     "prop-first": ("PinnedFamily", _family_off_at_zero_sum,
                    dict(n_max=3, bound=1, trees=1)),
     "prop-second": ("PinnedFamily",
